@@ -17,11 +17,16 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 SINK_STATE = -1
 
 EPSILON_NAME_RE = re.compile(r"^epsilon_\d+$")
 PROPOSITION_RE = re.compile(r"^[a-z0-9_]+$")
+
+# Most operators and opening parentheses one guard may hold; see parse_guard.
+MAX_GUARD_OPERATORS = 100
 
 
 class LdbaSpecError(ValueError):
@@ -152,10 +157,18 @@ def _tokenize_guard(text: str) -> list[str]:
 
 
 def parse_guard(text: str) -> Guard:
-    """Parse a guard string; grammar is `|` < `&` < `!` with parentheses."""
+    """Parse a guard string; grammar is `|` < `&` < `!` with parentheses.
+
+    A guard may hold at most MAX_GUARD_OPERATORS operators and opening
+    parentheses together. That bounds the depth of the parser's recursion
+    and of the parsed formula, whose methods recurse too.
+    """
     tokens = _tokenize_guard(text)
     if not tokens:
         raise LdbaSpecError("empty guard string")
+    if sum(tok in {"!", "&", "|", "("} for tok in tokens) > MAX_GUARD_OPERATORS:
+        raise LdbaSpecError(f"guard {text[:40]!r}...: more than {MAX_GUARD_OPERATORS} "
+                            "operators and parentheses")
     pos = 0
 
     def peek():
@@ -233,6 +246,11 @@ class LdbaSpec:
     def epsilon_names(self, q: int) -> tuple[str, ...]:
         return tuple(name for name, _ in self.epsilon_transitions.get(q, ()))
 
+    @cached_property
+    def compiled(self) -> CompiledLdba:
+        """The per-state tables of the per-step path, built on first use."""
+        return CompiledLdba(self)
+
 
 def step_state(spec: LdbaSpec, q: int, labels) -> int:
     """Successor automaton state for a label set; pure, no frontier effects."""
@@ -255,27 +273,96 @@ def step_state(spec: LdbaSpec, q: int, labels) -> int:
     raise AssertionError(f"state {q} has no matching transition (missing catch-all)")
 
 
-class LdbaRuntime:
-    """Mutable run of an automaton: current state, frontier, sweep counter."""
+class ActionTable(NamedTuple):
+    """Product actions per automaton state for one environment action set.
+
+    ``legal[q]`` lists the base actions, then the epsilon actions of q;
+    ``moves[q]`` maps each legal action to None for a base move, or to the
+    one-label set that delivers the epsilon action to the automaton.
+    """
+
+    legal: dict[int, tuple[str, ...]]
+    moves: dict[int, dict[str, frozenset | None]]
+
+
+class CompiledLdba:
+    """Per-state tables of one spec, shared by the learner, tester and oracle.
+
+    Holds, per automaton state q (the sink included): the successor memo
+    keyed by label set, the bitmask of accepting sets containing q (bit i
+    for ``spec.accepting_sets[i]``), and, per environment action set, the
+    legal actions and their moves. Build it once per spec through
+    ``LdbaSpec.compiled``.
+    """
 
     def __init__(self, spec: LdbaSpec):
         self.spec = spec
-        self._cache: dict[tuple[int, frozenset], int] = {}
+        every = spec.states + (SINK_STATE,)
+        self.next_state: dict[int, dict[frozenset, int]] = {q: {} for q in every}
+        self.accmask = {
+            q: sum(1 << i for i, acc in enumerate(spec.accepting_sets) if q in acc)
+            for q in every
+        }
+        self.full_frontier = (1 << len(spec.accepting_sets)) - 1
+        self._action_tables: dict[tuple[str, ...], ActionTable] = {}
+
+    def step(self, q: int, labels) -> int:
+        """Successor of q on a label set, memoised per (q, label set)."""
+        try:
+            return self.next_state[q][labels]
+        except (KeyError, TypeError):
+            labels = frozenset(labels)
+            nxt = step_state(self.spec, q, labels)
+            self.next_state[q][labels] = nxt
+            return nxt
+
+    def action_table(self, env_actions) -> ActionTable:
+        """The legal actions and moves of every state, given the base actions."""
+        env_actions = tuple(env_actions)
+        table = self._action_tables.get(env_actions)
+        if table is None:
+            legal = {SINK_STATE: env_actions}
+            moves = {SINK_STATE: dict.fromkeys(env_actions)}
+            for q in self.spec.states:
+                names = self.spec.epsilon_names(q)
+                legal[q] = env_actions + names
+                moves[q] = dict.fromkeys(env_actions)
+                moves[q].update((name, frozenset((name,))) for name in names)
+            table = ActionTable(legal, moves)
+            self._action_tables[env_actions] = table
+        return table
+
+
+class LdbaRuntime:
+    """Mutable run of an automaton: current state, frontier, sweep counter.
+
+    The frontier is a bitmask over ``spec.accepting_sets``; ``remaining``
+    lists the sets whose bits are still set, in declaration order.
+    """
+
+    def __init__(self, spec: LdbaSpec):
+        self.spec = spec
+        self.compiled = spec.compiled
+        self._next_state = self.compiled.next_state
+        self._accmask = self.compiled.accmask
         self.reset()
 
     def reset(self) -> int:
         self.state = self.spec.initial_state
-        self.remaining = list(self.spec.accepting_sets)
+        self.frontier = self.compiled.full_frontier
         self.sweeps_completed = 0
         return self.state
 
+    @property
+    def remaining(self) -> list[frozenset[int]]:
+        return [acc for i, acc in enumerate(self.spec.accepting_sets)
+                if self.frontier >> i & 1]
+
     def step(self, labels) -> int:
-        labels = frozenset(labels)
-        key = (self.state, labels)
-        nxt = self._cache.get(key)
-        if nxt is None:
-            nxt = step_state(self.spec, self.state, labels)
-            self._cache[key] = nxt
+        try:
+            nxt = self._next_state[self.state][labels]
+        except (KeyError, TypeError):
+            nxt = self.compiled.step(self.state, labels)
         self.state = nxt
         return nxt
 
@@ -285,14 +372,16 @@ class LdbaRuntime:
         Returns True when a set was removed (the reward-firing condition).
         Emptying the family resets it in full and counts one sweep.
         """
-        for i, acc in enumerate(self.remaining):
-            if q in acc:
-                del self.remaining[i]
-                if not self.remaining:
-                    self.remaining = list(self.spec.accepting_sets)
-                    self.sweeps_completed += 1
-                return True
-        return False
+        hits = self.frontier & self._accmask.get(q, 0)
+        if not hits:
+            return False
+        left = self.frontier ^ (hits & -hits)
+        if left:
+            self.frontier = left
+        else:
+            self.frontier = self.compiled.full_frontier
+            self.sweeps_completed += 1
+        return True
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,47 @@ def load_model(path) -> dict:
         raise CliError(f"model file {path} is not valid JSON (line {err.lineno})")
     if not isinstance(payload, dict) or payload.get("format") != "ldba-synth-model":
         raise CliError(f"model file {path} has an unrecognized format")
+    problem = _model_problem(payload)
+    if problem:
+        raise CliError(f"model file {path} is malformed: {problem}")
     return payload
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _model_problem(payload: dict) -> str | None:
+    """What makes a decoded model unusable by `test`, or None."""
+    for key in ("env_hash", "ldba_hash"):
+        if not isinstance(payload.get(key), str):
+            return f"{key!r} must be a string"
+    hp = payload.get("hyperparams", {})
+    if not isinstance(hp, dict):
+        return "'hyperparams' must be an object"
+    checks = {
+        "iteration_num_max": lambda v: _is_int(v) and v > 0,
+        "discount_factor": lambda v: _is_number(v) and 0.0 < v < 1.0,
+        "positive_reward": lambda v: v is None or (_is_number(v) and v > 0.0),
+        "q_init": _is_number,
+    }
+    for key, valid in checks.items():
+        if key in hp and not valid(hp[key]):
+            return f"hyperparameter {key!r} has an invalid value {hp[key]!r}"
+    entries = payload.get("entries")
+    if not isinstance(entries, list):
+        return "'entries' must be a list"
+    for k, entry in enumerate(entries):
+        cell = entry.get("s") if isinstance(entry, dict) else None
+        if not (isinstance(cell, list) and len(cell) == 2 and all(map(_is_int, cell))
+                and _is_int(entry.get("q")) and isinstance(entry.get("action"), str)
+                and _is_number(entry.get("value"))):
+            return f"entry {k} needs s: [int, int], q: int, a string action, a numeric value"
+    return None
 
 
 def model_qtable(payload: dict) -> QTable:

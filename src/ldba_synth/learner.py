@@ -6,7 +6,7 @@ lowest-index tie-breaking over the product's available-action order, so
 identical specs, hyper-parameters and seed reproduce runs bit for bit.
 
 By default training pays a frontier reward of 1 - eta. Under the
-state-dependent discount (eta exactly on positively rewarded steps, 1
+state-dependent discount (eta exactly on steps that fire the frontier, 1
 elsewhere) the k-th reward of a run is worth eta^(k-1) * r regardless of
 spacing, so an endlessly satisfying run is worth r/(1-eta): scaling r to
 1 - eta puts greedy values on the satisfaction-probability scale, while
@@ -83,26 +83,37 @@ class QTable:
         row = self._table.get(state)
         if row is None:
             return self.q_init
-        return max(row.get(a, self.q_init) for a in actions)
+        get, q_init = row.get, self.q_init
+        best = get(actions[0], q_init)
+        for a in actions:
+            v = get(a, q_init)
+            if v > best:
+                best = v
+        return best
 
     def best_action(self, state, actions) -> str:
         """Argmax with lowest-index tie-breaking; unseen states pick actions[0]."""
         row = self._table.get(state)
         if row is None:
             return actions[0]
-        best, best_v = actions[0], row.get(actions[0], self.q_init)
-        for a in actions[1:]:
-            v = row.get(a, self.q_init)
+        get, q_init = row.get, self.q_init
+        best = actions[0]
+        best_v = get(best, q_init)
+        for a in actions:
+            v = get(a, q_init)
             if v > best_v:
                 best, best_v = a, v
         return best
 
-    def set(self, state, action, value: float):
+    def row(self, state) -> dict[str, float]:
+        """The mutable action-value row of state, created empty if unseen."""
         row = self._table.get(state)
         if row is None:
-            row = {}
-            self._table[state] = row
-        row[action] = value
+            row = self._table[state] = {}
+        return row
+
+    def set(self, state, action, value: float):
+        self.row(state)[action] = value
 
     def items(self):
         for state, row in self._table.items():
@@ -130,8 +141,9 @@ def select_action(qtable: QTable, state, actions, epsilon: float, rng) -> str:
 def q_update(qtable: QTable, state, action, reward, gamma, next_state,
              next_actions, mu: float) -> float:
     target = reward + gamma * qtable.best_value(next_state, next_actions)
-    new = (1.0 - mu) * qtable.value(state, action) + mu * target
-    qtable.set(state, action, new)
+    row = qtable.row(state)
+    new = (1.0 - mu) * row.get(action, qtable.q_init) + mu * target
+    row[action] = new
     return new
 
 
@@ -171,33 +183,36 @@ def train(env, ldba_spec: LdbaSpec, hp: Hyperparams, on_episode=None) -> TrainRe
     qtable = QTable(hp.q_init)
     visits: dict[tuple, int] = {}
     decay = hp.learning_rate_decay
+    epsilon = hp.epsilon
+    learning_rate = hp.learning_rate
     stats: list[EpisodeStats] = []
     interrupted = False
 
     try:
         for episode in range(hp.episode_num):
             state = run.reset()
+            actions = run.available_actions(state)
             total = 0.0
             steps = 0
             sink = False
             fires: dict = {}
             for _ in range(hp.iteration_num_max):
-                actions = run.available_actions(state)
-                action = select_action(qtable, state, actions, hp.epsilon, rng)
+                action = select_action(qtable, state, actions, epsilon, rng)
                 tr = run.step(action)
-                mu = hp.learning_rate
+                mu = learning_rate
                 if decay > 0.0:
                     key = (state, action)
                     seen = visits.get(key, 0)
                     visits[key] = seen + 1
                     mu = mu / (1.0 + seen * decay)
-                q_update(qtable, state, action, tr.reward, tr.gamma, tr.next_state,
-                         run.available_actions(tr.next_state), mu)
+                next_state = tr.next_state
+                actions = run.available_actions(next_state)
+                q_update(qtable, state, action, tr.reward, tr.gamma, next_state, actions, mu)
                 total += tr.reward
                 steps += 1
-                if tr.reward > 0:
+                if tr.fired:
                     fires[state] = fires.get(state, 0) + 1
-                state = tr.next_state
+                state = next_state
                 if tr.done:
                     sink = True
                     break
@@ -219,20 +234,13 @@ class GreedyPolicy:
         self.qtable = qtable
         self.spec = ldba_spec
         self.env_actions = tuple(env_actions)
-        self._actions_by_q: dict[int, tuple[str, ...]] = {}
+        self._legal = ldba_spec.compiled.action_table(self.env_actions).legal
 
     def actions_for(self, q: int) -> tuple[str, ...]:
-        cached = self._actions_by_q.get(q)
-        if cached is None:
-            if q == -1:
-                cached = self.env_actions
-            else:
-                cached = self.env_actions + self.spec.epsilon_names(q)
-            self._actions_by_q[q] = cached
-        return cached
+        return self._legal[q]
 
     def __call__(self, state) -> str:
-        return self.qtable.best_action(state, self.actions_for(state[1]))
+        return self.qtable.best_action(state, self._legal[state[1]])
 
 
 def greedy_policy(qtable: QTable, ldba_spec: LdbaSpec, env_actions) -> GreedyPolicy:

@@ -14,9 +14,10 @@ two-level fixed point), so almost-sure states report exactly 1.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
-from .automaton import SINK_STATE, LdbaSpec, step_state
+from .automaton import SINK_STATE, LdbaSpec
 
 DEFAULT_STATE_CAP = 10**6
 SINK_CELL = (-1, -1)
@@ -49,23 +50,18 @@ def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_C
             f"product needs {slots} state slots, above the cap of {state_cap}")
 
     model = env.enumerate_model()
+    compiled = spec.compiled
+    table = compiled.action_table(env.actions)
     sink_node = (SINK_CELL, SINK_STATE)
-    step_cache: dict[tuple[int, frozenset], int] = {}
-
-    def automaton_next(q: int, labels: frozenset) -> int:
-        key = (q, labels)
-        nxt = step_cache.get(key)
-        if nxt is None:
-            nxt = step_state(spec, q, labels)
-            step_cache[key] = nxt
-        return nxt
-
     states: list[tuple] = []
     index: dict[tuple, int] = {}
     actions: list[tuple[str, ...]] = []
     successors: list[dict[str, tuple[tuple[int, float], ...]]] = []
+    frontier: deque[int] = deque()
 
-    def intern(node) -> int:
+    def visit(s, q) -> int:
+        """Index of the product node (s, q), numbered and queued on first sight."""
+        node = sink_node if q == SINK_STATE else (s, q)
         i = index.get(node)
         if i is None:
             i = len(states)
@@ -73,41 +69,33 @@ def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_C
             states.append(node)
             actions.append(())
             successors.append({})
+            frontier.append(i)
         return i
 
-    start = (env.initial_state, spec.initial_state)
-    initial = intern(start)
-    frontier = [initial]
+    initial = visit(env.initial_state, spec.initial_state)
     while frontier:
-        i = frontier.pop(0)
+        i = frontier.popleft()
         s, q = states[i]
+        actions[i] = table.legal[q]
         if q == SINK_STATE:
-            actions[i] = env.actions
             successors[i] = {a: ((i, 1.0),) for a in env.actions}
             continue
-        acts = list(env.actions) + list(spec.epsilon_names(q))
-        actions[i] = tuple(acts)
+        after = compiled.next_state[q]
         row: dict[str, tuple[tuple[int, float], ...]] = {}
         s_idx = model.index[s]
-        for action in env.actions:
+        for action, epsilon_label in table.moves[q].items():
+            if epsilon_label is not None:
+                row[action] = ((visit(s, compiled.step(q, epsilon_label)), 1.0),)
+                continue
             mass: dict[int, float] = {}
             for j_env, p in model.kernel[s_idx][action]:
-                s_next = model.states[j_env]
-                q_next = automaton_next(q, model.labels[j_env])
-                node = sink_node if q_next == SINK_STATE else (s_next, q_next)
-                known = node in index
-                j = intern(node)
-                if not known:
-                    frontier.append(j)
+                labels = model.labels[j_env]
+                q_next = after.get(labels)
+                if q_next is None:
+                    q_next = compiled.step(q, labels)
+                j = visit(model.states[j_env], q_next)
                 mass[j] = mass.get(j, 0.0) + p
             row[action] = tuple(sorted(mass.items()))
-        for name, target in spec.epsilon_transitions.get(q, ()):
-            node = sink_node if target == SINK_STATE else (s, target)
-            known = node in index
-            j = intern(node)
-            if not known:
-                frontier.append(j)
-            row[name] = ((j, 1.0),)
         successors[i] = row
 
     accepting = tuple(

@@ -6,13 +6,15 @@ environment and feed the new cell's labels to the automaton;
 epsilon-actions jump the automaton while freezing the environment and
 consume no randomness. Each step applies the accepting-frontier rule to
 the successor automaton state: a fired frontier pays positive_reward and
-discounts the future by eta, every other transition is reward-neutral
-and undiscounted. Episodes end exactly when the automaton hits the sink.
+discounts the future by eta, every other transition pays neutral_reward
+and is undiscounted. Episodes end exactly when the automaton hits the
+sink, which is in no accepting set and so never fires.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automaton import SINK_STATE, LdbaRuntime
 
@@ -32,8 +34,7 @@ class RewardSpec:
             raise ValueError("positive_reward must be positive")
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     state: tuple
     action: str
     next_state: tuple
@@ -56,7 +57,7 @@ class ProductRun:
                         else LdbaRuntime(runtime_or_spec))
         self.reward = reward
         self.rng = rng
-        self._actions_by_state: dict[int, tuple[str, ...]] = {}
+        self._actions = self.runtime.compiled.action_table(env.actions)
         self.state = (env.initial_state, self.runtime.spec.initial_state)
 
     def reset(self) -> tuple:
@@ -67,30 +68,27 @@ class ProductRun:
 
     def available_actions(self, state=None) -> tuple[str, ...]:
         """Base actions first, then the automaton's epsilon actions for q."""
-        q = (state if state is not None else self.state)[1]
-        cached = self._actions_by_state.get(q)
-        if cached is None:
-            if q == SINK_STATE:
-                cached = self.env.actions
-            else:
-                cached = self.env.actions + self.runtime.spec.epsilon_names(q)
-            self._actions_by_state[q] = cached
-        return cached
+        return self._actions.legal[(state if state is not None else self.state)[1]]
 
     def step(self, action: str) -> Transition:
         state = self.state
         s, q = state
-        if action not in self.available_actions(state):
-            raise ProductError(f"illegal action {action!r} for product state {state}")
-        if action.startswith("epsilon_"):
-            s_next = s
-            q_next = self.runtime.step(frozenset((action,)))
+        try:
+            epsilon_label = self._actions.moves[q][action]
+        except (KeyError, TypeError):
+            raise ProductError(
+                f"illegal action {action!r} for product state {state}") from None
+        runtime = self.runtime
+        if epsilon_label is None:
+            s = self.env.step(action, self.rng)
+            q = runtime.step(self.env.state_label(s))
         else:
-            s_next = self.env.step(action, self.rng)
-            q_next = self.runtime.step(self.env.state_label(s_next))
-        fired = self.runtime.advance_frontier(q_next)
-        r = self.reward.positive_reward if fired else self.reward.neutral_reward
-        gamma = self.reward.eta if r > 0 else 1.0
-        next_state = (s_next, q_next)
+            q = runtime.step(epsilon_label)
+        next_state = (s, q)
         self.state = next_state
-        return Transition(state, action, next_state, r, gamma, q_next == SINK_STATE, fired)
+        if runtime.advance_frontier(q):
+            reward = self.reward
+            return Transition(state, action, next_state, reward.positive_reward,
+                              reward.eta, False, True)
+        return Transition(state, action, next_state, self.reward.neutral_reward, 1.0,
+                          q == SINK_STATE, False)

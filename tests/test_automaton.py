@@ -7,8 +7,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldba_synth.automaton import (
+    MAX_GUARD_OPERATORS,
     GuardAnd,
     GuardNot,
     GuardOr,
@@ -113,6 +116,61 @@ def test_guard_rejects_malformed(bad):
 def test_guard_rejects_uppercase():
     with pytest.raises(LdbaSpecError, match="unexpected character"):
         parse_guard("Wood")
+
+
+@pytest.mark.parametrize("deep", [
+    "!" * 5000 + "a",
+    "(" * 3000 + "a" + ")" * 3000,
+    " & ".join(["a"] * 5000),
+    " || ".join(["!a"] * 3000),
+    "!(" * 1000 + "a" + ")" * 1000,
+])
+def test_deep_guards_raise_spec_error(deep):
+    with pytest.raises(LdbaSpecError, match="more than"):
+        parse_guard(deep)
+
+
+def test_guards_at_the_operator_limit_parse():
+    limit = MAX_GUARD_OPERATORS
+    assert parse_guard("!" * limit + "a").evaluate(set()) is (limit % 2 == 1)
+    assert parse_guard("(" * limit + "a" + ")" * limit) == GuardProp("a")
+    assert parse_guard(" & ".join(["a"] * (limit + 1))).propositions() == {"a"}
+    with pytest.raises(LdbaSpecError, match="more than"):
+        parse_guard(" && ".join(["a"] * (limit + 2)))
+
+
+def _exercise(guard):
+    """Every recursive Guard method must run on a parsed guard."""
+    guard.to_string()
+    guard.propositions()
+    hash(guard)
+    for labels in all_label_subsets(("a", "b")):
+        guard.evaluate(labels)
+
+
+GUARD_PIECES = ["a", "b", "true", "!", "&", "&&", "|", "||", "(", ")", " "]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="abtrue!&|() _1Z", max_size=120))
+def test_guard_parser_raises_only_spec_errors_on_random_text(text):
+    try:
+        guard = parse_guard(text)
+    except LdbaSpecError:
+        return
+    _exercise(guard)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 * MAX_GUARD_OPERATORS), st.sampled_from(["!", "(", "!("]),
+       st.lists(st.sampled_from(GUARD_PIECES), max_size=400))
+def test_guard_parser_raises_only_spec_errors_on_deep_text(depth, opener, pieces):
+    text = opener * depth + "".join(pieces) + ")" * depth
+    try:
+        guard = parse_guard(text)
+    except LdbaSpecError:
+        return
+    _exercise(guard)
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,61 @@ def test_load_model_failure_modes(tmp_path):
         load_model(wrong)
 
 
+GOOD_ENTRY = {"s": [0, 0], "q": 0, "action": "right", "value": 0.5}
+
+
+def model_payload(**fields):
+    payload = {"format": "ldba-synth-model", "env_hash": "e", "ldba_hash": "l",
+               "hyperparams": {}, "entries": [GOOD_ENTRY]}
+    payload.update(fields)
+    return {key: value for key, value in payload.items() if value is not None}
+
+
+MALFORMED_MODELS = {
+    "format-only": {"format": "ldba-synth-model"},
+    "no-env-hash": model_payload(env_hash=None),
+    "numeric-ldba-hash": model_payload(ldba_hash=7),
+    "no-entries": model_payload(entries=None),
+    "entries-object": model_payload(entries={"s": [0, 0]}),
+    "entry-not-object": model_payload(entries=[GOOD_ENTRY, 3]),
+    "short-cell": model_payload(entries=[dict(GOOD_ENTRY, s=[0])]),
+    "float-cell": model_payload(entries=[dict(GOOD_ENTRY, s=[0, 1.5])]),
+    "bool-q": model_payload(entries=[dict(GOOD_ENTRY, q=True)]),
+    "missing-q": model_payload(entries=[{"s": [0, 0], "action": "right", "value": 0.5}]),
+    "numeric-action": model_payload(entries=[dict(GOOD_ENTRY, action=1)]),
+    "string-value": model_payload(entries=[dict(GOOD_ENTRY, value="0.5")]),
+    "hyperparams-list": model_payload(hyperparams=[]),
+    "bad-discount": model_payload(hyperparams={"discount_factor": 1.5}),
+    "bad-horizon": model_payload(hyperparams={"iteration_num_max": "20"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MODELS))
+def test_load_model_rejects_malformed_payloads(tmp_path, name):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(MALFORMED_MODELS[name]), encoding="utf-8")
+    with pytest.raises(CliError, match="malformed") as info:
+        load_model(path)
+    assert info.value.code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("name", ["format-only", "entry-not-object", "bad-discount"])
+def test_test_with_malformed_model_exits_config(spec_files, tmp_path, capsys, name):
+    env_path, ldba_path = spec_files
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(MALFORMED_MODELS[name]), encoding="utf-8")
+    rc = main(["test", "--env", str(env_path), "--ldba", str(ldba_path),
+               "--save_dir", str(tmp_path / "out"), "--model", str(path)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: model file")
+
+
+def test_load_model_accepts_a_well_formed_payload(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_payload()), encoding="utf-8")
+    assert model_qtable(load_model(path)).value(((0, 0), 0), "right") == 0.5
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------

@@ -125,6 +125,23 @@ def test_custom_reward_values_flow_through():
     assert run.runtime.sweeps_completed == 2
 
 
+def test_discount_follows_the_frontier_not_the_reward_sign():
+    # A positive neutral reward must not discount: eta applies exactly on
+    # the steps that fire the frontier.
+    env = corridor_env({1: {"a"}, 2: {"b"}})
+    reward = RewardSpec(eta=0.9, neutral_reward=0.25)
+    run = ProductRun(env, chain_spec(), reward, make_rng(0))
+    run.reset()
+    plan = ["right", "left", "right", "right", "left", "right"]
+    fired = [run.step(action) for action in plan]
+    assert [tr.fired for tr in fired] == [False, False, False, True, True, True]
+    for tr in fired:
+        if tr.fired:
+            assert (tr.reward, tr.gamma) == (1.0, 0.9)
+        else:
+            assert (tr.reward, tr.gamma) == (0.25, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # epsilon actions
 # ---------------------------------------------------------------------------
