@@ -6,35 +6,21 @@ frontier, learns a policy with tabular Q-learning, and checks the
 outcome against an exact probabilistic model checker.
 """
 
-from .automaton import (SINK_STATE, Guard, GuardAnd, GuardNot, GuardOr, GuardProp,
-                        GuardTrue, LdbaRuntime, LdbaSpec, LdbaSpecError, parse_guard,
-                        parse_ldba_spec, load_ldba_file, serialize_ldba_spec,
-                        spec_to_document, step_state)
-from .envs import (ACTION_DELTAS, EnumeratedModel, EnvSpecError, GridEnv, LabelRegion,
-                   bundled_data_dir, env_to_document, load_env_file, parse_env_spec,
+from .automaton import (SINK_STATE, LdbaRuntime, LdbaSpec, LdbaSpecError, load_ldba_file,
+                        parse_ldba_spec)
+from .envs import (EnvSpecError, GridEnv, LabelRegion, load_env_file, parse_env_spec,
                    resolve_spec_path)
-from .evaluation import (CellReport, RolloutOutcome, SweepResult, TestConfig,
-                         TestReport, robustness_sweep, run_test)
-from .learner import (EpisodeStats, GreedyPolicy, Hyperparams, QTable, TrainResult,
-                      greedy_policy, moving_average, q_update, select_action, train)
-from .oracle import (DEFAULT_STATE_CAP, ExplicitProduct, Mec, OracleResult,
-                     ProductSizeError, build_explicit_product, greedy_product_policy,
-                     max_sat_probability, mec_decompose)
-from .product import ProductError, ProductRun, RewardSpec, Transition
+from .evaluation import TestConfig, robustness_sweep, run_test
+from .learner import Hyperparams, greedy_policy, train
+from .oracle import ProductSizeError, build_explicit_product, max_sat_probability, mec_decompose
+from .product import ProductRun
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACTION_DELTAS", "CellReport", "DEFAULT_STATE_CAP", "EnumeratedModel",
-    "EnvSpecError", "EpisodeStats", "ExplicitProduct", "GreedyPolicy", "GridEnv",
-    "Guard", "GuardAnd", "GuardNot", "GuardOr", "GuardProp", "GuardTrue",
-    "Hyperparams", "LabelRegion", "LdbaRuntime", "LdbaSpec", "LdbaSpecError", "Mec",
-    "OracleResult", "ProductError", "ProductRun", "ProductSizeError", "QTable",
-    "RewardSpec", "RolloutOutcome", "SINK_STATE", "SweepResult", "TestConfig",
-    "TestReport", "TrainResult", "Transition", "build_explicit_product",
-    "bundled_data_dir", "env_to_document", "greedy_policy", "greedy_product_policy",
-    "load_env_file", "load_ldba_file", "max_sat_probability", "mec_decompose",
-    "moving_average", "parse_env_spec", "parse_guard", "parse_ldba_spec", "q_update",
-    "resolve_spec_path", "robustness_sweep", "run_test", "select_action",
-    "serialize_ldba_spec", "spec_to_document", "step_state", "train",
+    "EnvSpecError", "GridEnv", "Hyperparams", "LabelRegion", "LdbaRuntime", "LdbaSpec",
+    "LdbaSpecError", "ProductRun", "ProductSizeError", "SINK_STATE", "TestConfig",
+    "build_explicit_product", "greedy_policy", "load_env_file", "load_ldba_file",
+    "max_sat_probability", "mec_decompose", "parse_env_spec", "parse_ldba_spec",
+    "resolve_spec_path", "robustness_sweep", "run_test", "train",
 ]

@@ -413,7 +413,8 @@ def parse_ldba_spec(document) -> LdbaSpec:
     valid_targets = state_set | {SINK_STATE}
 
     initial = document.get("initial_state", 0)
-    _require(initial in state_set, f"initial_state {initial} is not a declared state")
+    _require(isinstance(initial, int) and initial in state_set,
+             f"initial_state {initial} is not a declared state")
 
     alphabet_raw = document.get("alphabet", [])
     _require(isinstance(alphabet_raw, list), "'alphabet' must be a list")
@@ -431,7 +432,7 @@ def parse_ldba_spec(document) -> LdbaSpec:
     for acc in acc_raw:
         _require(isinstance(acc, list) and acc, "each accepting set must be a non-empty list")
         for q in acc:
-            _require(q in state_set,
+            _require(isinstance(q, int) and q in state_set,
                      f"accepting set member {q} is not a declared state (sink is never accepting)")
         accepting.append(frozenset(acc))
     accepting_sets = tuple(accepting)
@@ -461,7 +462,7 @@ def parse_ldba_spec(document) -> LdbaSpec:
                      f"epsilon name {name!r} must match epsilon_<k>")
             if target is None:
                 target = int(name.split("_")[1])
-            _require(target in valid_targets,
+            _require(isinstance(target, int) and target in valid_targets,
                      f"epsilon transition {name} targets unknown state {target}")
             _require(name not in epsilon_targets,
                      f"epsilon name {name} is not unique across the automaton")
@@ -482,14 +483,14 @@ def parse_ldba_spec(document) -> LdbaSpec:
         _require(isinstance(rows, list) and rows, f"state {q} needs at least one transition")
         parsed = []
         for row in rows:
-            _require(isinstance(row, dict) and "guard" in row and "to" in row,
-                     f"state {q}: transitions must be {{guard, to}} objects")
+            _require(isinstance(row, dict) and isinstance(row.get("guard"), str) and "to" in row,
+                     f"state {q}: transitions must be {{guard: string, to}} objects")
             guard = parse_guard(row["guard"])
             for prop in guard.propositions():
                 _require(prop in alphabet,
                          f"state {q}: guard proposition {prop!r} is not in the alphabet")
             target = row["to"]
-            _require(target in valid_targets,
+            _require(isinstance(target, int) and target in valid_targets,
                      f"state {q}: transition targets unknown state {target}")
             parsed.append((guard, target))
         _require(isinstance(parsed[-1][0], GuardTrue),

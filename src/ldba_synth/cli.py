@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .envs import EnvSpecError, env_to_document, load_env_file, resolve_spec_pat
 from .evaluation import TestConfig, robustness_sweep, run_test
 from .learner import Hyperparams, QTable, greedy_policy, moving_average, train
 from .oracle import (DEFAULT_STATE_CAP, ProductSizeError, build_explicit_product,
-                     greedy_product_policy, max_sat_probability)
+                     max_sat_probability)
 from .product import RewardSpec
 
 EXIT_OK = 0
@@ -133,21 +134,30 @@ def model_qtable(payload: dict) -> QTable:
     return qtable
 
 
-def write_train_stats(path, stats) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+def _open_output(path):
+    """Open an output file for writing; an unwritable path exits with code 2."""
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as err:
+        raise CliError(f"cannot write {path}: {err}")
+
+
+def _write_csv(path, header, rows) -> None:
+    with _open_output(path) as handle:
         writer = csv.writer(handle)
-        writer.writerow(["episode", "return", "steps", "sweeps", "sink"])
-        for ep in stats:
-            writer.writerow([ep.episode, repr(ep.cumulative_reward), ep.steps,
-                             ep.sweeps_completed, int(ep.reached_sink)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_train_stats(path, stats) -> None:
+    _write_csv(path, ["episode", "return", "steps", "sweeps", "sink"],
+               ([ep.episode, repr(ep.cumulative_reward), ep.steps, ep.sweeps_completed,
+                 int(ep.reached_sink)] for ep in stats))
 
 
 def write_moving_average(path, averages) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["episode", "average_return"])
-        for i, value in enumerate(averages):
-            writer.writerow([i, repr(value)])
+    _write_csv(path, ["episode", "average_return"],
+               ([i, repr(value)] for i, value in enumerate(averages)))
 
 
 def write_test_results(path, report, config: TestConfig, oracle_reference) -> None:
@@ -170,14 +180,9 @@ def write_test_results(path, report, config: TestConfig, oracle_reference) -> No
 
 
 def write_sweep_csv(path, sweep) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["eta", "mu", "mean", "stderr"])
-        for cell in sweep.cells:
-            writer.writerow([repr(cell.eta), repr(cell.mu), repr(cell.mean),
-                             repr(cell.stderr)])
-        writer.writerow(["overall", "", repr(sweep.overall_mean),
-                         repr(sweep.overall_std)])
+    rows = [[repr(c.eta), repr(c.mu), repr(c.mean), repr(c.stderr)] for c in sweep.cells]
+    rows.append(["overall", "", repr(sweep.overall_mean), repr(sweep.overall_std)])
+    _write_csv(path, ["eta", "mu", "mean", "stderr"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -400,23 +405,22 @@ def cmd_test(args) -> int:
     reward = RewardSpec(eta=eta,
                         positive_reward=rp if rp is not None else 1.0 - eta)
 
-    trace_rows = []
-    trace = None
-    if args.trace:
-        def trace(rollout, step, tr):
-            (row, col), q = tr.state
-            trace_rows.append([rollout, step, row, col, q, tr.action,
-                               repr(tr.reward), repr(tr.gamma), int(tr.done)])
-
-    report = run_test(policy, env, spec, config, reward, trace=trace)
-    write_test_results(out / "test_results.json", report, config,
-                       _oracle_reference(env, spec))
-    if args.trace:
-        with open(args.trace, "w", newline="", encoding="utf-8") as handle:
+    # The trace file is opened before the rollouts, so a bad path fails fast.
+    with _open_output(args.trace) if args.trace else nullcontext() as handle:
+        trace = None
+        if handle:
             writer = csv.writer(handle)
             writer.writerow(["episode", "step", "row", "col", "q", "action",
                              "reward", "gamma", "done"])
-            writer.writerows(trace_rows)
+
+            def trace(rollout, step, tr):
+                (row, col), q = tr.state
+                writer.writerow([rollout, step, row, col, q, tr.action,
+                                 repr(tr.reward), repr(tr.gamma), int(tr.done)])
+
+        report = run_test(policy, env, spec, config, reward, trace=trace)
+    write_test_results(out / "test_results.json", report, config,
+                       _oracle_reference(env, spec))
     print(f"[test] success rate {report.success_rate:.4f} over "
           f"{config.rollouts} rollouts")
     return EXIT_OK
@@ -432,11 +436,9 @@ def cmd_oracle(args) -> int:
     print(f"maximal satisfaction probability from the initial state: "
           f"{result.initial_value:.4f}")
     if args.dump_values:
-        with open(args.dump_values, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["state", "row", "col", "q", "value"])
-            for i, ((row, col), q) in enumerate(prod.states):
-                writer.writerow([i, row, col, q, repr(result.values[i])])
+        _write_csv(args.dump_values, ["state", "row", "col", "q", "value"],
+                   ([i, row, col, q, repr(result.values[i])]
+                    for i, ((row, col), q) in enumerate(prod.states)))
         print(f"[oracle] values written to {args.dump_values}")
     return EXIT_OK
 

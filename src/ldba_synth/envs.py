@@ -73,9 +73,10 @@ class GridEnv:
         _require(isinstance(actions, (list, tuple)) and len(actions) in (4, 5),
                  "actions must list 4 or 5 action names")
         for name in actions:
-            _require(name in ACTION_DELTAS, f"unknown action {name!r}")
+            _require(isinstance(name, str) and name in ACTION_DELTAS, f"unknown action {name!r}")
         _require(len(set(actions)) == len(actions), "duplicate actions")
-        _require(0.0 <= slip_probability <= 1.0, "slip_probability must be in [0, 1]")
+        _require(isinstance(slip_probability, (int, float)) and 0.0 <= slip_probability <= 1.0,
+                 "slip_probability must be in [0, 1]")
         row0, col0 = initial_state
         _require(0 <= row0 < height and 0 <= col0 < width, "initial_state out of bounds")
 
@@ -102,10 +103,7 @@ class GridEnv:
                      f"label {label!r} uses the reserved epsilon_ prefix")
 
     def label_universe(self) -> set[str]:
-        universe = set()
-        for region in self.regions:
-            universe |= region.labels
-        return universe
+        return set().union(*(region.labels for region in self.regions))
 
     def reset(self) -> tuple[int, int]:
         self._pos = self.initial_state
@@ -184,14 +182,16 @@ def parse_env_spec(document) -> GridEnv:
         _require(key in document, f"missing environment key {key!r}")
 
     regions = []
+    _require(isinstance(document.get("label_regions", []), list), "'label_regions' must be a list")
     for raw in document.get("label_regions", []):
         _require(isinstance(raw, dict) and {"rows", "cols", "label"} <= set(raw),
                  "label_regions entries must be {rows, cols, label} objects")
         rows, cols = raw["rows"], raw["cols"]
-        _require(isinstance(rows, list) and len(rows) == 2, "region rows must be [lo, hi)")
-        _require(isinstance(cols, list) and len(cols) == 2, "region cols must be [lo, hi)")
+        for name, bounds in (("rows", rows), ("cols", cols)):
+            _require(isinstance(bounds, list) and len(bounds) == 2
+                     and all(isinstance(v, int) for v in bounds), f"region {name} must be [lo, hi)")
         label = raw["label"]
-        labels = [label] if isinstance(label, str) else list(label)
+        labels = label if isinstance(label, list) else [label]
         _require(labels and all(isinstance(lab, str) for lab in labels),
                  "region label must be a string or list of strings")
         regions.append(LabelRegion((rows[0], rows[1]), (cols[0], cols[1]), frozenset(labels)))

@@ -145,7 +145,7 @@ def robustness_sweep(env, ldba_spec, base_hp: Hyperparams, eta_grid, mu_grid,
 
     rates: dict[tuple[int, int], float] = {}
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             for key, rate in pool.map(_sweep_job, jobs):
                 rates[key] = rate
     else:

@@ -8,14 +8,16 @@ set, matching the frontier semantics that all sets must be visited
 infinitely often. The maximal probability of reaching the union of
 accepting MECs is then the Buchi value. Reachability is solved by
 Gauss-Seidel value iteration after the standard qualitative
-precomputations (prob0 via backward reachability, prob1 via the
-two-level fixed point), so almost-sure states report exactly 1.
+precomputations on a predecessor index (prob0 by backward search, prob1
+by the Pmax=1 fixed point of Baier & Katoen, Principles of Model Checking,
+10.6), so almost-sure states report exactly 1.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .automaton import SINK_STATE, LdbaSpec
 
@@ -40,6 +42,12 @@ class ExplicitProduct:
 
     def num_states(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def supports(self) -> list[dict[str, tuple[int, ...]]]:
+        """Successor states of each available action, per state."""
+        return [{a: tuple(j for j, _ in row[a]) for a in acts}
+                for acts, row in zip(self.actions, self.successors)]
 
 
 def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_CAP) -> ExplicitProduct:
@@ -172,11 +180,7 @@ def mec_decompose(prod: ExplicitProduct) -> list[Mec]:
     leaves the candidate are dropped, states left without actions are
     dropped, and the remainder is re-partitioned into SCCs until stable.
     """
-    support = {
-        (i, a): frozenset(j for j, _ in succ)
-        for i, row in enumerate(prod.successors)
-        for a, succ in row.items()
-    }
+    supports = prod.supports
     candidates: list[set[int]] = [set(range(prod.num_states()))]
     mecs: list[Mec] = []
     while candidates:
@@ -184,7 +188,7 @@ def mec_decompose(prod: ExplicitProduct) -> list[Mec]:
         while True:
             kept: dict[int, tuple[str, ...]] = {}
             for i in sorted(cand):
-                acts = tuple(a for a in prod.actions[i] if support[(i, a)] <= cand)
+                acts = tuple(a for a, sup in supports[i].items() if cand.issuperset(sup))
                 if acts:
                     kept[i] = acts
             if len(kept) < len(cand):
@@ -193,7 +197,7 @@ def mec_decompose(prod: ExplicitProduct) -> list[Mec]:
                     break
                 continue
             edges = {
-                i: sorted({j for a in kept[i] for j in support[(i, a)]})
+                i: sorted({j for a in kept[i] for j in supports[i][a]})
                 for i in kept
             }
             comps = _strongly_connected_components(sorted(kept), edges)
@@ -213,44 +217,54 @@ def mec_decompose(prod: ExplicitProduct) -> list[Mec]:
 # ---------------------------------------------------------------------------
 
 
+def _backward_rounds(prod: ExplicitProduct, target):
+    """Reach flags per round of the predecessor-driven Pmax=1 fixed point.
+
+    Each round searches backward from the target along the enabled
+    (state, action) pairs, then disables every pair with an edge into a
+    state it missed. Round one is plain reachability; the last drops
+    nothing. Only edges leaving non-target states are indexed.
+    """
+    n = prod.num_states()
+    pre: list[list[int]] = [[] for _ in range(n)]
+    owner: list[int] = []
+    for i, row in enumerate(prod.supports):
+        if i not in target:
+            for sup in row.values():
+                for j in sup:
+                    pre[j].append(len(owner))
+                owner.append(i)
+    disabled = bytearray(len(owner))
+    reach = bytearray([1]) * n
+    while True:
+        alive, reach, stack = reach, bytearray(n), list(target)
+        for j in stack:
+            reach[j] = 1
+        while stack:
+            for k in pre[stack.pop()]:
+                i = owner[k]
+                if not reach[i] and not disabled[k]:
+                    reach[i] = 1
+                    stack.append(i)
+        yield reach
+        dropped = [j for j, (a, r) in enumerate(zip(alive, reach)) if a > r]
+        if not dropped:
+            return
+        for j in dropped:
+            for k in pre[j]:
+                disabled[k] = 1
+
+
 def _prob0_max(prod: ExplicitProduct, target: set[int]) -> set[int]:
     """States from which no policy can reach the target at all."""
-    pre: dict[int, list[int]] = {i: [] for i in range(prod.num_states())}
-    for i, row in enumerate(prod.successors):
-        for succ in row.values():
-            for j, _ in succ:
-                pre[j].append(i)
-    reach = set(target)
-    frontier = list(target)
-    while frontier:
-        j = frontier.pop()
-        for i in pre[j]:
-            if i not in reach:
-                reach.add(i)
-                frontier.append(i)
-    return set(range(prod.num_states())) - reach
+    reach = next(_backward_rounds(prod, target))
+    return {i for i, r in enumerate(reach) if not r}
 
 
 def _prob1_max(prod: ExplicitProduct, target: set[int]) -> set[int]:
-    """States with an almost-surely-reaching policy (two-level fixed point)."""
-    universe = set(range(prod.num_states()))
-    u = set(universe)
-    while True:
-        t = set(target)
-        while True:
-            grown = set(t)
-            for i in u - t:
-                for a in prod.actions[i]:
-                    succ = prod.successors[i][a]
-                    if all(j in u for j, _ in succ) and any(j in t for j, _ in succ):
-                        grown.add(i)
-                        break
-            if grown == t:
-                break
-            t = grown
-        if t == u:
-            return u
-        u = t
+    """States with an almost-surely-reaching policy."""
+    reach = deque(_backward_rounds(prod, target), maxlen=1)[0]
+    return {i for i, r in enumerate(reach) if r}
 
 
 @dataclass
@@ -266,13 +280,8 @@ def max_sat_probability(prod: ExplicitProduct, residual: float = 1e-10,
                         max_sweeps: int = 10**6, on_sweep=None) -> OracleResult:
     """Maximal probability of satisfying the Buchi condition from each state."""
     mecs = mec_decompose(prod)
-    accepting = [
-        m for m in mecs
-        if all(m.states & acc for acc in prod.accepting_sets)
-    ]
-    target = set()
-    for m in accepting:
-        target |= m.states
+    target = set().union(*(m.states for m in mecs
+                           if all(m.states & acc for acc in prod.accepting_sets)))
 
     n = prod.num_states()
     values = [0.0] * n

@@ -1,7 +1,9 @@
 """Shared generators for the test suite.
 
-All randomness is drawn from seeded random.Random instances so every
-test run is reproducible; no test depends on wall-clock or ordering.
+All randomness is drawn from seeded random.Random instances, and the
+hypothesis tests run derandomized (a fixed example sequence, no example
+database), so every test run is reproducible; no test depends on
+wall-clock or ordering.
 """
 
 from __future__ import annotations
@@ -12,10 +14,15 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ldba_synth import GridEnv, LabelRegion, LdbaSpec, parse_ldba_spec
 from ldba_synth.automaton import LdbaRuntime
 from ldba_synth.oracle import ExplicitProduct
+
+
+settings.register_profile("reproducible", derandomize=True)
+settings.load_profile("reproducible")
 
 
 def make_rng(seed: int) -> random.Random:

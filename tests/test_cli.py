@@ -287,6 +287,24 @@ def test_test_subcommand_reloads_the_model(spec_files, tmp_path, capsys):
     assert all(float(row[7]) in (0.5, 1.0) for row in body)  # gamma column
 
 
+def test_test_unwritable_trace_exits_config_before_rollouts(spec_files, tmp_path,
+                                                             capsys, monkeypatch):
+    env_path, ldba_path = spec_files
+    out = tmp_path / "results"
+    assert main(train_args(spec_files, out, "--no-test")) == EXIT_OK
+    capsys.readouterr()
+
+    def no_rollouts(*args, **kwargs):
+        raise AssertionError("rollouts ran before the trace path was checked")
+
+    monkeypatch.setattr("ldba_synth.cli.run_test", no_rollouts)
+    rc = main(["test", "--env", str(env_path), "--ldba", str(ldba_path),
+               "--save_dir", str(out),
+               "--trace", str(tmp_path / "missing" / "trace.csv")])
+    assert rc == EXIT_CONFIG
+    assert "cannot write" in capsys.readouterr().err
+
+
 def test_test_rejects_model_trained_on_other_specs(spec_files, tmp_path, capsys):
     env_path, ldba_path = spec_files
     out = tmp_path / "results"
@@ -341,6 +359,14 @@ def test_oracle_dumps_per_state_values(spec_files, tmp_path, capsys):
     assert len(rows) > 1
     assert all(0.0 <= float(row[4]) <= 1.0 for row in rows[1:])
     assert {row[3] for row in rows[1:]} >= {"0", "1", "2"}
+
+
+def test_oracle_unwritable_dump_values_exits_config(spec_files, tmp_path, capsys):
+    env_path, ldba_path = spec_files
+    rc = main(["oracle", "--env", str(env_path), "--ldba", str(ldba_path),
+               "--dump_values", str(tmp_path / "missing" / "values.csv")])
+    assert rc == EXIT_CONFIG
+    assert "cannot write" in capsys.readouterr().err
 
 
 def test_oracle_state_cap_exits_4(spec_files, capsys):

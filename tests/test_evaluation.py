@@ -200,6 +200,33 @@ def test_sweep_is_deterministic_across_worker_counts():
     assert serial == parallel
 
 
+def test_sweep_pool_never_exceeds_the_job_count(monkeypatch):
+    # The fake pool maps in-process, so the test starts no process.
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr("ldba_synth.evaluation.ProcessPoolExecutor", RecordingPool)
+    env, spec, base = sweep_args()
+    pooled = robustness_sweep(env, spec, base, eta_grid=[0.5, 0.9], mu_grid=[0.7],
+                              trainings=2, tests=4, seed=3, workers=64)
+    assert started == [4]
+    serial = robustness_sweep(env, spec, base, eta_grid=[0.5, 0.9], mu_grid=[0.7],
+                              trainings=2, tests=4, seed=3, workers=1)
+    assert pooled == serial
+
+
 def test_sweep_rejects_nonpositive_trainings():
     env, spec, base = sweep_args()
     with pytest.raises(ValueError, match="trainings"):

@@ -12,6 +12,8 @@ from ldba_synth.oracle import (
     ExplicitProduct,
     ProductSizeError,
     SINK_CELL,
+    _prob0_max,
+    _prob1_max,
     _strongly_connected_components,
     build_explicit_product,
     greedy_product_policy,
@@ -284,6 +286,88 @@ def test_mecs_sorted_by_smallest_member():
 
 
 # ---------------------------------------------------------------------------
+# qualitative precomputations against the textbook fixed points
+# ---------------------------------------------------------------------------
+
+
+def reference_prob0_max(prod: ExplicitProduct, target: set[int]) -> set[int]:
+    """Backward reachability over every edge of the product."""
+    pre: dict[int, list[int]] = {i: [] for i in range(prod.num_states())}
+    for i, row in enumerate(prod.successors):
+        for succ in row.values():
+            for j, _ in succ:
+                pre[j].append(i)
+    reach = set(target)
+    frontier = list(target)
+    while frontier:
+        j = frontier.pop()
+        for i in pre[j]:
+            if i not in reach:
+                reach.add(i)
+                frontier.append(i)
+    return set(range(prod.num_states())) - reach
+
+
+def reference_prob1_max(prod: ExplicitProduct, target: set[int]) -> set[int]:
+    """The two-level fixed point, rescanning every state on every round."""
+    u = set(range(prod.num_states()))
+    while True:
+        t = set(target)
+        while True:
+            grown = set(t)
+            for i in u - t:
+                for a in prod.actions[i]:
+                    succ = prod.successors[i][a]
+                    if all(j in u for j, _ in succ) and any(j in t for j, _ in succ):
+                        grown.add(i)
+                        break
+            if grown == t:
+                break
+            t = grown
+        if t == u:
+            return u
+        u = t
+
+
+def assert_qualitative_sets_match_reference(prod, target):
+    assert _prob1_max(prod, target) == reference_prob1_max(prod, target)
+    assert _prob0_max(prod, target) == reference_prob0_max(prod, target)
+
+
+def test_qualitative_sets_match_reference_on_random_products():
+    rng = make_rng(67)
+    for _ in range(60):
+        prod = random_explicit_product(rng, max_states=12, max_actions=3,
+                                       n_accepting_sets=rng.randint(1, 2))
+        n = prod.num_states()
+        accepting = [m.states for m in mec_decompose(prod)
+                     if all(m.states & acc for acc in prod.accepting_sets)]
+        targets = [set(), set(range(n)), set().union(*accepting),
+                   set(rng.sample(range(n), rng.randint(1, n)))]
+        for target in targets:
+            assert_qualitative_sets_match_reference(prod, target)
+
+
+BUNDLED_PAIRS = [
+    ("minecraft", "minecraft-t1"),
+    ("minecraft", "minecraft-t7"),
+    ("slp-sml", "slp-hard"),
+    ("frozen-lake-sml", "frozen-lake-reach"),
+    ("frozen-lake-sml", "frozen-lake-seq"),
+    ("robot-surve", "robot-surve"),
+]
+
+
+@pytest.mark.parametrize("env_name,ldba_name", BUNDLED_PAIRS)
+def test_qualitative_sets_match_reference_on_bundled_benchmarks(env_name, ldba_name):
+    env = load_env_file(bundled_data_dir() / "envs" / f"{env_name}.json")
+    spec = load_ldba_file(bundled_data_dir() / "ldba" / f"{ldba_name}.json")
+    prod = build_explicit_product(env, spec)
+    target = set(max_sat_probability(prod).accepting_target)
+    assert_qualitative_sets_match_reference(prod, target)
+
+
+# ---------------------------------------------------------------------------
 # maximal satisfaction probability
 # ---------------------------------------------------------------------------
 
@@ -445,14 +529,7 @@ def test_oracle_optimal_rollout_keeps_sweeping():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("env_name,ldba_name", [
-    ("minecraft", "minecraft-t1"),
-    ("minecraft", "minecraft-t7"),
-    ("slp-sml", "slp-hard"),
-    ("frozen-lake-sml", "frozen-lake-reach"),
-    ("frozen-lake-sml", "frozen-lake-seq"),
-    ("robot-surve", "robot-surve"),
-])
+@pytest.mark.parametrize("env_name,ldba_name", BUNDLED_PAIRS)
 def test_bundled_benchmarks_are_almost_surely_satisfiable(env_name, ldba_name):
     env = load_env_file(bundled_data_dir() / "envs" / f"{env_name}.json")
     spec = load_ldba_file(bundled_data_dir() / "ldba" / f"{ldba_name}.json")
