@@ -97,3 +97,8 @@ def test_gated_lake_is_decided_by_value_iteration():
     assert result.sweeps >= 100
     assert 0.0 < result.initial_value < 1.0
 
+
+def test_gridworld_goal1_or_goal2_has_151_mecs():
+    spec = load_ldba_file(resolve_spec_path("goal1-or-goal2", "ldba"))
+    prod = build_explicit_product(bundled_env("gridworld-1"), spec)
+    assert len(max_sat_probability(prod).mecs) == 151
