@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
+
+from .envs import is_int
 
 SINK_STATE = -1
 
@@ -241,7 +243,6 @@ class LdbaSpec:
     accepting_sets: tuple[frozenset[int], ...]
     transitions: dict[int, tuple[tuple[Guard, int], ...]]
     epsilon_transitions: dict[int, tuple[tuple[str, int], ...]]
-    epsilon_targets: dict[str, int] = field(default_factory=dict)
 
     def epsilon_names(self, q: int) -> tuple[str, ...]:
         return tuple(name for name, _ in self.epsilon_transitions.get(q, ()))
@@ -401,11 +402,13 @@ def parse_ldba_spec(document) -> LdbaSpec:
             document = json.loads(document)
         except json.JSONDecodeError as err:
             raise LdbaSpecError(f"syntax error at line {err.lineno}: {err.msg}") from err
+        except RecursionError:
+            raise LdbaSpecError("document is nested too deeply") from None
     _require(isinstance(document, dict), "automaton document must be a JSON object")
 
     raw_states = document.get("states")
     _require(isinstance(raw_states, list) and raw_states, "missing non-empty 'states' list")
-    _require(all(isinstance(s, int) for s in raw_states), "states must be integers")
+    _require(all(map(is_int, raw_states)), "states must be integers")
     _require(len(set(raw_states)) == len(raw_states), "duplicate states")
     _require(SINK_STATE not in raw_states, "sink state -1 is implicit, do not list it")
     states = tuple(raw_states)
@@ -413,7 +416,7 @@ def parse_ldba_spec(document) -> LdbaSpec:
     valid_targets = state_set | {SINK_STATE}
 
     initial = document.get("initial_state", 0)
-    _require(isinstance(initial, int) and initial in state_set,
+    _require(is_int(initial) and initial in state_set,
              f"initial_state {initial} is not a declared state")
 
     alphabet_raw = document.get("alphabet", [])
@@ -432,7 +435,7 @@ def parse_ldba_spec(document) -> LdbaSpec:
     for acc in acc_raw:
         _require(isinstance(acc, list) and acc, "each accepting set must be a non-empty list")
         for q in acc:
-            _require(isinstance(q, int) and q in state_set,
+            _require(is_int(q) and q in state_set,
                      f"accepting set member {q} is not a declared state (sink is never accepting)")
         accepting.append(frozenset(acc))
     accepting_sets = tuple(accepting)
@@ -440,7 +443,7 @@ def parse_ldba_spec(document) -> LdbaSpec:
     eps_raw = document.get("epsilon_transitions", {})
     _require(isinstance(eps_raw, dict), "'epsilon_transitions' must be an object")
     epsilon_transitions: dict[int, tuple[tuple[str, int], ...]] = {}
-    epsilon_targets: dict[str, int] = {}
+    epsilon_seen: set[str] = set()
     for key, entries in eps_raw.items():
         try:
             q = int(key)
@@ -462,11 +465,11 @@ def parse_ldba_spec(document) -> LdbaSpec:
                      f"epsilon name {name!r} must match epsilon_<k>")
             if target is None:
                 target = int(name.split("_")[1])
-            _require(isinstance(target, int) and target in valid_targets,
+            _require(is_int(target) and target in valid_targets,
                      f"epsilon transition {name} targets unknown state {target}")
-            _require(name not in epsilon_targets,
+            _require(name not in epsilon_seen,
                      f"epsilon name {name} is not unique across the automaton")
-            epsilon_targets[name] = target
+            epsilon_seen.add(name)
             pairs.append((name, target))
         epsilon_transitions[q] = tuple(pairs)
 
@@ -490,7 +493,7 @@ def parse_ldba_spec(document) -> LdbaSpec:
                 _require(prop in alphabet,
                          f"state {q}: guard proposition {prop!r} is not in the alphabet")
             target = row["to"]
-            _require(isinstance(target, int) and target in valid_targets,
+            _require(is_int(target) and target in valid_targets,
                      f"state {q}: transition targets unknown state {target}")
             parsed.append((guard, target))
         _require(isinstance(parsed[-1][0], GuardTrue),
@@ -507,7 +510,6 @@ def parse_ldba_spec(document) -> LdbaSpec:
         accepting_sets=accepting_sets,
         transitions=transitions,
         epsilon_transitions=epsilon_transitions,
-        epsilon_targets=epsilon_targets,
     )
 
 

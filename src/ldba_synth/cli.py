@@ -17,16 +17,16 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .automaton import LdbaSpecError, load_ldba_file, spec_to_document
-from .envs import EnvSpecError, env_to_document, load_env_file, resolve_spec_path
+from .envs import (EnvSpecError, env_to_document, is_int, is_number, load_env_file,
+                   resolve_spec_path)
 from .evaluation import TestConfig, robustness_sweep, run_test
-from .learner import Hyperparams, QTable, greedy_policy, moving_average, train
+from .learner import GreedyPolicy, Hyperparams, QTable, moving_average, train
 from .oracle import (DEFAULT_STATE_CAP, ProductSizeError, build_explicit_product,
                      max_sat_probability)
-from .product import RewardSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,6 +81,8 @@ def load_model(path) -> dict:
         raise CliError(f"no such model file: {path}")
     except json.JSONDecodeError as err:
         raise CliError(f"model file {path} is not valid JSON (line {err.lineno})")
+    except RecursionError:
+        raise CliError(f"model file {path} is nested too deeply") from None
     if not isinstance(payload, dict) or payload.get("format") != "ldba-synth-model":
         raise CliError(f"model file {path} has an unrecognized format")
     problem = _model_problem(payload)
@@ -89,12 +91,14 @@ def load_model(path) -> dict:
     return payload
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# The stored hyper-parameters that `test` reads, each with the check it must
+# pass; a model file may omit any of them, and other keys are ignored.
+_STORED_HYPERPARAMS = {
+    "iteration_num_max": lambda v: is_int(v) and v > 0,
+    "discount_factor": lambda v: is_number(v) and 0.0 < v < 1.0,
+    "positive_reward": lambda v: v is None or (is_number(v) and v > 0.0),
+    "q_init": is_number,
+}
 
 
 def _model_problem(payload: dict) -> str | None:
@@ -105,13 +109,7 @@ def _model_problem(payload: dict) -> str | None:
     hp = payload.get("hyperparams", {})
     if not isinstance(hp, dict):
         return "'hyperparams' must be an object"
-    checks = {
-        "iteration_num_max": lambda v: _is_int(v) and v > 0,
-        "discount_factor": lambda v: _is_number(v) and 0.0 < v < 1.0,
-        "positive_reward": lambda v: v is None or (_is_number(v) and v > 0.0),
-        "q_init": _is_number,
-    }
-    for key, valid in checks.items():
+    for key, valid in _STORED_HYPERPARAMS.items():
         if key in hp and not valid(hp[key]):
             return f"hyperparameter {key!r} has an invalid value {hp[key]!r}"
     entries = payload.get("entries")
@@ -119,15 +117,21 @@ def _model_problem(payload: dict) -> str | None:
         return "'entries' must be a list"
     for k, entry in enumerate(entries):
         cell = entry.get("s") if isinstance(entry, dict) else None
-        if not (isinstance(cell, list) and len(cell) == 2 and all(map(_is_int, cell))
-                and _is_int(entry.get("q")) and isinstance(entry.get("action"), str)
-                and _is_number(entry.get("value"))):
+        if not (isinstance(cell, list) and len(cell) == 2 and all(map(is_int, cell))
+                and is_int(entry.get("q")) and isinstance(entry.get("action"), str)
+                and is_number(entry.get("value"))):
             return f"entry {k} needs s: [int, int], q: int, a string action, a numeric value"
     return None
 
 
+def _stored_hyperparams(payload: dict) -> Hyperparams:
+    """The training settings a loaded model records; missing ones take the defaults."""
+    stored = payload.get("hyperparams", {})
+    return Hyperparams(**{key: stored[key] for key in _STORED_HYPERPARAMS if key in stored})
+
+
 def model_qtable(payload: dict) -> QTable:
-    qtable = QTable(payload.get("hyperparams", {}).get("q_init", 0.0))
+    qtable = QTable(_stored_hyperparams(payload).q_init)
     for entry in payload["entries"]:
         state = ((entry["s"][0], entry["s"][1]), entry["q"])
         qtable.set(state, entry["action"], entry["value"])
@@ -195,20 +199,28 @@ def _add_spec_flags(parser):
                         help="environment spec file (or bundled benchmark name)")
     parser.add_argument("--ldba", required=True,
                         help="automaton spec file (or bundled benchmark name)")
+
+
+def _add_run_flags(parser):
     parser.add_argument("--save_dir", default="./results",
                         help="output directory (LDBA_SYNTH_RESULTS overrides)")
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _add_training_flags(parser):
+def _add_training_flags(parser, grid=False):
+    """The training flags; each but --algorithm names a Hyperparams field.
+
+    An unset one takes that field's default. The sweep's grid sets
+    discount_factor and learning_rate in every cell.
+    """
     parser.add_argument("--algorithm", default="ql")
-    parser.add_argument("--episode_num", type=int, default=2500)
-    parser.add_argument("--iteration_num_max", type=int, default=4000)
-    parser.add_argument("--discount_factor", type=float, default=0.95)
-    parser.add_argument("--learning_rate", type=float, default=0.9)
-    parser.add_argument("--epsilon", type=float, default=0.1)
-    parser.add_argument("--average_window", type=int, default=-1)
-    parser.add_argument("--positive_reward", type=float, default=None,
+    parser.add_argument("--episode_num", type=int)
+    parser.add_argument("--iteration_num_max", type=int)
+    if not grid:
+        parser.add_argument("--discount_factor", type=float)
+        parser.add_argument("--learning_rate", type=float)
+    parser.add_argument("--epsilon", type=float)
+    parser.add_argument("--positive_reward", type=float,
                         help="frontier reward (default: 1 - discount_factor)")
 
 
@@ -220,7 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run tabular Q-learning and save the model")
     _add_spec_flags(p_train)
+    _add_run_flags(p_train)
     _add_training_flags(p_train)
+    p_train.add_argument("--average_window", type=int, default=-1,
+                         help="moving-average window (default: 30%% of the episodes)")
     p_train.add_argument("--test", action=argparse.BooleanOptionalAction, default=True,
                          help="run a closed-loop test after training")
     p_train.add_argument("--rollouts", type=int, default=100)
@@ -228,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="test a saved model with greedy rollouts")
     _add_spec_flags(p_test)
+    _add_run_flags(p_test)
     p_test.add_argument("--model", default=None,
                         help="model file (default: <save_dir>/learned_model.json)")
     p_test.add_argument("--rollouts", type=int, default=100)
@@ -246,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="robustness sweep over eta and mu")
     _add_spec_flags(p_sweep)
-    _add_training_flags(p_sweep)
+    _add_run_flags(p_sweep)
+    _add_training_flags(p_sweep, grid=True)
     p_sweep.add_argument("--grid_eta", default="0.2,0.4,0.6,0.8,0.99")
     p_sweep.add_argument("--grid_mu", default="0.2,0.4,0.6,0.8,0.99")
     p_sweep.add_argument("--trainings", type=int, default=3)
@@ -297,25 +314,20 @@ def _check_algorithm(name: str):
         raise CliError(f"unknown algorithm {name!r}; only 'ql' is available")
 
 
-def _hyperparams(args) -> Hyperparams:
-    hp = Hyperparams(
-        algorithm=args.algorithm,
-        episode_num=args.episode_num,
-        iteration_num_max=args.iteration_num_max,
-        discount_factor=args.discount_factor,
-        learning_rate=args.learning_rate,
-        epsilon=args.epsilon,
-        test=getattr(args, "test", True),
-        save_dir=args.save_dir,
-        average_window=args.average_window,
-        seed=args.seed,
-        positive_reward=args.positive_reward,
-    )
+def _validated(options):
+    """options, once its validate() passes; an out-of-range value exits with code 2."""
     try:
-        hp.validate()
+        options.validate()
     except ValueError as err:
         raise CliError(str(err))
-    return hp
+    return options
+
+
+def _hyperparams(args) -> Hyperparams:
+    """The Hyperparams of the flags given; the ones not given keep their defaults."""
+    given = {f.name: getattr(args, f.name) for f in fields(Hyperparams)
+             if getattr(args, f.name, None) is not None}
+    return _validated(Hyperparams(**given))
 
 
 def _oracle_reference(env, spec, state_cap=DEFAULT_STATE_CAP):
@@ -326,6 +338,16 @@ def _oracle_reference(env, spec, state_cap=DEFAULT_STATE_CAP):
     return max_sat_probability(prod).initial_value
 
 
+def _test_and_report(out, env, spec, qtable, config, reward, trace=None) -> None:
+    """Roll out the greedy policy of qtable, write test_results.json, print the rate."""
+    report = run_test(GreedyPolicy(qtable, spec, env.actions), env, spec, config, reward,
+                      trace=trace)
+    write_test_results(out / "test_results.json", report, config,
+                       _oracle_reference(env, spec))
+    print(f"[test] success rate {report.success_rate:.4f} over "
+          f"{config.rollouts} rollouts")
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -334,11 +356,14 @@ def _oracle_reference(env, spec, state_cap=DEFAULT_STATE_CAP):
 def cmd_train(args) -> int:
     _check_algorithm(args.algorithm)
     env, spec = _load_specs(args)
-    out = _output_dir(args)
     hp = _hyperparams(args)
+    # The test settings are checked before training, so bad ones fail fast.
+    config = (_validated(TestConfig(args.rollouts, hp.iteration_num_max,
+                                    args.required_sweeps, hp.seed)) if args.test else None)
+    out = _output_dir(args)
 
     every = max(1, hp.episode_num // 10)
-    window = hp.average_window if hp.average_window > 0 else max(
+    window = args.average_window if args.average_window > 0 else max(
         1, round(0.3 * max(hp.episode_num, 1)))
     returns: list[float] = []
 
@@ -360,19 +385,12 @@ def cmd_train(args) -> int:
     save_model(model_path, env_hash, ldba_hash, hp, result)
     write_train_stats(out / "train_stats.csv", result.stats)
     averages = moving_average([ep.cumulative_reward for ep in result.stats],
-                              hp.average_window)
+                              args.average_window)
     write_moving_average(out / "moving_average.csv", averages)
     print(f"[train] model saved to {model_path}")
 
-    if hp.test and not result.interrupted:
-        policy = greedy_policy(result.q_table, spec, env.actions)
-        config = TestConfig(rollouts=args.rollouts, horizon=hp.iteration_num_max,
-                            required_sweeps=args.required_sweeps, seed=hp.seed)
-        report = run_test(policy, env, spec, config, hp.reward_spec())
-        write_test_results(out / "test_results.json", report, config,
-                           _oracle_reference(env, spec))
-        print(f"[test] success rate {report.success_rate:.4f} over "
-              f"{config.rollouts} rollouts")
+    if args.test and not result.interrupted:
+        _test_and_report(out, env, spec, result.q_table, config, hp.reward_spec())
 
     print("[train] reload with: ldba-synth test "
           f"--env {args.env} --ldba {args.ldba} --model {model_path}")
@@ -392,18 +410,9 @@ def cmd_test(args) -> int:
             f"model {model_path} was trained against different specs "
             "(hash mismatch); refusing to test", EXIT_INCOMPATIBLE)
 
-    stored_hp = payload.get("hyperparams", {})
-    horizon = args.horizon or stored_hp.get("iteration_num_max", 4000)
-    config = TestConfig(rollouts=args.rollouts, horizon=horizon,
-                        required_sweeps=args.required_sweeps, seed=args.seed)
-    qtable = model_qtable(payload)
-    policy = greedy_policy(qtable, spec, env.actions)
-
-    # trace rewards/discounts with the model's own shaping, not the defaults
-    eta = stored_hp.get("discount_factor", 0.95)
-    rp = stored_hp.get("positive_reward")
-    reward = RewardSpec(eta=eta,
-                        positive_reward=rp if rp is not None else 1.0 - eta)
+    stored = _stored_hyperparams(payload)
+    horizon = stored.iteration_num_max if args.horizon is None else args.horizon
+    config = _validated(TestConfig(args.rollouts, horizon, args.required_sweeps, args.seed))
 
     # The trace file is opened before the rollouts, so a bad path fails fast.
     with _open_output(args.trace) if args.trace else nullcontext() as handle:
@@ -418,11 +427,9 @@ def cmd_test(args) -> int:
                 writer.writerow([rollout, step, row, col, q, tr.action,
                                  repr(tr.reward), repr(tr.gamma), int(tr.done)])
 
-        report = run_test(policy, env, spec, config, reward, trace=trace)
-    write_test_results(out / "test_results.json", report, config,
-                       _oracle_reference(env, spec))
-    print(f"[test] success rate {report.success_rate:.4f} over "
-          f"{config.rollouts} rollouts")
+        # trace rewards and discounts with the model's own shaping
+        _test_and_report(out, env, spec, model_qtable(payload), config,
+                         stored.reward_spec(), trace)
     return EXIT_OK
 
 
@@ -446,8 +453,10 @@ def cmd_oracle(args) -> int:
 def cmd_sweep(args) -> int:
     _check_algorithm(args.algorithm)
     env, spec = _load_specs(args)
-    out = _output_dir(args)
     hp = _hyperparams(args)
+    for flag in ("trainings", "tests", "required_sweeps"):
+        if getattr(args, flag) <= 0:
+            raise CliError(f"{flag} must be positive")
     try:
         eta_grid = [float(v) for v in args.grid_eta.split(",") if v]
         mu_grid = [float(v) for v in args.grid_mu.split(",") if v]
@@ -455,6 +464,7 @@ def cmd_sweep(args) -> int:
         raise CliError("grid flags must be comma-separated floats")
     if not eta_grid or not mu_grid:
         raise CliError("grid flags must name at least one value each")
+    out = _output_dir(args)
 
     sweep = robustness_sweep(env, spec, hp, eta_grid, mu_grid,
                              trainings=args.trainings, tests=args.tests,

@@ -45,6 +45,15 @@ def _require(cond: bool, message: str):
         raise EnvSpecError(message)
 
 
+def is_int(value) -> bool:
+    """A JSON integer; Python's bool is an int, JSON's true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class LabelRegion:
     rows: tuple[int, int]
@@ -58,7 +67,6 @@ class EnumeratedModel:
 
     states: list[tuple[int, int]]
     index: dict[tuple[int, int], int]
-    actions: tuple[str, ...]
     kernel: list[dict[str, tuple[tuple[int, float], ...]]]
     labels: list[frozenset[str]]
 
@@ -68,14 +76,14 @@ class GridEnv:
 
     def __init__(self, height, width, actions, slip_probability, initial_state,
                  label_regions):
-        _require(isinstance(height, int) and height > 0, "height must be a positive int")
-        _require(isinstance(width, int) and width > 0, "width must be a positive int")
+        _require(is_int(height) and height > 0, "height must be a positive int")
+        _require(is_int(width) and width > 0, "width must be a positive int")
         _require(isinstance(actions, (list, tuple)) and len(actions) in (4, 5),
                  "actions must list 4 or 5 action names")
         for name in actions:
             _require(isinstance(name, str) and name in ACTION_DELTAS, f"unknown action {name!r}")
         _require(len(set(actions)) == len(actions), "duplicate actions")
-        _require(isinstance(slip_probability, (int, float)) and 0.0 <= slip_probability <= 1.0,
+        _require(is_number(slip_probability) and 0.0 <= slip_probability <= 1.0,
                  "slip_probability must be in [0, 1]")
         row0, col0 = initial_state
         _require(0 <= row0 < height and 0 <= col0 < width, "initial_state out of bounds")
@@ -162,7 +170,7 @@ class GridEnv:
                 row[action] = tuple(sorted(mass.items()))
             kernel.append(row)
         labels = [self.state_label(s) for s in states]
-        return EnumeratedModel(states, index, self.actions, kernel, labels)
+        return EnumeratedModel(states, index, kernel, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +185,8 @@ def parse_env_spec(document) -> GridEnv:
             document = json.loads(document)
         except json.JSONDecodeError as err:
             raise EnvSpecError(f"syntax error at line {err.lineno}: {err.msg}") from err
+        except RecursionError:
+            raise EnvSpecError("document is nested too deeply") from None
     _require(isinstance(document, dict), "environment document must be a JSON object")
     for key in ("height", "width", "actions", "slip_probability", "initial_state"):
         _require(key in document, f"missing environment key {key!r}")
@@ -189,7 +199,7 @@ def parse_env_spec(document) -> GridEnv:
         rows, cols = raw["rows"], raw["cols"]
         for name, bounds in (("rows", rows), ("cols", cols)):
             _require(isinstance(bounds, list) and len(bounds) == 2
-                     and all(isinstance(v, int) for v in bounds), f"region {name} must be [lo, hi)")
+                     and all(map(is_int, bounds)), f"region {name} must be [lo, hi)")
         label = raw["label"]
         labels = label if isinstance(label, list) else [label]
         _require(labels and all(isinstance(lab, str) for lab in labels),
@@ -198,7 +208,7 @@ def parse_env_spec(document) -> GridEnv:
 
     initial = document["initial_state"]
     _require(isinstance(initial, list) and len(initial) == 2
-             and all(isinstance(v, int) for v in initial),
+             and all(map(is_int, initial)),
              "initial_state must be [row, col] with integer coordinates")
     return GridEnv(
         height=document["height"],

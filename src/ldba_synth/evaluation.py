@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from random import Random
 
-from .learner import Hyperparams, greedy_policy, train
+from .learner import GreedyPolicy, Hyperparams, train
 from .product import ProductRun
 
 _SEED_STRIDE = 1_000_003
@@ -106,7 +106,7 @@ class SweepResult:
 
 def _train_and_test(env, ldba_spec, hp: Hyperparams, test_config: TestConfig) -> float:
     result = train(env, ldba_spec, hp)
-    policy = greedy_policy(result.q_table, ldba_spec, env.actions)
+    policy = GreedyPolicy(result.q_table, ldba_spec, env.actions)
     report = run_test(policy, env, ldba_spec, test_config, hp.reward_spec())
     return report.success_rate
 

@@ -17,7 +17,7 @@ argmax decisions or the rng draw sequence when q_init is 0).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .automaton import LdbaSpec
 from .product import ProductRun, RewardSpec
@@ -25,25 +25,19 @@ from .product import ProductRun, RewardSpec
 
 @dataclass
 class Hyperparams:
-    """Training knobs; defaults follow the tool's standard configuration."""
+    """What one training run reads; the only home of each training default."""
 
-    algorithm: str = "ql"
     episode_num: int = 2500
     iteration_num_max: int = 4000
     discount_factor: float = 0.95
     learning_rate: float = 0.9
     epsilon: float = 0.1
-    test: bool = True
-    save_dir: str = "./results"
-    average_window: int = -1
     seed: int = 0
     q_init: float = 0.0
     positive_reward: float | None = None  # None -> 1 - discount_factor
     learning_rate_decay: float = 0.0
 
     def validate(self):
-        if self.algorithm != "ql":
-            raise ValueError(f"unsupported algorithm {self.algorithm!r}")
         if self.episode_num < 0:
             raise ValueError("episode_num must be >= 0")
         if self.iteration_num_max <= 0:
@@ -154,7 +148,6 @@ class EpisodeStats:
     steps: int
     sweeps_completed: int
     reached_sink: bool
-    positive_reward_counts: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -162,13 +155,6 @@ class TrainResult:
     q_table: QTable
     stats: list[EpisodeStats]
     interrupted: bool = False
-
-    def positive_reward_counts(self) -> dict:
-        merged: dict = {}
-        for ep in self.stats:
-            for state, n in ep.positive_reward_counts.items():
-                merged[state] = merged.get(state, 0) + n
-        return merged
 
 
 def train(env, ldba_spec: LdbaSpec, hp: Hyperparams, on_episode=None) -> TrainResult:
@@ -195,7 +181,6 @@ def train(env, ldba_spec: LdbaSpec, hp: Hyperparams, on_episode=None) -> TrainRe
             total = 0.0
             steps = 0
             sink = False
-            fires: dict = {}
             for _ in range(hp.iteration_num_max):
                 action = select_action(qtable, state, actions, epsilon, rng)
                 tr = run.step(action)
@@ -210,14 +195,11 @@ def train(env, ldba_spec: LdbaSpec, hp: Hyperparams, on_episode=None) -> TrainRe
                 q_update(qtable, state, action, tr.reward, tr.gamma, next_state, actions, mu)
                 total += tr.reward
                 steps += 1
-                if tr.fired:
-                    fires[state] = fires.get(state, 0) + 1
                 state = next_state
                 if tr.done:
                     sink = True
                     break
-            ep_stats = EpisodeStats(episode, total, steps, run.runtime.sweeps_completed,
-                                    sink, fires)
+            ep_stats = EpisodeStats(episode, total, steps, run.runtime.sweeps_completed, sink)
             stats.append(ep_stats)
             if on_episode is not None:
                 on_episode(ep_stats)
@@ -232,19 +214,10 @@ class GreedyPolicy:
 
     def __init__(self, qtable: QTable, ldba_spec: LdbaSpec, env_actions):
         self.qtable = qtable
-        self.spec = ldba_spec
-        self.env_actions = tuple(env_actions)
-        self._legal = ldba_spec.compiled.action_table(self.env_actions).legal
-
-    def actions_for(self, q: int) -> tuple[str, ...]:
-        return self._legal[q]
+        self._legal = ldba_spec.compiled.action_table(env_actions).legal
 
     def __call__(self, state) -> str:
         return self.qtable.best_action(state, self._legal[state[1]])
-
-
-def greedy_policy(qtable: QTable, ldba_spec: LdbaSpec, env_actions) -> GreedyPolicy:
-    return GreedyPolicy(qtable, ldba_spec, env_actions)
 
 
 def moving_average(values, window: int) -> list[float]:

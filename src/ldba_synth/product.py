@@ -51,10 +51,9 @@ class ProductError(ValueError):
 class ProductRun:
     """A live product trajectory over one environment and one automaton run."""
 
-    def __init__(self, env, runtime_or_spec, reward: RewardSpec, rng):
+    def __init__(self, env, ldba_spec, reward: RewardSpec, rng):
         self.env = env
-        self.runtime = (runtime_or_spec if isinstance(runtime_or_spec, LdbaRuntime)
-                        else LdbaRuntime(runtime_or_spec))
+        self.runtime = LdbaRuntime(ldba_spec)
         self.reward = reward
         self.rng = rng
         self._actions = self.runtime.compiled.action_table(env.actions)

@@ -25,10 +25,10 @@ import pytest
 from conftest import (brute_force_value, make_rng, random_automaton, random_env,
                       random_explicit_product)
 
-from ldba_synth import (SINK_STATE, Hyperparams, LdbaRuntime, ProductRun,
-                        TestConfig, build_explicit_product, greedy_policy,
-                        load_env_file, load_ldba_file, max_sat_probability,
-                        resolve_spec_path, robustness_sweep, run_test, train)
+from ldba_synth import (SINK_STATE, GreedyPolicy, Hyperparams, LdbaRuntime, ProductRun,
+                        TestConfig, build_explicit_product, load_env_file, load_ldba_file,
+                        max_sat_probability, resolve_spec_path, robustness_sweep, run_test,
+                        train)
 from ldba_synth.cli import EXIT_CONFIG, main
 
 pytestmark = pytest.mark.acceptance
@@ -124,7 +124,7 @@ def test_criterion_3_sequential_milestones_policy_succeeds():
                      seed=0)
     start = time.monotonic()
     result = train(env, spec, hp)
-    policy = greedy_policy(result.q_table, spec, env.actions)
+    policy = GreedyPolicy(result.q_table, spec, env.actions)
     config = TestConfig(rollouts=100, horizon=1000, required_sweeps=1, seed=0)
     report = run_test(policy, env, spec, config, hp.reward_spec())
     elapsed = time.monotonic() - start

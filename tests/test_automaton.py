@@ -260,12 +260,38 @@ def test_reject_reserved_prefix_in_alphabet():
         parse_ldba_spec(minimal_document(alphabet=["a", "epsilon_9"]))
 
 
+def _targeting(target, epsilon=False):
+    doc = minimal_document()
+    if epsilon:
+        doc["epsilon_transitions"] = {"0": [{"name": "epsilon_1", "to": target}]}
+    else:
+        doc["transitions"]["0"][0]["to"] = target
+    return doc
+
+
+# JSON true would otherwise read as state 1, since Python's bool is an int
+@pytest.mark.parametrize("doc", [
+    minimal_document(states=[0, True]),
+    minimal_document(initial_state=True),
+    minimal_document(accepting_sets=[[True]]),
+    _targeting(True),
+    _targeting(True, epsilon=True),
+], ids=["states", "initial_state", "accepting_set", "transition_to", "epsilon_to"])
+def test_reject_booleans_as_states(doc):
+    with pytest.raises(LdbaSpecError):
+        parse_ldba_spec(doc)
+
+
+def test_deeply_nested_json_raises_spec_error():
+    with pytest.raises(LdbaSpecError, match="nested too deeply"):
+        parse_ldba_spec('{"states": ' + "[" * 100000)
+
+
 def test_epsilon_bare_name_shorthand_targets_index():
     doc = minimal_document()
     doc["epsilon_transitions"] = {"0": ["epsilon_1"]}
     spec = parse_ldba_spec(doc)
     assert spec.epsilon_transitions[0] == (("epsilon_1", 1),)
-    assert spec.epsilon_targets["epsilon_1"] == 1
     assert spec.epsilon_names(0) == ("epsilon_1",)
     assert spec.epsilon_names(1) == ()
 

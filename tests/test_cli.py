@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -13,6 +15,7 @@ from ldba_synth.cli import (
     EXIT_OK,
     EXIT_SIZE_CAP,
     CliError,
+    build_parser,
     canonical_json,
     load_model,
     main,
@@ -166,6 +169,19 @@ def test_test_with_malformed_model_exits_config(spec_files, tmp_path, capsys, na
     assert capsys.readouterr().err.startswith("error: model file")
 
 
+def test_deeply_nested_model_exits_config(spec_files, tmp_path, capsys):
+    env_path, ldba_path = spec_files
+    path = tmp_path / "model.json"
+    path.write_text('{"entries": ' + "[" * 100000, encoding="utf-8")
+    with pytest.raises(CliError, match="nested too deeply") as info:
+        load_model(path)
+    assert info.value.code == EXIT_CONFIG
+    rc = main(["test", "--env", str(env_path), "--ldba", str(ldba_path),
+               "--save_dir", str(tmp_path / "out"), "--model", str(path)])
+    assert rc == EXIT_CONFIG
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_load_model_accepts_a_well_formed_payload(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model_payload()), encoding="utf-8")
@@ -241,6 +257,72 @@ def test_unsupported_algorithms_exit_config(spec_files, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+def test_unset_training_flags_take_the_hyperparams_defaults(spec_files, tmp_path):
+    env_path, ldba_path = spec_files
+    out = tmp_path / "results"
+    rc = main(["train", "--env", str(env_path), "--ldba", str(ldba_path),
+               "--save_dir", str(out), "--episode_num", "0", "--no-test"])
+    assert rc == EXIT_OK
+    model = json.loads((out / "learned_model.json").read_text(encoding="utf-8"))
+    assert model["hyperparams"] == asdict(Hyperparams(episode_num=0))
+
+
+SUBCOMMAND_FLAGS = {
+    "train": {"--env", "--ldba", "--save_dir", "--seed", "--algorithm", "--episode_num",
+              "--iteration_num_max", "--discount_factor", "--learning_rate", "--epsilon",
+              "--positive_reward", "--average_window", "--test", "--no-test", "--rollouts",
+              "--required_sweeps"},
+    "test": {"--env", "--ldba", "--save_dir", "--seed", "--model", "--rollouts",
+             "--horizon", "--required_sweeps", "--trace"},
+    "oracle": {"--env", "--ldba", "--state_cap", "--dump_values"},
+    "sweep": {"--env", "--ldba", "--save_dir", "--seed", "--algorithm", "--episode_num",
+              "--iteration_num_max", "--epsilon", "--positive_reward", "--grid_eta",
+              "--grid_mu", "--trainings", "--tests", "--required_sweeps", "--workers"},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
+    (subcommands,) = [action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    flags = {name: {opt for action in sub._actions for opt in action.option_strings}
+             - {"-h", "--help"} for name, sub in subcommands.choices.items()}
+    assert flags == SUBCOMMAND_FLAGS
+    with pytest.raises(SystemExit) as info:
+        main(["oracle", "--env", "robot-surve", "--ldba", "robot-surve", "--seed", "1"])
+    assert info.value.code == EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "train --rollouts 0",
+    "train --required_sweeps 0",
+    "test --rollouts 0",
+    "test --horizon -5",
+    "test --horizon 0",
+    "test --required_sweeps 0",
+    "sweep --trainings 0",
+    "sweep --tests 0",
+    "sweep --required_sweeps 0",
+])
+def test_out_of_range_test_flags_exit_config_before_any_work(
+        spec_files, tmp_path, capsys, monkeypatch, argv):
+    env_path, ldba_path = spec_files
+    out = tmp_path / "results"
+    assert main(train_args(spec_files, out, "--no-test")) == EXIT_OK
+    capsys.readouterr()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    for name in ("train", "run_test", "robustness_sweep"):
+        monkeypatch.setattr(f"ldba_synth.cli.{name}", no_work)
+    command, flag, value = argv.split()
+    rc = main([command, "--env", str(env_path), "--ldba", str(ldba_path),
+               "--save_dir", str(out), flag, value])
+    assert rc == EXIT_CONFIG
+    assert f"{flag[2:]} must be positive" in capsys.readouterr().err
+
+
 def test_invalid_hyperparams_exit_config(spec_files, tmp_path, capsys):
     out = tmp_path / "results"
     rc = main(train_args(spec_files, out, "--discount_factor", "1.5"))
@@ -285,6 +367,26 @@ def test_test_subcommand_reloads_the_model(spec_files, tmp_path, capsys):
     assert len(body) == 7 * 20                   # every rollout runs the horizon
     assert {row[0] for row in body} == {str(k) for k in range(7)}
     assert all(float(row[7]) in (0.5, 1.0) for row in body)  # gamma column
+
+
+def test_test_reads_models_saved_in_the_older_format(spec_files, tmp_path):
+    """Models whose hyperparams still hold algorithm, test, save_dir and
+    average_window test exactly like models saved without them."""
+    env_path, ldba_path = spec_files
+    new, old = tmp_path / "new", tmp_path / "old"
+    assert main(train_args(spec_files, new, "--no-test")) == EXIT_OK
+    model = json.loads((new / "learned_model.json").read_text(encoding="utf-8"))
+    model["hyperparams"].update(algorithm="ql", test=False, save_dir=str(new),
+                                average_window=-1)
+    old.mkdir()
+    (old / "learned_model.json").write_text(canonical_json(model), encoding="utf-8")
+    for out in (new, old):
+        rc = main(["test", "--env", str(env_path), "--ldba", str(ldba_path),
+                   "--save_dir", str(out), "--rollouts", "9", "--seed", "2"])
+        assert rc == EXIT_OK
+    results = (new / "test_results.json").read_text(encoding="utf-8")
+    assert json.loads(results)["config"]["horizon"] == 20
+    assert (old / "test_results.json").read_text(encoding="utf-8") == results
 
 
 def test_test_unwritable_trace_exits_config_before_rollouts(spec_files, tmp_path,
@@ -407,9 +509,10 @@ def test_sweep_writes_cell_table_with_overall_row(spec_files, tmp_path, capsys):
 def test_sweep_rejects_malformed_grids(spec_files, tmp_path, capsys):
     env_path, ldba_path = spec_files
     rc = main(["sweep", "--env", str(env_path), "--ldba", str(ldba_path),
-               "--save_dir", str(tmp_path), "--grid_eta", "0.5,abc"])
+               "--save_dir", str(tmp_path / "results"), "--grid_eta", "0.5,abc"])
     assert rc == EXIT_CONFIG
     assert "comma-separated floats" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
 
 
 def test_cli_requires_a_subcommand():

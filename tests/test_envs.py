@@ -260,6 +260,24 @@ def test_parse_env_spec_rejects_float_coordinates():
         parse_env_spec(doc)
 
 
+# JSON true would otherwise read as 1, since Python's bool is an int
+@pytest.mark.parametrize("key,value,message", [
+    ("height", True, "height"),
+    ("width", True, "width"),
+    ("slip_probability", True, "slip_probability"),
+    ("initial_state", [0, True], "integer coordinates"),
+    ("label_regions", [{"rows": [True, 3], "cols": [3, 4], "label": "goal"}], "region rows"),
+])
+def test_parse_env_spec_rejects_booleans_as_numbers(key, value, message):
+    with pytest.raises(EnvSpecError, match=message):
+        parse_env_spec(minimal_env_document(**{key: value}))
+
+
+def test_parse_env_spec_rejects_deeply_nested_json():
+    with pytest.raises(EnvSpecError, match="nested too deeply"):
+        parse_env_spec("[" * 100000)
+
+
 def test_parse_env_spec_rejects_bad_regions():
     doc = minimal_env_document(label_regions=[{"rows": [0, 1], "label": "a"}])
     with pytest.raises(EnvSpecError, match="label_regions"):

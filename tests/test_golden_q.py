@@ -55,7 +55,7 @@ def test_training_reproduces_golden_q_table(key):
     env_name, ldba_name, hp_items = key
     env = load_env_file(resolve_spec_path(env_name, "envs"))
     spec = load_ldba_file(resolve_spec_path(ldba_name, "ldba"))
-    result = train(env, spec, Hyperparams(test=False, **dict(hp_items)))
+    result = train(env, spec, Hyperparams(**dict(hp_items)))
     expected_q, expected_episodes = GOLDEN_RUNS[key]
     assert episode_digest(result.stats) == expected_episodes
     assert q_digest(result.q_table) == expected_q

@@ -79,7 +79,6 @@ def test_hyperparams_explicit_reward_wins():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("algorithm", "sarsa"),
     ("episode_num", -1),
     ("iteration_num_max", 0),
     ("discount_factor", 1.0),
@@ -297,8 +296,6 @@ def test_episode_stats_account_for_every_fire():
     assert ep.reached_sink is False
     assert ep.sweeps_completed == 8
     assert ep.cumulative_reward == pytest.approx(8 * 0.5)
-    assert ep.positive_reward_counts == {((0, 2), 1): 1, ((0, 3), 2): 7}
-    assert result.positive_reward_counts() == ep.positive_reward_counts
 
 
 def test_zero_episodes_returns_empty_result():
@@ -356,9 +353,10 @@ def test_greedy_policy_uses_product_action_order():
     })
     table = QTable()
     policy = GreedyPolicy(table, spec, ("right", "left", "up", "down"))
-    assert policy.actions_for(0) == ("right", "left", "up", "down", "epsilon_1")
-    assert policy.actions_for(1) == ("right", "left", "up", "down")
-    assert policy.actions_for(-1) == ("right", "left", "up", "down")
+    legal = spec.compiled.action_table(("right", "left", "up", "down")).legal
+    assert legal[0] == ("right", "left", "up", "down", "epsilon_1")
+    assert legal[1] == ("right", "left", "up", "down")
+    assert legal[-1] == ("right", "left", "up", "down")
     assert policy(((0, 0), 0)) == "right"        # all-zero table: first action
     table.set(((0, 0), 0), "epsilon_1", 0.9)
     assert policy(((0, 0), 0)) == "epsilon_1"
