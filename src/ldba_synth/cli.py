@@ -13,18 +13,19 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .automaton import LdbaSpecError, load_ldba_file, spec_to_document
 from .envs import (EnvSpecError, env_to_document, is_int, is_number, load_env_file,
-                   resolve_spec_path)
+                   require_positive, resolve_spec_path)
 from .evaluation import TestConfig, robustness_sweep, run_test
-from .learner import GreedyPolicy, Hyperparams, QTable, moving_average, train
+from .learner import GreedyPolicy, Hyperparams, QTable, average_window, moving_average, train
 from .oracle import (DEFAULT_STATE_CAP, ProductSizeError, build_explicit_product,
                      max_sat_probability)
 
@@ -166,12 +167,7 @@ def write_moving_average(path, averages) -> None:
 
 def write_test_results(path, report, config: TestConfig, oracle_reference) -> None:
     payload = {
-        "config": {
-            "rollouts": config.rollouts,
-            "horizon": config.horizon,
-            "required_sweeps": config.required_sweeps,
-            "seed": config.seed,
-        },
+        "config": asdict(config),
         "success_rate": report.success_rate,
         "oracle_reference": oracle_reference,
         "per_rollout": [
@@ -204,7 +200,7 @@ def _add_spec_flags(parser):
 def _add_run_flags(parser):
     parser.add_argument("--save_dir", default="./results",
                         help="output directory (LDBA_SYNTH_RESULTS overrides)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int)
 
 
 def _add_training_flags(parser, grid=False):
@@ -238,18 +234,18 @@ def build_parser() -> argparse.ArgumentParser:
                          help="moving-average window (default: 30%% of the episodes)")
     p_train.add_argument("--test", action=argparse.BooleanOptionalAction, default=True,
                          help="run a closed-loop test after training")
-    p_train.add_argument("--rollouts", type=int, default=100)
-    p_train.add_argument("--required_sweeps", type=int, default=1)
+    p_train.add_argument("--rollouts", type=int)
+    p_train.add_argument("--required_sweeps", type=int)
 
     p_test = sub.add_parser("test", help="test a saved model with greedy rollouts")
     _add_spec_flags(p_test)
     _add_run_flags(p_test)
     p_test.add_argument("--model", default=None,
                         help="model file (default: <save_dir>/learned_model.json)")
-    p_test.add_argument("--rollouts", type=int, default=100)
+    p_test.add_argument("--rollouts", type=int)
     p_test.add_argument("--horizon", type=int, default=None,
                         help="rollout length (default: the model's iteration_num_max)")
-    p_test.add_argument("--required_sweeps", type=int, default=1)
+    p_test.add_argument("--required_sweeps", type=int)
     p_test.add_argument("--trace", default=None,
                         help="also dump rollout trajectories to this CSV file")
 
@@ -266,10 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_training_flags(p_sweep, grid=True)
     p_sweep.add_argument("--grid_eta", default="0.2,0.4,0.6,0.8,0.99")
     p_sweep.add_argument("--grid_mu", default="0.2,0.4,0.6,0.8,0.99")
-    p_sweep.add_argument("--trainings", type=int, default=3)
-    p_sweep.add_argument("--tests", type=int, default=20)
-    p_sweep.add_argument("--required_sweeps", type=int, default=1)
-    p_sweep.add_argument("--workers", type=int, default=4)
+    p_sweep.add_argument("--trainings", type=int)
+    p_sweep.add_argument("--tests", type=int)
+    p_sweep.add_argument("--required_sweeps", type=int)
+    p_sweep.add_argument("--workers", type=int)
     return parser
 
 
@@ -295,9 +291,11 @@ def _load_specs(args):
     return env, spec
 
 
-def _output_dir(args) -> Path:
-    save_dir = os.environ.get("LDBA_SYNTH_RESULTS") or args.save_dir
-    path = Path(save_dir)
+def _save_dir(args) -> Path:
+    return Path(os.environ.get("LDBA_SYNTH_RESULTS") or args.save_dir)
+
+
+def _created(path: Path) -> Path:
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as err:
@@ -314,20 +312,25 @@ def _check_algorithm(name: str):
         raise CliError(f"unknown algorithm {name!r}; only 'ql' is available")
 
 
-def _validated(options):
-    """options, once its validate() passes; an out-of-range value exits with code 2."""
+def _checked(check, *args, **kwargs) -> None:
+    """Run a range check; an out-of-range value exits with code 2."""
     try:
-        options.validate()
+        check(*args, **kwargs)
     except ValueError as err:
         raise CliError(str(err))
+
+
+def _given(args, *names) -> dict:
+    """The flags among names that the command line sets, by name."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name, None) is not None}
+
+
+def _options(cls, args, **defaults):
+    """A checked cls from the flags given; unset fields take defaults, else cls's own."""
+    options = cls(**{**defaults, **_given(args, *(f.name for f in fields(cls)))})
+    _checked(options.validate)
     return options
-
-
-def _hyperparams(args) -> Hyperparams:
-    """The Hyperparams of the flags given; the ones not given keep their defaults."""
-    given = {f.name: getattr(args, f.name) for f in fields(Hyperparams)
-             if getattr(args, f.name, None) is not None}
-    return _validated(Hyperparams(**given))
 
 
 def _oracle_reference(env, spec, state_cap=DEFAULT_STATE_CAP):
@@ -356,15 +359,14 @@ def _test_and_report(out, env, spec, qtable, config, reward, trace=None) -> None
 def cmd_train(args) -> int:
     _check_algorithm(args.algorithm)
     env, spec = _load_specs(args)
-    hp = _hyperparams(args)
+    hp = _options(Hyperparams, args)
     # The test settings are checked before training, so bad ones fail fast.
-    config = (_validated(TestConfig(args.rollouts, hp.iteration_num_max,
-                                    args.required_sweeps, hp.seed)) if args.test else None)
-    out = _output_dir(args)
+    config = (_options(TestConfig, args, horizon=hp.iteration_num_max, seed=hp.seed)
+              if args.test else None)
+    out = _created(_save_dir(args))
 
     every = max(1, hp.episode_num // 10)
-    window = args.average_window if args.average_window > 0 else max(
-        1, round(0.3 * max(hp.episode_num, 1)))
+    window = average_window(args.average_window, hp.episode_num)
     returns: list[float] = []
 
     def progress(ep_stats):
@@ -399,7 +401,7 @@ def cmd_train(args) -> int:
 
 def cmd_test(args) -> int:
     env, spec = _load_specs(args)
-    out = _output_dir(args)
+    out = _save_dir(args)
     model_path = args.model or (out / "learned_model.json")
     payload = load_model(model_path)
 
@@ -411,8 +413,8 @@ def cmd_test(args) -> int:
             "(hash mismatch); refusing to test", EXIT_INCOMPATIBLE)
 
     stored = _stored_hyperparams(payload)
-    horizon = stored.iteration_num_max if args.horizon is None else args.horizon
-    config = _validated(TestConfig(args.rollouts, horizon, args.required_sweeps, args.seed))
+    config = _options(TestConfig, args, horizon=stored.iteration_num_max)
+    _created(out)
 
     # The trace file is opened before the rollouts, so a bad path fails fast.
     with _open_output(args.trace) if args.trace else nullcontext() as handle:
@@ -453,10 +455,9 @@ def cmd_oracle(args) -> int:
 def cmd_sweep(args) -> int:
     _check_algorithm(args.algorithm)
     env, spec = _load_specs(args)
-    hp = _hyperparams(args)
-    for flag in ("trainings", "tests", "required_sweeps"):
-        if getattr(args, flag) <= 0:
-            raise CliError(f"{flag} must be positive")
+    hp = _options(Hyperparams, args)
+    counts = _given(args, "trainings", "tests", "required_sweeps")
+    _checked(require_positive, **counts)
     try:
         eta_grid = [float(v) for v in args.grid_eta.split(",") if v]
         mu_grid = [float(v) for v in args.grid_mu.split(",") if v]
@@ -464,12 +465,13 @@ def cmd_sweep(args) -> int:
         raise CliError("grid flags must be comma-separated floats")
     if not eta_grid or not mu_grid:
         raise CliError("grid flags must name at least one value each")
-    out = _output_dir(args)
+    # Every grid cell is checked before save_dir is made or any job starts.
+    for eta, mu in itertools.product(eta_grid, mu_grid):
+        _checked(replace(hp, discount_factor=eta, learning_rate=mu).validate)
+    out = _created(_save_dir(args))
 
-    sweep = robustness_sweep(env, spec, hp, eta_grid, mu_grid,
-                             trainings=args.trainings, tests=args.tests,
-                             seed=args.seed, required_sweeps=args.required_sweeps,
-                             workers=args.workers)
+    sweep = robustness_sweep(env, spec, hp, eta_grid, mu_grid, **counts,
+                             **_given(args, "seed", "workers"))
     write_sweep_csv(out / "sweep.csv", sweep)
     print(f"[sweep] overall average success {sweep.overall_mean:.4f} "
           f"+/- {sweep.overall_std:.4f} over {len(sweep.cells)} cells")

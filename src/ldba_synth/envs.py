@@ -54,6 +54,13 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def require_positive(**values):
+    """Raise ValueError naming the first of values that is not positive."""
+    for name, value in values.items():
+        if value <= 0:
+            raise ValueError(f"{name} must be positive")
+
+
 @dataclass
 class LabelRegion:
     rows: tuple[int, int]

@@ -9,11 +9,13 @@ on distinct seeds and aggregate mean and standard error across trials.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from random import Random
 
+from .envs import require_positive
 from .learner import GreedyPolicy, Hyperparams, train
 from .product import ProductRun
 
@@ -22,18 +24,16 @@ _SEED_STRIDE = 1_000_003
 
 @dataclass
 class TestConfig:
+    """What one closed-loop test reads; the only home of each test default."""
+
     rollouts: int = 100
-    horizon: int = 4000
+    horizon: int = Hyperparams.iteration_num_max
     required_sweeps: int = 1
     seed: int = 0
 
     def validate(self):
-        if self.rollouts <= 0:
-            raise ValueError("rollouts must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.required_sweeps <= 0:
-            raise ValueError("required_sweeps must be positive")
+        require_positive(rollouts=self.rollouts, horizon=self.horizon,
+                         required_sweeps=self.required_sweeps)
 
 
 @dataclass
@@ -51,15 +51,13 @@ class TestReport:
 
 
 def run_test(policy, env, ldba_spec, config: TestConfig,
-             reward_spec=None, trace=None) -> TestReport:
+             reward_spec, trace=None) -> TestReport:
     """Roll the policy out config.rollouts times and score successes.
 
     trace, when given, is called with (rollout, step, transition) for
     every product transition, which is how trajectory dumps are made.
     """
     config.validate()
-    if reward_spec is None:
-        reward_spec = Hyperparams().reward_spec()
     outcomes = []
     for k in range(config.rollouts):
         rng = Random(config.seed * _SEED_STRIDE + k)
@@ -104,62 +102,49 @@ class SweepResult:
     overall_std: float
 
 
-def _train_and_test(env, ldba_spec, hp: Hyperparams, test_config: TestConfig) -> float:
+def _sweep_job(args) -> float:
+    env, ldba_spec, hp, test_config = args
     result = train(env, ldba_spec, hp)
     policy = GreedyPolicy(result.q_table, ldba_spec, env.actions)
-    report = run_test(policy, env, ldba_spec, test_config, hp.reward_spec())
-    return report.success_rate
+    return run_test(policy, env, ldba_spec, test_config, hp.reward_spec()).success_rate
 
 
-def _sweep_job(args):
-    env, ldba_spec, hp, test_config, key = args
-    return key, _train_and_test(env, ldba_spec, hp, test_config)
-
-
-def _mean_std(values, ddof=1):
+def _mean_std(values):
+    """Mean and sample standard deviation; one value has deviation 0."""
     n = len(values)
     mean = sum(values) / n
-    if n <= ddof:
+    if n == 1:
         return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - ddof)
+    var = sum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var)
 
 
 def robustness_sweep(env, ldba_spec, base_hp: Hyperparams, eta_grid, mu_grid,
                      trainings: int = 3, tests: int = 20, seed: int = 0,
-                     required_sweeps: int = 1, workers: int = 4) -> SweepResult:
-    """Train/test over the (eta, mu) grid; deterministic per-trial seeds."""
-    if trainings <= 0:
-        raise ValueError("trainings must be positive")
+                     required_sweeps: int = TestConfig.required_sweeps,
+                     workers: int = 4) -> SweepResult:
+    """Train and test over the (eta, mu) grid; the only home of each sweep default."""
+    require_positive(trainings=trainings, tests=tests, required_sweeps=required_sweeps)
+    grid = list(itertools.product(eta_grid, mu_grid))
     jobs = []
-    for ci, eta in enumerate(eta_grid):
-        for cj, mu in enumerate(mu_grid):
-            for t in range(trainings):
-                cell = ci * len(mu_grid) + cj
-                hp = replace(base_hp, discount_factor=eta, learning_rate=mu,
-                             seed=seed + cell * _SEED_STRIDE + t)
-                cfg = TestConfig(rollouts=tests, horizon=base_hp.iteration_num_max,
-                                 required_sweeps=required_sweeps,
-                                 seed=seed + cell * _SEED_STRIDE + t)
-                jobs.append((env, ldba_spec, hp, cfg, (cell, t)))
+    for cell, (eta, mu) in enumerate(grid):
+        for t in range(trainings):
+            trial_seed = seed + cell * _SEED_STRIDE + t
+            hp = replace(base_hp, discount_factor=eta, learning_rate=mu, seed=trial_seed)
+            cfg = TestConfig(tests, base_hp.iteration_num_max, required_sweeps, trial_seed)
+            jobs.append((env, ldba_spec, hp, cfg))
 
-    rates: dict[tuple[int, int], float] = {}
     if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            for key, rate in pool.map(_sweep_job, jobs):
-                rates[key] = rate
+            rates = list(pool.map(_sweep_job, jobs))
     else:
-        for job in jobs:
-            key, rate = _sweep_job(job)
-            rates[key] = rate
+        rates = [_sweep_job(job) for job in jobs]
 
     cells = []
-    for ci, eta in enumerate(eta_grid):
-        for cj, mu in enumerate(mu_grid):
-            cell = ci * len(mu_grid) + cj
-            cell_rates = tuple(rates[(cell, t)] for t in range(trainings))
-            mean, std = _mean_std(cell_rates)
-            stderr = std / math.sqrt(len(cell_rates)) if len(cell_rates) > 1 else 0.0
-            cells.append(CellReport(eta, mu, mean, stderr, cell_rates))
+    for cell, (eta, mu) in enumerate(grid):
+        cell_rates = tuple(rates[cell * trainings:(cell + 1) * trainings])
+        mean, std = _mean_std(cell_rates)
+        stderr = std / math.sqrt(len(cell_rates))
+        cells.append(CellReport(eta, mu, mean, stderr, cell_rates))
     overall_mean, overall_std = _mean_std([c.mean for c in cells])
     return SweepResult(cells, overall_mean, overall_std)

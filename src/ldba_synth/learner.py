@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 
 from .automaton import LdbaSpec
+from .envs import require_positive
 from .product import ProductRun, RewardSpec
 
 
@@ -40,16 +41,14 @@ class Hyperparams:
     def validate(self):
         if self.episode_num < 0:
             raise ValueError("episode_num must be >= 0")
-        if self.iteration_num_max <= 0:
-            raise ValueError("iteration_num_max must be positive")
+        require_positive(iteration_num_max=self.iteration_num_max)
         if not 0.0 < self.discount_factor < 1.0:
             raise ValueError("discount_factor must lie strictly inside (0, 1)")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must lie in (0, 1]")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
-        if self.positive_reward is not None and self.positive_reward <= 0.0:
-            raise ValueError("positive_reward must be positive")
+        self.reward_spec()  # RewardSpec checks positive_reward
         if self.learning_rate_decay < 0.0:
             raise ValueError("learning_rate_decay must be >= 0")
 
@@ -183,20 +182,21 @@ def train(env, ldba_spec: LdbaSpec, hp: Hyperparams, on_episode=None) -> TrainRe
             sink = False
             for _ in range(hp.iteration_num_max):
                 action = select_action(qtable, state, actions, epsilon, rng)
-                tr = run.step(action)
+                _, _, next_state, reward, gamma, done, _ = run.step(action)
                 mu = learning_rate
                 if decay > 0.0:
                     key = (state, action)
                     seen = visits.get(key, 0)
                     visits[key] = seen + 1
                     mu = mu / (1.0 + seen * decay)
-                next_state = tr.next_state
                 actions = run.available_actions(next_state)
-                q_update(qtable, state, action, tr.reward, tr.gamma, next_state, actions, mu)
-                total += tr.reward
+                # Nothing follows the sink, so a step into it earns its reward alone.
+                q_update(qtable, state, action, reward, 0.0 if done else gamma, next_state,
+                         actions, mu)
+                total += reward
                 steps += 1
                 state = next_state
-                if tr.done:
+                if done:
                     sink = True
                     break
             ep_stats = EpisodeStats(episode, total, steps, run.runtime.sweeps_completed, sink)
@@ -220,10 +220,14 @@ class GreedyPolicy:
         return self.qtable.best_action(state, self._legal[state[1]])
 
 
+def average_window(window: int, episodes: int) -> int:
+    """The moving-average window: window itself, or 30% of episodes when window <= 0."""
+    return window if window > 0 else max(1, round(0.3 * episodes))
+
+
 def moving_average(values, window: int) -> list[float]:
-    """Trailing moving average; window <= 0 selects 30% of the series length."""
-    if window <= 0:
-        window = max(1, round(0.3 * len(values)))
+    """Trailing moving average over average_window(window, len(values))."""
+    window = average_window(window, len(values))
     out = []
     acc = 0.0
     for i, v in enumerate(values):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .automaton import SINK_STATE, LdbaRuntime
+from .envs import require_positive
 
 
 @dataclass(frozen=True)
@@ -30,8 +31,7 @@ class RewardSpec:
     def __post_init__(self):
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must lie strictly inside (0, 1)")
-        if self.positive_reward <= 0.0:
-            raise ValueError("positive_reward must be positive")
+        require_positive(positive_reward=self.positive_reward)
 
 
 class Transition(NamedTuple):

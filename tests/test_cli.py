@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, fields
 
 import pytest
 
@@ -25,6 +26,7 @@ from ldba_synth.cli import (
 )
 from ldba_synth.envs import parse_env_spec
 from ldba_synth.automaton import parse_ldba_spec
+from ldba_synth.evaluation import TestConfig, robustness_sweep
 from ldba_synth.learner import Hyperparams, train
 
 ENV_DOC = {
@@ -59,6 +61,12 @@ def spec_files(tmp_path):
     env_path.write_text(canonical_json(ENV_DOC), encoding="utf-8")
     ldba_path.write_text(canonical_json(LDBA_DOC), encoding="utf-8")
     return env_path, ldba_path
+
+
+def subcommand_parsers():
+    (subcommands,) = [action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    return subcommands.choices
 
 
 def train_args(spec_files, out_dir, *extra):
@@ -167,6 +175,7 @@ def test_test_with_malformed_model_exits_config(spec_files, tmp_path, capsys, na
                "--save_dir", str(tmp_path / "out"), "--model", str(path)])
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: model file")
+    assert not (tmp_path / "out").exists()
 
 
 def test_deeply_nested_model_exits_config(spec_files, tmp_path, capsys):
@@ -282,15 +291,53 @@ SUBCOMMAND_FLAGS = {
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
-    (subcommands,) = [action for action in build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction)]
     flags = {name: {opt for action in sub._actions for opt in action.option_strings}
-             - {"-h", "--help"} for name, sub in subcommands.choices.items()}
+             - {"-h", "--help"} for name, sub in subcommand_parsers().items()}
     assert flags == SUBCOMMAND_FLAGS
     with pytest.raises(SystemExit) as info:
         main(["oracle", "--env", "robot-surve", "--ldba", "robot-surve", "--seed", "1"])
     assert info.value.code == EXIT_CONFIG
     assert "--seed" in capsys.readouterr().err
+
+
+def test_run_option_flags_take_no_parser_default():
+    """A flag that names a Hyperparams or TestConfig field or a robustness_sweep
+    parameter leaves its default to that one home."""
+    homes = ({f.name for f in fields(Hyperparams)} | {f.name for f in fields(TestConfig)}
+             | set(inspect.signature(robustness_sweep).parameters))
+    checked = set()
+    for name, sub in subcommand_parsers().items():
+        for action in sub._actions:
+            if action.dest in homes:
+                assert action.default is None, f"{name} --{action.dest}"
+                checked.add(action.dest)
+    assert {"seed", "rollouts", "horizon", "required_sweeps", "trainings", "tests",
+            "workers", "episode_num"} <= checked
+
+
+def test_train_tests_with_the_testconfig_defaults(spec_files, tmp_path, monkeypatch):
+    """Changing a default where it lives changes what train's test runs."""
+    @dataclass
+    class QuickHyperparams(Hyperparams):
+        episode_num: int = 3
+        iteration_num_max: int = 12
+
+    @dataclass
+    class QuickTestConfig(TestConfig):
+        rollouts: int = 5
+        required_sweeps: int = 2
+
+    monkeypatch.setattr("ldba_synth.cli.Hyperparams", QuickHyperparams)
+    monkeypatch.setattr("ldba_synth.cli.TestConfig", QuickTestConfig)
+    env_path, ldba_path = spec_files
+    out = tmp_path / "results"
+    rc = main(["train", "--env", str(env_path), "--ldba", str(ldba_path),
+               "--save_dir", str(out)])
+    assert rc == EXIT_OK
+    report = json.loads((out / "test_results.json").read_text(encoding="utf-8"))
+    horizon = QuickHyperparams().iteration_num_max
+    assert report["config"] == asdict(QuickTestConfig(horizon=horizon))
+    assert len(report["per_rollout"]) == 5
 
 
 @pytest.mark.parametrize("argv", [
@@ -321,6 +368,28 @@ def test_out_of_range_test_flags_exit_config_before_any_work(
                "--save_dir", str(out), flag, value])
     assert rc == EXIT_CONFIG
     assert f"{flag[2:]} must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--grid_eta", "1.5", "discount_factor must lie strictly inside (0, 1)"),
+    ("--grid_eta", "0.5,0", "discount_factor must lie strictly inside (0, 1)"),
+    ("--grid_mu", "0", "learning_rate must lie in (0, 1]"),
+    ("--grid_mu", "0.9,1.2", "learning_rate must lie in (0, 1]"),
+])
+def test_sweep_rejects_out_of_range_grid_values_before_any_work(
+        spec_files, tmp_path, capsys, monkeypatch, flag, value, message):
+    env_path, ldba_path = spec_files
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the grid was checked")
+
+    for name in ("train", "run_test", "robustness_sweep"):
+        monkeypatch.setattr(f"ldba_synth.cli.{name}", no_work)
+    rc = main(["sweep", "--env", str(env_path), "--ldba", str(ldba_path),
+               "--save_dir", str(tmp_path / "results"), flag, value])
+    assert rc == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
 
 
 def test_invalid_hyperparams_exit_config(spec_files, tmp_path, capsys):
@@ -419,6 +488,11 @@ def test_test_rejects_model_trained_on_other_specs(spec_files, tmp_path, capsys)
                "--save_dir", str(out)])
     assert rc == EXIT_INCOMPATIBLE
     assert "hash mismatch" in capsys.readouterr().err
+    rc = main(["test", "--env", str(other_path), "--ldba", str(ldba_path),
+               "--save_dir", str(tmp_path / "fresh"),
+               "--model", str(out / "learned_model.json")])
+    assert rc == EXIT_INCOMPATIBLE
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_test_without_model_exits_config(spec_files, tmp_path, capsys):
@@ -427,6 +501,7 @@ def test_test_without_model_exits_config(spec_files, tmp_path, capsys):
                "--save_dir", str(tmp_path / "empty")])
     assert rc == EXIT_CONFIG
     assert "no such model" in capsys.readouterr().err
+    assert not (tmp_path / "empty").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from ldba_synth.evaluation import (
 )
 from ldba_synth.learner import Hyperparams
 
+REWARD = Hyperparams().reward_spec()
+
 
 def corridor_env(labels_by_col, width=4, slip=0.0):
     regions = [LabelRegion((0, 1), (c, c + 1), frozenset(labs))
@@ -78,7 +80,7 @@ def test_success_requires_enough_sweeps_and_no_sink():
     env = corridor_env({2: {"a"}, 3: {"b"}})
     spec = chain_spec()
     report = run_test(press("right"), env, spec,
-                      TestConfig(rollouts=3, horizon=20))
+                      TestConfig(rollouts=3, horizon=20), REWARD)
     assert report.success_rate == 1.0
     for outcome in report.outcomes:
         assert outcome.success is True
@@ -88,7 +90,7 @@ def test_success_requires_enough_sweeps_and_no_sink():
 
     # same policy, but demanding more sweeps than the horizon allows
     report = run_test(press("right"), env, spec,
-                      TestConfig(rollouts=3, horizon=20, required_sweeps=19))
+                      TestConfig(rollouts=3, horizon=20, required_sweeps=19), REWARD)
     assert report.success_rate == 0.0
     assert all(o.sweeps == 18 and not o.success for o in report.outcomes)
 
@@ -96,7 +98,7 @@ def test_success_requires_enough_sweeps_and_no_sink():
 def test_sink_fails_the_rollout_and_stops_it_early():
     env = corridor_env({1: {"bad"}})
     report = run_test(press("right"), env, hazard_spec(),
-                      TestConfig(rollouts=2, horizon=50))
+                      TestConfig(rollouts=2, horizon=50), REWARD)
     assert report.success_rate == 0.0
     for outcome in report.outcomes:
         assert outcome.reached_sink is True
@@ -107,7 +109,7 @@ def test_sink_fails_the_rollout_and_stops_it_early():
 def test_no_sweeps_without_sink_still_fails():
     env = corridor_env({})                       # nothing to satisfy
     report = run_test(press("left"), env, chain_spec(),
-                      TestConfig(rollouts=2, horizon=10))
+                      TestConfig(rollouts=2, horizon=10), REWARD)
     assert report.success_rate == 0.0
     assert all(o.steps == 10 and not o.reached_sink for o in report.outcomes)
 
@@ -115,7 +117,7 @@ def test_no_sweeps_without_sink_still_fails():
 def test_success_rate_is_the_outcome_mean():
     env = corridor_env({2: {"a"}, 3: {"b"}}, slip=0.4)
     report = run_test(press("right"), env, chain_spec(),
-                      TestConfig(rollouts=40, horizon=15, required_sweeps=5))
+                      TestConfig(rollouts=40, horizon=15, required_sweeps=5), REWARD)
     assert 0.0 <= report.success_rate <= 1.0
     assert report.success_rate == pytest.approx(
         sum(o.success for o in report.outcomes) / 40)
@@ -130,15 +132,15 @@ def test_rollouts_are_reproducible_and_order_independent():
     env = corridor_env({2: {"a"}, 3: {"b"}}, slip=0.3)
     spec = chain_spec()
     five = run_test(press("right"), env, spec,
-                    TestConfig(rollouts=5, horizon=30, seed=4))
+                    TestConfig(rollouts=5, horizon=30, seed=4), REWARD)
     ten = run_test(press("right"), env, spec,
-                   TestConfig(rollouts=10, horizon=30, seed=4))
+                   TestConfig(rollouts=10, horizon=30, seed=4), REWARD)
     assert ten.outcomes[:5] == five.outcomes     # per-rollout seeded generators
     again = run_test(press("right"), env, spec,
-                     TestConfig(rollouts=5, horizon=30, seed=4))
+                     TestConfig(rollouts=5, horizon=30, seed=4), REWARD)
     assert again == five
     other_seed = run_test(press("right"), env, spec,
-                          TestConfig(rollouts=5, horizon=30, seed=5))
+                          TestConfig(rollouts=5, horizon=30, seed=5), REWARD)
     assert other_seed != five
 
 
@@ -147,7 +149,7 @@ def test_trace_sees_every_transition():
     spec = chain_spec()
     rows = []
     report = run_test(press("right"), env, spec,
-                      TestConfig(rollouts=3, horizon=12, seed=1),
+                      TestConfig(rollouts=3, horizon=12, seed=1), REWARD,
                       trace=lambda k, step, tr: rows.append((k, step, tr)))
     assert len(rows) == sum(o.steps for o in report.outcomes)
     for k in range(3):

@@ -45,6 +45,19 @@ def chain_spec():
     })
 
 
+def hazard_spec():
+    """Stepping on 'bad' drops the run into the sink."""
+    return parse_ldba_spec({
+        "states": [0],
+        "initial_state": 0,
+        "alphabet": ["bad"],
+        "accepting_sets": [[0]],
+        "transitions": {
+            "0": [{"guard": "bad", "to": -1}, {"guard": "true", "to": 0}],
+        },
+    })
+
+
 def one_shot_spec():
     """The accepting state is passed through exactly once, then never again."""
     return parse_ldba_spec({
@@ -200,6 +213,15 @@ def test_q_update_with_unit_learning_rate_overwrites():
     new = q_update(table, "s", "a", reward=0.25, gamma=1.0,
                    next_state="s", next_actions=("a",), mu=1.0)
     assert new == pytest.approx(3.25)
+
+
+def test_a_step_into_the_sink_earns_its_reward_alone():
+    # The sink's row is never visited, so bootstrapping from it would read q_init.
+    env = corridor_env({1: {"bad"}})
+    hp = Hyperparams(episode_num=1, learning_rate=1.0, epsilon=0.0, q_init=0.5)
+    result = train(env, hazard_spec(), hp)
+    assert result.stats[0].reached_sink
+    assert result.q_table.value(((0, 0), 0), "right") == 0.0
 
 
 # ---------------------------------------------------------------------------
