@@ -18,7 +18,6 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 from .envs import is_int
 
@@ -249,7 +248,7 @@ class LdbaSpec:
 
     @cached_property
     def compiled(self) -> CompiledLdba:
-        """The per-state tables of the per-step path, built on first use."""
+        """The dense tables of the per-step path, built on first use."""
         return CompiledLdba(self)
 
 
@@ -274,82 +273,57 @@ def step_state(spec: LdbaSpec, q: int, labels) -> int:
     raise AssertionError(f"state {q} has no matching transition (missing catch-all)")
 
 
-class ActionTable(NamedTuple):
-    """Product actions per automaton state for one environment action set.
-
-    ``legal[q]`` lists the base actions, then the epsilon actions of q;
-    ``moves[q]`` maps each legal action to None for a base move, or to the
-    one-label set that delivers the epsilon action to the automaton.
-    """
-
-    legal: dict[int, tuple[str, ...]]
-    moves: dict[int, dict[str, frozenset | None]]
-
-
 class CompiledLdba:
-    """Per-state tables of one spec, shared by the learner, tester and oracle.
+    """Dense tables of one spec, shared by the learner, tester and oracle.
 
-    Holds, per automaton state q (the sink included): the successor memo
-    keyed by label set, the bitmask of accepting sets containing q (bit i
-    for ``spec.accepting_sets[i]``), and, per environment action set, the
-    legal actions and their moves. Build it once per spec through
-    ``LdbaSpec.compiled``.
+    States are indexed in declaration order, sink last (``states[i]``, and
+    ``index`` the inverse); label sets are numbered as classes on first
+    sight. ``delta[i][c]`` indexes the successor of state i on class c (None
+    for an epsilon move i lacks); bit k of ``accmask[i]`` is set when state
+    i lies in ``spec.accepting_sets[k]``. Built once per spec, on first use.
     """
 
     def __init__(self, spec: LdbaSpec):
         self.spec = spec
-        every = spec.states + (SINK_STATE,)
-        self.next_state: dict[int, dict[frozenset, int]] = {q: {} for q in every}
-        self.accmask = {
-            q: sum(1 << i for i, acc in enumerate(spec.accepting_sets) if q in acc)
-            for q in every
-        }
+        self.states = spec.states + (SINK_STATE,)
+        self.index = {q: i for i, q in enumerate(self.states)}
+        self.accmask = [sum(1 << k for k, acc in enumerate(spec.accepting_sets) if q in acc)
+                        for q in self.states]
         self.full_frontier = (1 << len(spec.accepting_sets)) - 1
-        self._action_tables: dict[tuple[str, ...], ActionTable] = {}
+        self.classes: dict[frozenset, int] = {}
+        self.delta: list[list[int | None]] = [[] for _ in self.states]
+        self.products: dict = {}  # product.CompiledProduct per environment, by id
 
-    def step(self, q: int, labels) -> int:
-        """Successor of q on a label set, memoised per (q, label set)."""
-        try:
-            return self.next_state[q][labels]
-        except (KeyError, TypeError):
-            labels = frozenset(labels)
-            nxt = step_state(self.spec, q, labels)
-            self.next_state[q][labels] = nxt
-            return nxt
-
-    def action_table(self, env_actions) -> ActionTable:
-        """The legal actions and moves of every state, given the base actions."""
-        env_actions = tuple(env_actions)
-        table = self._action_tables.get(env_actions)
-        if table is None:
-            legal = {SINK_STATE: env_actions}
-            moves = {SINK_STATE: dict.fromkeys(env_actions)}
-            for q in self.spec.states:
-                names = self.spec.epsilon_names(q)
-                legal[q] = env_actions + names
-                moves[q] = dict.fromkeys(env_actions)
-                moves[q].update((name, frozenset((name,))) for name in names)
-            table = ActionTable(legal, moves)
-            self._action_tables[env_actions] = table
-        return table
+    def label_class(self, labels) -> int:
+        """The class of a label set; a new class gets its delta column at once."""
+        labels = frozenset(labels)
+        cls = self.classes.get(labels)
+        if cls is None:
+            cls = self.classes[labels] = len(self.classes)
+            for q, row in zip(self.states, self.delta):
+                try:
+                    row.append(self.index[step_state(self.spec, q, labels)])
+                except LdbaSpecError:  # an epsilon move q does not offer
+                    row.append(None)
+        return cls
 
 
 class LdbaRuntime:
-    """Mutable run of an automaton: current state, frontier, sweep counter.
+    """Mutable run of an automaton on dense ids: state, frontier, sweep counter.
 
-    The frontier is a bitmask over ``spec.accepting_sets``; ``remaining``
-    lists the sets whose bits are still set, in declaration order.
+    ``state`` indexes ``compiled.states``; ``step`` takes a label class. The
+    frontier is a bitmask over ``spec.accepting_sets``; ``remaining`` lists
+    the sets still in it, in declaration order.
     """
 
     def __init__(self, spec: LdbaSpec):
         self.spec = spec
         self.compiled = spec.compiled
-        self._next_state = self.compiled.next_state
-        self._accmask = self.compiled.accmask
+        self._delta, self._accmask = self.compiled.delta, self.compiled.accmask
         self.reset()
 
     def reset(self) -> int:
-        self.state = self.spec.initial_state
+        self.state = self.compiled.index[self.spec.initial_state]
         self.frontier = self.compiled.full_frontier
         self.sweeps_completed = 0
         return self.state
@@ -359,21 +333,17 @@ class LdbaRuntime:
         return [acc for i, acc in enumerate(self.spec.accepting_sets)
                 if self.frontier >> i & 1]
 
-    def step(self, labels) -> int:
-        try:
-            nxt = self._next_state[self.state][labels]
-        except (KeyError, TypeError):
-            nxt = self.compiled.step(self.state, labels)
-        self.state = nxt
+    def step(self, label_class: int) -> int:
+        self.state = nxt = self._delta[self.state][label_class]
         return nxt
 
     def advance_frontier(self, q: int) -> bool:
-        """Remove the first remaining accepting set containing q.
+        """Remove the first remaining accepting set containing the state of index q.
 
         Returns True when a set was removed (the reward-firing condition).
         Emptying the family resets it in full and counts one sweep.
         """
-        hits = self.frontier & self._accmask.get(q, 0)
+        hits = self.frontier & self._accmask[q]
         if not hits:
             return False
         left = self.frontier ^ (hits & -hits)

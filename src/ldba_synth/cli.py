@@ -28,6 +28,7 @@ from .evaluation import TestConfig, robustness_sweep, run_test
 from .learner import GreedyPolicy, Hyperparams, QTable, average_window, moving_average, train
 from .oracle import (DEFAULT_STATE_CAP, ProductSizeError, build_explicit_product,
                      max_sat_probability)
+from .product import compile_product
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,11 +59,9 @@ def spec_hash(document: dict) -> str:
 
 
 def save_model(path, env_hash, ldba_hash, hp: Hyperparams, result) -> None:
-    entries = [
-        {"s": [cell[0], cell[1]], "q": q, "action": action, "value": value}
-        for ((cell, q), action, value) in result.q_table.items()
-    ]
-    entries.sort(key=lambda e: (e["s"][0], e["s"][1], e["q"], e["action"]))
+    entries = sorted(({"s": [cell[0], cell[1]], "q": q, "action": action, "value": value}
+                      for ((cell, q), action, value) in result.q_table.items()),
+                     key=lambda e: (e["s"][0], e["s"][1], e["q"], e["action"]))
     payload = {
         "format": "ldba-synth-model",
         "env_hash": env_hash,
@@ -92,12 +91,12 @@ def load_model(path) -> dict:
     return payload
 
 
-# The stored hyper-parameters that `test` reads, each with the check it must
-# pass; a model file may omit any of them, and other keys are ignored.
+# The stored hyper-parameters `test` reads, with their type checks (ranges are
+# Hyperparams.validate's); a model may omit any of them, other keys are ignored.
 _STORED_HYPERPARAMS = {
-    "iteration_num_max": lambda v: is_int(v) and v > 0,
-    "discount_factor": lambda v: is_number(v) and 0.0 < v < 1.0,
-    "positive_reward": lambda v: v is None or (is_number(v) and v > 0.0),
+    "iteration_num_max": is_int,
+    "discount_factor": is_number,
+    "positive_reward": lambda v: v is None or is_number(v),
     "q_init": is_number,
 }
 
@@ -113,6 +112,10 @@ def _model_problem(payload: dict) -> str | None:
     for key, valid in _STORED_HYPERPARAMS.items():
         if key in hp and not valid(hp[key]):
             return f"hyperparameter {key!r} has an invalid value {hp[key]!r}"
+    try:
+        _stored_hyperparams(payload).validate()
+    except ValueError as err:
+        return f"hyperparameters: {err}"
     entries = payload.get("entries")
     if not isinstance(entries, list):
         return "'entries' must be a list"
@@ -131,11 +134,17 @@ def _stored_hyperparams(payload: dict) -> Hyperparams:
     return Hyperparams(**{key: stored[key] for key in _STORED_HYPERPARAMS if key in stored})
 
 
-def model_qtable(payload: dict) -> QTable:
-    qtable = QTable(_stored_hyperparams(payload).q_init)
-    for entry in payload["entries"]:
-        state = ((entry["s"][0], entry["s"][1]), entry["q"])
-        qtable.set(state, entry["action"], entry["value"])
+def model_qtable(payload: dict, product) -> QTable:
+    """The Q table of a loaded model over product's ids; a foreign entry exits 2."""
+    qtable = QTable(product, _stored_hyperparams(payload).q_init)
+    for k, entry in enumerate(payload["entries"]):
+        try:
+            state = product.encode(tuple(entry["s"]), entry["q"])
+            action = product.action_names(state).index(entry["action"])
+        except (KeyError, ValueError):
+            raise CliError(f"model entry {k} ({entry['s']}, q {entry['q']}, {entry['action']!r})"
+                           " is not a state and legal action of this product") from None
+        qtable.set(state, action, entry["value"])
     return qtable
 
 
@@ -343,8 +352,7 @@ def _oracle_reference(env, spec, state_cap=DEFAULT_STATE_CAP):
 
 def _test_and_report(out, env, spec, qtable, config, reward, trace=None) -> None:
     """Roll out the greedy policy of qtable, write test_results.json, print the rate."""
-    report = run_test(GreedyPolicy(qtable, spec, env.actions), env, spec, config, reward,
-                      trace=trace)
+    report = run_test(GreedyPolicy(qtable), env, spec, config, reward, trace=trace)
     write_test_results(out / "test_results.json", report, config,
                        _oracle_reference(env, spec))
     print(f"[test] success rate {report.success_rate:.4f} over "
@@ -414,6 +422,8 @@ def cmd_test(args) -> int:
 
     stored = _stored_hyperparams(payload)
     config = _options(TestConfig, args, horizon=stored.iteration_num_max)
+    product = compile_product(env, spec)
+    qtable = model_qtable(payload, product)
     _created(out)
 
     # The trace file is opened before the rollouts, so a bad path fails fast.
@@ -425,13 +435,13 @@ def cmd_test(args) -> int:
                              "reward", "gamma", "done"])
 
             def trace(rollout, step, tr):
-                (row, col), q = tr.state
-                writer.writerow([rollout, step, row, col, q, tr.action,
+                (row, col), q = product.decode(tr.state)
+                writer.writerow([rollout, step, row, col, q,
+                                 product.action_names(tr.state)[tr.action],
                                  repr(tr.reward), repr(tr.gamma), int(tr.done)])
 
         # trace rewards and discounts with the model's own shaping
-        _test_and_report(out, env, spec, model_qtable(payload), config,
-                         stored.reward_spec(), trace)
+        _test_and_report(out, env, spec, qtable, config, stored.reward_spec(), trace)
     return EXIT_OK
 
 

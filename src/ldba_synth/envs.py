@@ -70,12 +70,11 @@ class LabelRegion:
 
 @dataclass
 class EnumeratedModel:
-    """Explicit finite model of a grid: states, sparse kernel, labels."""
+    """Explicit finite model of a grid: states and sparse kernel."""
 
     states: list[tuple[int, int]]
     index: dict[tuple[int, int], int]
     kernel: list[dict[str, tuple[tuple[int, float], ...]]]
-    labels: list[frozenset[str]]
 
 
 class GridEnv:
@@ -141,17 +140,9 @@ class GridEnv:
         outcome = action
         if self.slip_probability > 0.0 and rng.random() < self.slip_probability:
             perp = PERPENDICULAR[action]
-            if perp:
-                pick = rng.randrange(3)
-                outcome = perp[pick] if pick < 2 else "stay"
-            else:
-                outcome = "stay"
-        if outcome == "stay":
-            nxt = self._pos
-        else:
-            nxt = self._move(self._pos, outcome)
-        self._pos = nxt
-        return nxt
+            outcome = (perp + ("stay",))[rng.randrange(3)] if perp else "stay"
+        self._pos = self._move(self._pos, outcome)
+        return self._pos
 
     def enumerate_model(self) -> EnumeratedModel:
         """Explicit kernel P(s'|s,a); every row sums to 1 within 1e-12."""
@@ -167,17 +158,14 @@ class GridEnv:
                 if slip > 0.0 and perp:
                     share = slip / 3.0
                     mass[index[self._move(s, action)]] = 1.0 - slip
-                    for direction in perp:
+                    for direction in perp + ("stay",):
                         j = index[self._move(s, direction)]
                         mass[j] = mass.get(j, 0.0) + share
-                    j = index[s]
-                    mass[j] = mass.get(j, 0.0) + share
                 else:
                     mass[index[self._move(s, action)]] = 1.0
                 row[action] = tuple(sorted(mass.items()))
             kernel.append(row)
-        labels = [self.state_label(s) for s in states]
-        return EnumeratedModel(states, index, kernel, labels)
+        return EnumeratedModel(states, index, kernel)
 
 
 # ---------------------------------------------------------------------------

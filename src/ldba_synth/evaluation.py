@@ -63,8 +63,7 @@ def run_test(policy, env, ldba_spec, config: TestConfig,
         rng = Random(config.seed * _SEED_STRIDE + k)
         run = ProductRun(env, ldba_spec, reward_spec, rng)
         state = run.reset()
-        sink = False
-        steps = 0
+        sink, steps = False, 0
         for step in range(config.horizon):
             tr = run.step(policy(state))
             if trace is not None:
@@ -105,8 +104,8 @@ class SweepResult:
 def _sweep_job(args) -> float:
     env, ldba_spec, hp, test_config = args
     result = train(env, ldba_spec, hp)
-    policy = GreedyPolicy(result.q_table, ldba_spec, env.actions)
-    return run_test(policy, env, ldba_spec, test_config, hp.reward_spec()).success_rate
+    return run_test(GreedyPolicy(result.q_table), env, ldba_spec, test_config,
+                    hp.reward_spec()).success_rate
 
 
 def _mean_std(values):
@@ -125,6 +124,9 @@ def robustness_sweep(env, ldba_spec, base_hp: Hyperparams, eta_grid, mu_grid,
                      workers: int = 4) -> SweepResult:
     """Train and test over the (eta, mu) grid; the only home of each sweep default."""
     require_positive(trainings=trainings, tests=tests, required_sweeps=required_sweeps)
+    for name, values in (("eta_grid", eta_grid), ("mu_grid", mu_grid)):
+        if not len(values):
+            raise ValueError(f"{name} must name at least one value")
     grid = list(itertools.product(eta_grid, mu_grid))
     jobs = []
     for cell, (eta, mu) in enumerate(grid):

@@ -1,9 +1,9 @@
 """Tabular Q-learning on the synchronized product.
 
-The table is sparse over visited (state, action) pairs; unseen entries
-read as q_init. Exploration is epsilon-greedy with deterministic
-lowest-index tie-breaking over the product's available-action order, so
-identical specs, hyper-parameters and seed reproduce runs bit for bit.
+The table holds a row per visited product state over its legal action
+ids; unwritten entries read as q_init. Exploration is epsilon-greedy with
+deterministic lowest-index tie-breaking over the product's action order,
+so identical specs, hyper-parameters and seed reproduce runs bit for bit.
 
 By default training pays a frontier reward of 1 - eta. Under the
 state-dependent discount (eta exactly on steps that fire the frontier, 1
@@ -60,83 +60,77 @@ class Hyperparams:
 
 
 class QTable:
-    """Sparse value table over visited (product state, action) pairs."""
+    """Action values over product ids: ``rows[state][action]``, one flat row
+    per visited state. Unwritten entries read q_init; ``written[state]``
+    flags the written ones, which are the entries a model file holds.
+    """
 
-    def __init__(self, q_init: float = 0.0):
+    def __init__(self, product, q_init: float = 0.0):
+        self.product = product
         self.q_init = q_init
-        self._table: dict[tuple, dict[str, float]] = {}
+        self.rows: dict[int, list[float]] = {}
+        self.written: dict[int, bytearray] = {}
+
+    def row(self, state) -> list[float]:
+        """The mutable row of state, created at q_init if unseen."""
+        row = self.rows.get(state)
+        if row is None:
+            width = len(self.product.legal[state % self.product.nq])
+            row = self.rows[state] = [self.q_init] * width
+            self.written[state] = bytearray(width)
+        return row
 
     def value(self, state, action) -> float:
-        row = self._table.get(state)
-        if row is None:
-            return self.q_init
-        return row.get(action, self.q_init)
+        row = self.rows.get(state)
+        return self.q_init if row is None else row[action]
 
-    def best_value(self, state, actions) -> float:
-        row = self._table.get(state)
-        if row is None:
-            return self.q_init
-        get, q_init = row.get, self.q_init
-        best = get(actions[0], q_init)
-        for a in actions:
-            v = get(a, q_init)
-            if v > best:
-                best = v
-        return best
+    def best_value(self, state) -> float:
+        row = self.rows.get(state)
+        return self.q_init if row is None else max(row)
 
-    def best_action(self, state, actions) -> str:
-        """Argmax with lowest-index tie-breaking; unseen states pick actions[0]."""
-        row = self._table.get(state)
-        if row is None:
-            return actions[0]
-        get, q_init = row.get, self.q_init
-        best = actions[0]
-        best_v = get(best, q_init)
-        for a in actions:
-            v = get(a, q_init)
-            if v > best_v:
-                best, best_v = a, v
-        return best
-
-    def row(self, state) -> dict[str, float]:
-        """The mutable action-value row of state, created empty if unseen."""
-        row = self._table.get(state)
-        if row is None:
-            row = self._table[state] = {}
-        return row
+    def best_action(self, state) -> int:
+        """Argmax with lowest-index tie-breaking; an unseen state picks action 0."""
+        row = self.rows.get(state)
+        return 0 if row is None else row.index(max(row))
 
     def set(self, state, action, value: float):
         self.row(state)[action] = value
+        self.written[state][action] = 1
 
     def items(self):
-        for state, row in self._table.items():
-            for action, value in row.items():
-                yield state, action, value
-
-    def states(self):
-        return self._table.keys()
+        """The written entries as (((row, col), q), action name, value), as saved."""
+        product = self.product
+        for state, flags in self.written.items():
+            names, row = product.action_names(state), self.rows[state]
+            for action, flag in enumerate(flags):
+                if flag:
+                    yield product.decode(state), names[action], row[action]
 
     def __len__(self):
-        return sum(len(row) for row in self._table.values())
+        return sum(map(sum, self.written.values()))
 
     def __eq__(self, other):
         return (isinstance(other, QTable) and self.q_init == other.q_init
-                and self._table == other._table)
+                and self.written == other.written and self.rows == other.rows)
 
 
-def select_action(qtable: QTable, state, actions, epsilon: float, rng) -> str:
-    """Epsilon-greedy over the available actions; greedy skips the rng draw."""
+def select_action(qtable: QTable, state, actions, epsilon: float, rng) -> int:
+    """Epsilon-greedy over legal action ids; greedy skips the rng draw (best_action inlined)."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return actions[rng.randrange(len(actions))]
-    return qtable.best_action(state, actions)
+    row = qtable.rows.get(state)
+    return 0 if row is None else row.index(max(row))
 
 
-def q_update(qtable: QTable, state, action, reward, gamma, next_state,
-             next_actions, mu: float) -> float:
-    target = reward + gamma * qtable.best_value(next_state, next_actions)
-    row = qtable.row(state)
-    new = (1.0 - mu) * row.get(action, qtable.q_init) + mu * target
+def q_update(qtable: QTable, state, action, reward, gamma, next_state, mu: float) -> float:
+    """One Q-learning update of (state, action), with best_value and row inlined."""
+    rows = qtable.rows
+    after = rows.get(next_state)
+    target = reward + gamma * (qtable.q_init if after is None else max(after))
+    row = rows.get(state) or qtable.row(state)
+    new = (1.0 - mu) * row[action] + mu * target
     row[action] = new
+    qtable.written[state][action] = 1
     return new
 
 
@@ -165,11 +159,10 @@ def train(env, ldba_spec: LdbaSpec, hp: Hyperparams, on_episode=None) -> TrainRe
     hp.validate()
     rng = random.Random(hp.seed)
     run = ProductRun(env, ldba_spec, hp.reward_spec(), rng)
-    qtable = QTable(hp.q_init)
+    qtable = QTable(run.product, hp.q_init)
+    legal, nq = run.product.legal, run.product.nq
     visits: dict[tuple, int] = {}
-    decay = hp.learning_rate_decay
-    epsilon = hp.epsilon
-    learning_rate = hp.learning_rate
+    decay, epsilon, learning_rate = hp.learning_rate_decay, hp.epsilon, hp.learning_rate
     stats: list[EpisodeStats] = []
     interrupted = False
 
@@ -177,9 +170,7 @@ def train(env, ldba_spec: LdbaSpec, hp: Hyperparams, on_episode=None) -> TrainRe
         for episode in range(hp.episode_num):
             state = run.reset()
             actions = run.available_actions(state)
-            total = 0.0
-            steps = 0
-            sink = False
+            total, steps, sink = 0.0, 0, False
             for _ in range(hp.iteration_num_max):
                 action = select_action(qtable, state, actions, epsilon, rng)
                 _, _, next_state, reward, gamma, done, _ = run.step(action)
@@ -189,10 +180,9 @@ def train(env, ldba_spec: LdbaSpec, hp: Hyperparams, on_episode=None) -> TrainRe
                     seen = visits.get(key, 0)
                     visits[key] = seen + 1
                     mu = mu / (1.0 + seen * decay)
-                actions = run.available_actions(next_state)
+                actions = legal[next_state % nq]
                 # Nothing follows the sink, so a step into it earns its reward alone.
-                q_update(qtable, state, action, reward, 0.0 if done else gamma, next_state,
-                         actions, mu)
+                q_update(qtable, state, action, reward, 0.0 if done else gamma, next_state, mu)
                 total += reward
                 steps += 1
                 state = next_state
@@ -210,14 +200,13 @@ def train(env, ldba_spec: LdbaSpec, hp: Hyperparams, on_episode=None) -> TrainRe
 
 
 class GreedyPolicy:
-    """Deterministic greedy policy induced by a Q table."""
+    """Deterministic greedy policy induced by a Q table: product id to action id."""
 
-    def __init__(self, qtable: QTable, ldba_spec: LdbaSpec, env_actions):
+    def __init__(self, qtable: QTable):
         self.qtable = qtable
-        self._legal = ldba_spec.compiled.action_table(env_actions).legal
 
-    def __call__(self, state) -> str:
-        return self.qtable.best_action(state, self._legal[state[1]])
+    def __call__(self, state) -> int:
+        return self.qtable.best_action(state)
 
 
 def average_window(window: int, episodes: int) -> int:

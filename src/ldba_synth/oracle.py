@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .automaton import SINK_STATE, LdbaSpec
+from .product import compile_product
 
 DEFAULT_STATE_CAP = 10**6
 SINK_CELL = (-1, -1)
@@ -58,58 +59,50 @@ def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_C
             f"product needs {slots} state slots, above the cap of {state_cap}")
 
     model = env.enumerate_model()
-    compiled = spec.compiled
-    table = compiled.action_table(env.actions)
+    product = compile_product(env, spec)
+    cells, names, sink = product.cells, product.automaton.states, product.nq - 1
+    delta, cell_class = product.automaton.delta, product.cell_class
     sink_node = (SINK_CELL, SINK_STATE)
     states: list[tuple] = []
     index: dict[tuple, int] = {}
     actions: list[tuple[str, ...]] = []
     successors: list[dict[str, tuple[tuple[int, float], ...]]] = []
-    frontier: deque[int] = deque()
+    frontier: deque[tuple[int, int, int]] = deque()
 
-    def visit(s, q) -> int:
-        """Index of the product node (s, q), numbered and queued on first sight."""
-        node = sink_node if q == SINK_STATE else (s, q)
+    def visit(cell, q) -> int:
+        """Index of the product node (cell, q), numbered and queued on first sight."""
+        node = sink_node if q == sink else (cells[cell], names[q])
         i = index.get(node)
         if i is None:
             i = len(states)
             index[node] = i
             states.append(node)
-            actions.append(())
+            actions.append(product.actions[q])
             successors.append({})
-            frontier.append(i)
+            frontier.append((i, cell, q))
         return i
 
-    initial = visit(env.initial_state, spec.initial_state)
+    initial = visit(*divmod(product.initial, product.nq))
     while frontier:
-        i = frontier.popleft()
-        s, q = states[i]
-        actions[i] = table.legal[q]
-        if q == SINK_STATE:
+        i, cell, q = frontier.popleft()
+        if q == sink:
             successors[i] = {a: ((i, 1.0),) for a in env.actions}
             continue
-        after = compiled.next_state[q]
+        after = delta[q]
         row: dict[str, tuple[tuple[int, float], ...]] = {}
-        s_idx = model.index[s]
-        for action, epsilon_label in table.moves[q].items():
-            if epsilon_label is not None:
-                row[action] = ((visit(s, compiled.step(q, epsilon_label)), 1.0),)
+        for action, epsilon_class in zip(actions[i], product.epsilon[q]):
+            if epsilon_class is not None:
+                row[action] = ((visit(cell, after[epsilon_class]), 1.0),)
                 continue
             mass: dict[int, float] = {}
-            for j_env, p in model.kernel[s_idx][action]:
-                labels = model.labels[j_env]
-                q_next = after.get(labels)
-                if q_next is None:
-                    q_next = compiled.step(q, labels)
-                j = visit(model.states[j_env], q_next)
+            for j_cell, p in model.kernel[cell][action]:
+                j = visit(j_cell, after[cell_class[j_cell]])
                 mass[j] = mass.get(j, 0.0) + p
             row[action] = tuple(sorted(mass.items()))
         successors[i] = row
 
-    accepting = tuple(
-        frozenset(i for i, (s, q) in enumerate(states) if q in acc)
-        for acc in spec.accepting_sets
-    )
+    accepting = tuple(frozenset(i for i, (s, q) in enumerate(states) if q in acc)
+                      for acc in spec.accepting_sets)
     return ExplicitProduct(states, index, initial, actions, successors, accepting)
 
 
@@ -323,18 +316,3 @@ def max_sat_probability(prod: ExplicitProduct, residual: float = 1e-10,
 
     return OracleResult(values, values[prod.initial], frozenset(target), mecs, sweeps)
 
-
-def greedy_product_policy(prod: ExplicitProduct, values) -> dict[int, str]:
-    """Value-greedy memoryless policy (lowest-index tie-break) for rollouts."""
-    policy: dict[int, str] = {}
-    for i in range(prod.num_states()):
-        best_a = prod.actions[i][0]
-        best_v = -1.0
-        for a in prod.actions[i]:
-            acc = 0.0
-            for j, p in prod.successors[i][a]:
-                acc += p * values[j]
-            if acc > best_v + 1e-15:
-                best_a, best_v = a, acc
-        policy[i] = best_a
-    return policy

@@ -1,23 +1,22 @@
 """On-the-fly synchronization of a grid environment with an automaton.
 
-Product states are ((row, col), q) pairs materialized only as visited;
-no product table is ever built here. Base actions advance the
-environment and feed the new cell's labels to the automaton;
-epsilon-actions jump the automaton while freezing the environment and
-consume no randomness. Each step applies the accepting-frontier rule to
-the successor automaton state: a fired frontier pays positive_reward and
-discounts the future by eta, every other transition pays neutral_reward
-and is undiscounted. Episodes end exactly when the automaton hits the
-sink, which is in no accepting set and so never fires.
+A compiled product numbers cells, label classes, actions and product
+states, so a step is a few list lookups. Base actions move the agent and
+feed the new cell's label class to the automaton; epsilon-actions jump
+the automaton, freeze the environment and consume no randomness. A step
+that fires the accepting frontier pays positive_reward and discounts by
+eta, any other pays neutral_reward undiscounted. Episodes end exactly
+when the automaton hits the sink, which never fires.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
-from .automaton import SINK_STATE, LdbaRuntime
-from .envs import require_positive
+from .automaton import LdbaRuntime
+from .envs import ACTION_DELTAS, PERPENDICULAR, require_positive
 
 
 @dataclass(frozen=True)
@@ -35,59 +34,123 @@ class RewardSpec:
 
 
 class Transition(NamedTuple):
-    state: tuple
-    action: str
-    next_state: tuple
+    state: int        # product ids and an action id; see CompiledProduct
+    action: int
+    next_state: int
     reward: float
     gamma: float
     done: bool
     fired: bool
 
 
+_new = tuple.__new__  # builds a Transition without its Python-level __new__
+
+
 class ProductError(ValueError):
     """Raised on illegal actions for the current product state."""
+
+
+class CompiledProduct:
+    """One environment x automaton pair on integer ids; see compile_product.
+
+    Cells are numbered row-major (``cells[i]`` is cell i's (row, col)),
+    automaton states as in ``CompiledLdba``, and product state (cell, q) is
+    ``cell * nq + q``. Action ids index ``actions[q]``: the base actions,
+    then q's epsilon actions, whose label classes ``epsilon[q]`` holds
+    (None for base actions). ``moves[i][a]`` (built on first use) lists the
+    cells base action a leads to from cell i: intended, then, for a move
+    that can slip, the two perpendicular ones and staying put.
+    """
+
+    def __init__(self, env, spec):
+        automaton = spec.compiled
+        self.env, self.automaton = env, automaton
+        self.nq = len(automaton.states)
+        self.cells = [(r, c) for r in range(env.height) for c in range(env.width)]
+        self.cell_id = {cell: i for i, cell in enumerate(self.cells)}
+        self.cell_class = [automaton.label_class(env.state_label(s)) for s in self.cells]
+        self.actions = [env.actions + spec.epsilon_names(q) for q in automaton.states]
+        self.legal = [range(len(names)) for names in self.actions]
+        self.epsilon = [(None,) * len(env.actions) + tuple(
+            automaton.label_class({name}) for name in spec.epsilon_names(q))
+            for q in automaton.states]
+        self.initial = self.encode(env.initial_state, spec.initial_state)
+
+    @cached_property
+    def moves(self) -> list[tuple[tuple[int, ...], ...]]:
+        to = {d: [self.cell_id[self.env._move(s, d)] for s in self.cells] for d in ACTION_DELTAS}
+        outcomes = [(a,) + PERPENDICULAR[a] + ("stay",) * bool(PERPENDICULAR[a])
+                    for a in self.env.actions]
+        return list(zip(*(zip(*(to[d] for d in ds)) for ds in outcomes)))
+
+    def encode(self, cell, q) -> int:
+        """The id of product state (cell, q); KeyError off the grid or the automaton."""
+        return self.cell_id[cell] * self.nq + self.automaton.index[q]
+
+    def decode(self, state: int) -> tuple:
+        """The ((row, col), q) pair of a product id, q as the spec numbers it."""
+        cell, q = divmod(state, self.nq)
+        return self.cells[cell], self.automaton.states[q]
+
+    def action_names(self, state: int) -> tuple[str, ...]:
+        return self.actions[state % self.nq]
+
+
+def compile_product(env, spec) -> CompiledProduct:
+    """The compiled product of env and spec, built once and kept by the spec."""
+    products = spec.compiled.products
+    product = products.get(id(env))
+    if product is None or product.env is not env:
+        product = products[id(env)] = CompiledProduct(env, spec)
+    return product
 
 
 class ProductRun:
     """A live product trajectory over one environment and one automaton run."""
 
     def __init__(self, env, ldba_spec, reward: RewardSpec, rng):
-        self.env = env
+        self.product = product = compile_product(env, ldba_spec)
         self.runtime = LdbaRuntime(ldba_spec)
-        self.reward = reward
-        self.rng = rng
-        self._actions = self.runtime.compiled.action_table(env.actions)
-        self.state = (env.initial_state, self.runtime.spec.initial_state)
+        self.reward, self.rng, self._slip = reward, rng, env.slip_probability
+        self._nq, self._sink = product.nq, product.nq - 1
+        self._epsilon, self._moves = product.epsilon, product.moves
+        self.state = product.initial
+        self.cell = product.initial // product.nq
 
-    def reset(self) -> tuple:
-        s = self.env.reset()
-        q = self.runtime.reset()
-        self.state = (s, q)
+    def reset(self) -> int:
+        self.runtime.reset()
+        self.state = self.product.initial
+        self.cell = self.state // self._nq
         return self.state
 
-    def available_actions(self, state=None) -> tuple[str, ...]:
-        """Base actions first, then the automaton's epsilon actions for q."""
-        return self._actions.legal[(state if state is not None else self.state)[1]]
+    def available_actions(self, state=None) -> range:
+        """The legal action ids: base actions first, then q's epsilon actions."""
+        return self.product.legal[(state if state is not None else self.state) % self._nq]
 
-    def step(self, action: str) -> Transition:
+    def step(self, action: int) -> Transition:
         state = self.state
-        s, q = state
-        try:
-            epsilon_label = self._actions.moves[q][action]
-        except (KeyError, TypeError):
-            raise ProductError(
-                f"illegal action {action!r} for product state {state}") from None
         runtime = self.runtime
-        if epsilon_label is None:
-            s = self.env.step(action, self.rng)
-            q = runtime.step(self.env.state_label(s))
-        else:
-            q = runtime.step(epsilon_label)
-        next_state = (s, q)
-        self.state = next_state
+        epsilon = self._epsilon[runtime.state]
+        if not 0 <= action < len(epsilon):
+            raise ProductError(f"illegal action {action!r} for product state "
+                               f"{self.product.decode(state)}")
+        label_class = epsilon[action]
+        cell = self.cell
+        if label_class is None:
+            outcomes = self._moves[cell][action]
+            slip = self._slip
+            if slip and self.rng.random() < slip:
+                if len(outcomes) > 1:  # a perpendicular cell or staying put
+                    cell = outcomes[1 + self.rng.randrange(3)]
+            else:
+                cell = outcomes[0]
+            self.cell = cell
+            label_class = self.product.cell_class[cell]
+        q = runtime.step(label_class)
+        next_state = self.state = cell * self._nq + q
+        reward = self.reward
         if runtime.advance_frontier(q):
-            reward = self.reward
-            return Transition(state, action, next_state, reward.positive_reward,
-                              reward.eta, False, True)
-        return Transition(state, action, next_state, self.reward.neutral_reward, 1.0,
-                          q == SINK_STATE, False)
+            return _new(Transition, (state, action, next_state, reward.positive_reward,
+                                     reward.eta, False, True))
+        return _new(Transition, (state, action, next_state, reward.neutral_reward, 1.0,
+                                 q == self._sink, False))

@@ -213,6 +213,22 @@ def brute_force_value(prod: ExplicitProduct) -> float:
     return best
 
 
+def greedy_product_policy(prod: ExplicitProduct, values) -> dict[int, str]:
+    """Value-greedy memoryless policy (lowest-index tie-break) for rollouts."""
+    policy: dict[int, str] = {}
+    for i in range(prod.num_states()):
+        best_a = prod.actions[i][0]
+        best_v = -1.0
+        for a in prod.actions[i]:
+            acc = 0.0
+            for j, p in prod.successors[i][a]:
+                acc += p * values[j]
+            if acc > best_v + 1e-15:
+                best_a, best_v = a, acc
+        policy[i] = best_a
+    return policy
+
+
 def product_rollout_sweeps(prod: ExplicitProduct, policy: dict[int, str],
                            spec: LdbaSpec, rng: random.Random,
                            steps: int) -> int:
@@ -222,6 +238,7 @@ def product_rollout_sweeps(prod: ExplicitProduct, policy: dict[int, str],
     automaton component is fed to advance_frontier after every step.
     """
     runtime = LdbaRuntime(spec)
+    index = spec.compiled.index
     i = prod.initial
     for _ in range(steps):
         successors = prod.successors[i][policy[i]]
@@ -233,7 +250,7 @@ def product_rollout_sweeps(prod: ExplicitProduct, policy: dict[int, str],
             if draw < acc:
                 i = j
                 break
-        runtime.advance_frontier(prod.states[i][1])
+        runtime.advance_frontier(index[prod.states[i][1]])
     return runtime.sweeps_completed
 
 

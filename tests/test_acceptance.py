@@ -87,8 +87,6 @@ def test_criterion_2_learner_matches_oracle_on_crafting_benchmark():
     0.05 of the oracle value, which is exactly 1.0 on this map."""
     env, spec = _bundled("minecraft", "minecraft-t1")
     oracle = max_sat_probability(build_explicit_product(env, spec)).initial_value
-    p0 = (env.initial_state, spec.initial_state)
-    actions = env.actions + spec.epsilon_names(spec.initial_state)
 
     learned = []
     slowest = 0.0
@@ -99,7 +97,7 @@ def test_criterion_2_learner_matches_oracle_on_crafting_benchmark():
         start = time.monotonic()
         result = train(env, spec, hp)
         slowest = max(slowest, time.monotonic() - start)
-        learned.append(result.q_table.best_value(p0, actions))
+        learned.append(result.q_table.best_value(result.q_table.product.initial))
 
     agreeing = sum(1 for q in learned if q >= 0.95 and abs(q - oracle) <= 0.05)
     ok = oracle == 1.0 and agreeing >= 9 and slowest < 300.0
@@ -124,7 +122,7 @@ def test_criterion_3_sequential_milestones_policy_succeeds():
                      seed=0)
     start = time.monotonic()
     result = train(env, spec, hp)
-    policy = GreedyPolicy(result.q_table, spec, env.actions)
+    policy = GreedyPolicy(result.q_table)
     config = TestConfig(rollouts=100, horizon=1000, required_sweeps=1, seed=0)
     report = run_test(policy, env, spec, config, hp.reward_spec())
     elapsed = time.monotonic() - start
@@ -188,7 +186,7 @@ def test_criterion_5_invariant_suites():
                 assert (tr.reward > 0) == tr.fired
                 assert tr.gamma == (reward.eta if tr.fired else 1.0)
                 if sunk:
-                    assert tr.next_state[1] == SINK_STATE
+                    assert run.product.decode(tr.next_state)[1] == SINK_STATE
                     assert tr.done and not tr.fired
                 sunk = sunk or tr.done
 
@@ -200,7 +198,7 @@ def test_criterion_5_invariant_suites():
             fires = 0
             for _ in range(120):
                 fires += runtime.advance_frontier(
-                    rng.choice(spec.states + (SINK_STATE,)))
+                    spec.compiled.index[rng.choice(spec.states + (SINK_STATE,))])
                 assert 1 <= len(runtime.remaining) <= n
                 assert fires == (runtime.sweeps_completed * n
                                  + (n - len(runtime.remaining)))
@@ -215,12 +213,13 @@ def test_criterion_5_invariant_suites():
             run = ProductRun(env, spec, Hyperparams().reward_spec(), wheel)
             run.reset()
             for _ in range(40):
+                names = run.product.action_names(run.state)
                 eps = [a for a in run.available_actions()
-                       if a.startswith("epsilon_")]
+                       if names[a].startswith("epsilon_")]
                 if eps:
-                    cell, state_before = run.state[0], wheel.getstate()
+                    cell, state_before = run.product.decode(run.state)[0], wheel.getstate()
                     tr = run.step(rng.choice(eps))
-                    assert tr.next_state[0] == cell
+                    assert run.product.decode(tr.next_state)[0] == cell
                     assert wheel.getstate() == state_before
                     eps_checks += 1
                 else:

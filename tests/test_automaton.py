@@ -351,13 +351,35 @@ def test_runtime_step_matches_pure_step_state():
     for trial in range(30):
         spec = random_automaton(rng)
         runtime = LdbaRuntime(spec)
+        compiled = spec.compiled
         q = spec.initial_state
         for _ in range(60):
             labels = frozenset(
                 lab for lab in spec.alphabet if rng.random() < 0.4)
             expected = step_state(spec, q, labels)
-            assert runtime.step(labels) == expected
+            assert compiled.states[runtime.step(compiled.label_class(labels))] == expected
             q = expected
+
+
+def test_compiled_tables_number_states_in_declaration_order_with_the_sink_last():
+    spec = parse_ldba_spec(minimal_document(
+        states=[7, 3], initial_state=3, accepting_sets=[[7]],
+        epsilon_transitions={"3": [{"name": "epsilon_0", "to": 7}]},
+        transitions={"3": [{"guard": "a", "to": 7}, {"guard": "true", "to": 3}],
+                     "7": [{"guard": "a", "to": 7}, {"guard": "true", "to": -1}]}))
+    compiled = spec.compiled
+    assert compiled.states == (7, 3, SINK_STATE)
+    assert compiled.index == {7: 0, 3: 1, SINK_STATE: 2}
+    assert compiled.accmask == [1, 0, 0]
+    a, plain, eps = (compiled.label_class(labels) for labels in ({"a"}, set(), {"epsilon_0"}))
+    assert compiled.label_class(frozenset({"a"})) == a      # one class per label set
+    assert [row[a] for row in compiled.delta] == [0, 0, 2]
+    assert [row[plain] for row in compiled.delta] == [2, 1, 2]
+    assert [row[eps] for row in compiled.delta] == [None, 0, 2]   # 7 offers no epsilon_0
+    run = LdbaRuntime(spec)
+    assert run.state == 1                                   # state 3
+    assert (run.step(plain), run.step(a)) == (1, 0)
+    assert run.advance_frontier(run.state) is True
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +390,7 @@ def test_runtime_step_matches_pure_step_state():
 def test_frontier_reset_state():
     spec = parse_ldba_spec(minimal_document())
     run = LdbaRuntime(spec)
-    run.step({"a"})
+    run.step(spec.compiled.label_class({"a"}))
     run.advance_frontier(run.state)
     assert run.state == 1
     assert run.reset() == 0
@@ -421,7 +443,7 @@ def test_frontier_conservation_and_sweep_rate_randomized():
         last_sweeps = 0
         for _ in range(300):
             q = rng.choice(spec.states)
-            fired = run.advance_frontier(q)
+            fired = run.advance_frontier(spec.compiled.index[q])
             assert 1 <= len(run.remaining) <= n_sets
             # remaining is always an ordered subsequence of the full family
             it = iter(spec.accepting_sets)
@@ -443,7 +465,7 @@ def test_sink_never_fires_frontier():
     for _ in range(20):
         spec = random_automaton(rng)
         run = LdbaRuntime(spec)
-        assert run.advance_frontier(SINK_STATE) is False
+        assert run.advance_frontier(spec.compiled.index[SINK_STATE]) is False
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from ldba_synth.envs import parse_env_spec
 from ldba_synth.automaton import parse_ldba_spec
 from ldba_synth.evaluation import TestConfig, robustness_sweep
 from ldba_synth.learner import Hyperparams, train
+from ldba_synth.product import compile_product
 
 ENV_DOC = {
     "height": 1,
@@ -112,7 +113,7 @@ def test_model_save_load_round_trip(tmp_path):
     keys = [(e["s"][0], e["s"][1], e["q"], e["action"])
             for e in payload["entries"]]
     assert keys == sorted(keys)
-    assert model_qtable(payload) == result.q_table
+    assert model_qtable(payload, result.q_table.product) == result.q_table
 
 
 def test_load_model_failure_modes(tmp_path):
@@ -194,7 +195,47 @@ def test_deeply_nested_model_exits_config(spec_files, tmp_path, capsys):
 def test_load_model_accepts_a_well_formed_payload(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model_payload()), encoding="utf-8")
-    assert model_qtable(load_model(path)).value(((0, 0), 0), "right") == 0.5
+    product = compile_product(parse_env_spec(ENV_DOC), parse_ldba_spec(LDBA_DOC))
+    qtable = model_qtable(load_model(path), product)
+    assert qtable.value(product.encode((0, 0), 0), 0) == 0.5     # "right"
+
+
+# Entries that name no state and legal action of the product; each would
+# have been skipped or aliased onto another state's row.
+FOREIGN_ENTRIES = {
+    "cell-past-the-row-end": dict(GOOD_ENTRY, s=[0, 4]),
+    "cell-below-the-grid": dict(GOOD_ENTRY, s=[1, 0]),
+    "negative-cell": dict(GOOD_ENTRY, s=[0, -1]),
+    "unknown-q": dict(GOOD_ENTRY, q=3),
+    "epsilon-action-q-lacks": dict(GOOD_ENTRY, action="epsilon_1"),
+    "unknown-action": dict(GOOD_ENTRY, action="jump"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOREIGN_ENTRIES))
+def test_model_entries_off_the_product_exit_config_before_rollouts(
+        spec_files, tmp_path, capsys, monkeypatch, name):
+    env_path, ldba_path = spec_files
+    out = tmp_path / "results"
+    assert main(train_args(spec_files, out, "--no-test")) == EXIT_OK
+    model_path = out / "learned_model.json"
+    model = json.loads(model_path.read_text(encoding="utf-8"))
+    model["entries"].append(FOREIGN_ENTRIES[name])
+    model_path.write_text(canonical_json(model), encoding="utf-8")
+    capsys.readouterr()
+
+    def no_rollouts(*args, **kwargs):
+        raise AssertionError("rollouts ran on a model with a foreign entry")
+
+    monkeypatch.setattr("ldba_synth.cli.run_test", no_rollouts)
+    rc = main(["test", "--env", str(env_path), "--ldba", str(ldba_path),
+               "--model", str(model_path), "--save_dir", str(tmp_path / "fresh")])
+    assert rc == EXIT_CONFIG
+    assert "is not a state and legal action of this product" in capsys.readouterr().err
+    assert not (tmp_path / "fresh").exists()
+    product = compile_product(parse_env_spec(ENV_DOC), parse_ldba_spec(LDBA_DOC))
+    with pytest.raises(CliError, match=f"model entry {len(model['entries']) - 1} "):
+        model_qtable(model, product)
 
 
 # ---------------------------------------------------------------------------

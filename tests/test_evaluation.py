@@ -14,6 +14,7 @@ from ldba_synth.evaluation import (
     run_test,
 )
 from ldba_synth.learner import Hyperparams
+from ldba_synth.product import compile_product
 
 REWARD = Hyperparams().reward_spec()
 
@@ -54,7 +55,9 @@ def hazard_spec():
 
 
 def press(action):
-    return lambda state: action
+    """A policy that always takes the named corridor action, by its id."""
+    action_id = ("right", "left", "up", "down").index(action)
+    return lambda state: action_id
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +158,8 @@ def test_trace_sees_every_transition():
     for k in range(3):
         chunk = [(step, tr) for kk, step, tr in rows if kk == k]
         assert [step for step, _ in chunk] == list(range(len(chunk)))
-        assert chunk[0][1].state == ((0, 0), 0)  # reset before every rollout
+        # reset before every rollout
+        assert compile_product(env, spec).decode(chunk[0][1].state) == ((0, 0), 0)
         for (_, a), (_, b) in zip(chunk, chunk[1:]):
             assert b.state == a.next_state
 
@@ -202,8 +206,9 @@ def test_sweep_is_deterministic_across_worker_counts():
     assert serial == parallel
 
 
-def test_sweep_pool_never_exceeds_the_job_count(monkeypatch):
-    # The fake pool maps in-process, so the test starts no process.
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap the process pool for one that maps in-process; lists the sizes asked for."""
     started = []
 
     class RecordingPool:
@@ -220,10 +225,15 @@ def test_sweep_pool_never_exceeds_the_job_count(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr("ldba_synth.evaluation.ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+def test_sweep_pool_never_exceeds_the_job_count(pool_sizes):
+    # The fake pool maps in-process, so the test starts no process.
     env, spec, base = sweep_args()
     pooled = robustness_sweep(env, spec, base, eta_grid=[0.5, 0.9], mu_grid=[0.7],
                               trainings=2, tests=4, seed=3, workers=64)
-    assert started == [4]
+    assert pool_sizes == [4]
     serial = robustness_sweep(env, spec, base, eta_grid=[0.5, 0.9], mu_grid=[0.7],
                               trainings=2, tests=4, seed=3, workers=1)
     assert pooled == serial
@@ -233,6 +243,21 @@ def test_sweep_rejects_nonpositive_trainings():
     env, spec, base = sweep_args()
     with pytest.raises(ValueError, match="trainings"):
         robustness_sweep(env, spec, base, [0.5], [0.5], trainings=0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("empty", ["eta_grid", "mu_grid"])
+def test_sweep_rejects_an_empty_grid_before_any_job(monkeypatch, pool_sizes, workers,
+                                                     empty):
+    def fail(job):
+        raise AssertionError("no job may start")
+
+    monkeypatch.setattr("ldba_synth.evaluation._sweep_job", fail)
+    env, spec, base = sweep_args()
+    grids = {"eta_grid": [0.5], "mu_grid": [0.5], empty: []}
+    with pytest.raises(ValueError, match=empty):
+        robustness_sweep(env, spec, base, trainings=1, tests=1, workers=workers, **grids)
+    assert pool_sizes == []
 
 
 def test_sweep_learns_on_the_easy_cell():

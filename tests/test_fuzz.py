@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from ldba_synth.automaton import LdbaSpecError, parse_ldba_spec
 from ldba_synth.cli import CliError, load_model, model_qtable
 from ldba_synth.envs import EnvSpecError, parse_env_spec
+from ldba_synth.product import compile_product
 
 # Small numbers only: a valid grid of height 10**9 is a memory problem,
 # not a parsing one.
@@ -67,6 +68,9 @@ MODEL_DOC = {
     "entries": [{"s": [0, 1], "q": 0, "action": "right", "value": 0.25},
                 {"s": [0, 2], "q": 1, "action": "up", "value": 0.5}],
 }
+
+
+PRODUCT = compile_product(parse_env_spec(ENV_DOC), parse_ldba_spec(LDBA_DOC))
 
 
 def _slots(node, slots):
@@ -127,7 +131,6 @@ def test_model_loader_raises_only_cli_errors(document):
         text = document if isinstance(document, str) else json.dumps(document)
         path.write_text(text, encoding="utf-8")
         try:
-            payload = load_model(path)
+            model_qtable(load_model(path), PRODUCT)
         except CliError:
             return
-        model_qtable(payload)

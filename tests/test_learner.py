@@ -17,6 +17,7 @@ from ldba_synth.learner import (
     select_action,
     train,
 )
+from ldba_synth.product import compile_product
 
 from conftest import make_rng, random_automaton, random_env
 
@@ -114,42 +115,48 @@ def test_hyperparams_validation(field, value):
 # ---------------------------------------------------------------------------
 
 
+def corridor_product():
+    """Product ids of chain_spec on a corridor: nq = 4, state 0 is ((0, 0), 0),
+    state 5 is ((0, 1), 1), and every state has the four corridor actions."""
+    return compile_product(corridor_env({}), chain_spec())
+
+
 def test_qtable_unseen_entries_read_q_init():
-    table = QTable(q_init=0.3)
-    assert table.value("s", "a") == 0.3
-    assert table.best_value("s", ("a", "b")) == 0.3
-    table.set("s", "a", 0.1)
-    assert table.value("s", "a") == 0.1
-    assert table.value("s", "b") == 0.3          # unseen action in a seen row
-    assert table.best_value("s", ("a", "b")) == 0.3
+    table = QTable(corridor_product(), q_init=0.3)
+    assert table.value(0, 0) == 0.3
+    assert table.best_value(0) == 0.3
+    table.set(0, 0, 0.1)
+    assert table.value(0, 0) == 0.1
+    assert table.value(0, 1) == 0.3              # unseen action in a seen row
+    assert table.best_value(0) == 0.3
 
 
 def test_qtable_best_action_breaks_ties_by_lowest_index():
-    table = QTable()
-    actions = ("up", "down", "left")
-    assert table.best_action("fresh", actions) == "up"
-    table.set("s", "down", 0.0)
-    table.set("s", "left", 0.0)
-    assert table.best_action("s", actions) == "up"
-    table.set("s", "left", 0.5)
-    assert table.best_action("s", actions) == "left"
-    table.set("s", "down", 0.5)                  # equal max: earliest wins
-    assert table.best_action("s", actions) == "down"
+    table = QTable(corridor_product())
+    assert table.best_action(5) == 0             # fresh state: the first action
+    table.set(0, 1, 0.0)
+    table.set(0, 2, 0.0)
+    assert table.best_action(0) == 0
+    table.set(0, 2, 0.5)
+    assert table.best_action(0) == 2
+    table.set(0, 1, 0.5)                         # equal max: earliest wins
+    assert table.best_action(0) == 1
 
 
 def test_qtable_len_items_and_equality():
-    a = QTable()
-    b = QTable()
+    product = corridor_product()
+    a = QTable(product)
+    b = QTable(product)
     assert a == b
-    a.set("s", "x", 1.0)
-    a.set("t", "y", 2.0)
+    a.set(0, 0, 1.0)
+    a.set(5, 1, 2.0)
     assert len(a) == 2
-    assert sorted(a.items()) == [("s", "x", 1.0), ("t", "y", 2.0)]
+    assert sorted(a.items()) == [(((0, 0), 0), "right", 1.0), (((0, 1), 1), "left", 2.0)]
     assert a != b
-    b.set("s", "x", 1.0)
-    b.set("t", "y", 2.0)
+    b.set(0, 0, 1.0)
+    b.set(5, 1, 2.0)
     assert a == b
-    assert a != QTable(q_init=0.5)
+    assert a != QTable(product, q_init=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -158,34 +165,34 @@ def test_qtable_len_items_and_equality():
 
 
 def test_greedy_selection_consumes_no_randomness():
-    table = QTable()
-    table.set("s", "b", 1.0)
+    table = QTable(corridor_product())
+    table.set(0, 1, 1.0)
     rng = make_rng(0)
     before = rng.getstate()
-    assert select_action(table, "s", ("a", "b"), 0.0, rng) == "b"
+    assert select_action(table, 0, range(4), 0.0, rng) == 1
     assert rng.getstate() == before
 
 
 def test_full_exploration_is_uniform():
-    table = QTable()
-    table.set("s", "c", 9.9)                     # values must not matter
+    table = QTable(corridor_product())
+    table.set(0, 2, 9.9)                         # values must not matter
     rng = make_rng(1)
-    actions = ("a", "b", "c", "d")
-    counts = Counter(select_action(table, "s", actions, 1.0, rng)
+    actions = range(4)
+    counts = Counter(select_action(table, 0, actions, 1.0, rng)
                      for _ in range(100_000))
     for action in actions:
         assert counts[action] / 100_000 == pytest.approx(0.25, abs=0.01)
 
 
 def test_intermediate_epsilon_mixes_greedy_and_uniform():
-    table = QTable()
-    table.set("s", "b", 1.0)
+    table = QTable(corridor_product())
+    table.set(0, 1, 1.0)
     rng = make_rng(2)
-    counts = Counter(select_action(table, "s", ("a", "b"), 0.5, rng)
+    counts = Counter(select_action(table, 0, range(2), 0.5, rng)
                      for _ in range(100_000))
-    # b: greedy half plus half of the uniform half; a: a quarter
-    assert counts["b"] / 100_000 == pytest.approx(0.75, abs=0.01)
-    assert counts["a"] / 100_000 == pytest.approx(0.25, abs=0.01)
+    # 1: greedy half plus half of the uniform half; 0: a quarter
+    assert counts[1] / 100_000 == pytest.approx(0.75, abs=0.01)
+    assert counts[0] / 100_000 == pytest.approx(0.25, abs=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -194,24 +201,21 @@ def test_intermediate_epsilon_mixes_greedy_and_uniform():
 
 
 def test_q_update_hand_computed_values():
-    table = QTable()
-    new = q_update(table, "s", "a", reward=1.0, gamma=0.5,
-                   next_state="t", next_actions=("a",), mu=0.9)
+    table = QTable(corridor_product())
+    new = q_update(table, 0, 0, reward=1.0, gamma=0.5, next_state=5, mu=0.9)
     assert new == pytest.approx(0.9)             # 0.1 * 0 + 0.9 * (1 + 0.5 * 0)
-    assert table.value("s", "a") == pytest.approx(0.9)
+    assert table.value(0, 0) == pytest.approx(0.9)
 
-    table.set("s", "a", 0.4)
-    table.set("t", "b", 0.2)
-    new = q_update(table, "s", "a", reward=0.4, gamma=0.5,
-                   next_state="t", next_actions=("a", "b"), mu=0.5)
+    table.set(0, 0, 0.4)
+    table.set(5, 1, 0.2)
+    new = q_update(table, 0, 0, reward=0.4, gamma=0.5, next_state=5, mu=0.5)
     assert new == pytest.approx(0.45)            # 0.5 * 0.4 + 0.5 * (0.4 + 0.5 * 0.2)
 
 
 def test_q_update_with_unit_learning_rate_overwrites():
-    table = QTable()
-    table.set("s", "a", 3.0)
-    new = q_update(table, "s", "a", reward=0.25, gamma=1.0,
-                   next_state="s", next_actions=("a",), mu=1.0)
+    table = QTable(corridor_product())
+    table.set(0, 0, 3.0)
+    new = q_update(table, 0, 0, reward=0.25, gamma=1.0, next_state=0, mu=1.0)
     assert new == pytest.approx(3.25)
 
 
@@ -221,7 +225,7 @@ def test_a_step_into_the_sink_earns_its_reward_alone():
     hp = Hyperparams(episode_num=1, learning_rate=1.0, epsilon=0.0, q_init=0.5)
     result = train(env, hazard_spec(), hp)
     assert result.stats[0].reached_sink
-    assert result.q_table.value(((0, 0), 0), "right") == 0.0
+    assert result.q_table.value(result.q_table.product.initial, 0) == 0.0  # "right"
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +244,10 @@ def test_endless_satisfaction_converges_to_probability_one():
                      epsilon=0.3, seed=0)
     result = train(env, chain_spec(), hp)
     table = result.q_table
-    best = table.best_value(((0, 0), 0), env.actions)
+    best = table.best_value(table.product.initial)
     assert best == pytest.approx(1.0, abs=1e-5)
-    for state in table.states():
-        assert table.best_value(state, env.actions) <= 1.0 + 1e-9
+    for state in table.rows:
+        assert table.best_value(state) <= 1.0 + 1e-9
 
 
 def test_single_fire_task_converges_to_rp_with_no_eta_dependence():
@@ -254,7 +258,7 @@ def test_single_fire_task_converges_to_rp_with_no_eta_dependence():
                          epsilon=0.3, seed=1, positive_reward=rp)
         expected = rp if rp is not None else 1.0 - eta
         result = train(env, one_shot_spec(), hp)
-        best = result.q_table.best_value(((0, 0), 0), env.actions)
+        best = result.q_table.best_value(result.q_table.product.initial)
         assert best == pytest.approx(expected, abs=1e-5)
 
 
@@ -302,8 +306,9 @@ def test_positive_reward_scale_leaves_trajectories_untouched():
         assert (sa.steps, sa.sweeps_completed, sa.reached_sink) == \
             (sb.steps, sb.sweeps_completed, sb.reached_sink)
         assert sb.cumulative_reward == pytest.approx(sa.cumulative_reward * factor)
-    for state, action, value in a.q_table.items():
-        assert b.q_table.value(state, action) == pytest.approx(value * factor)
+    assert a.q_table.written == b.q_table.written
+    for state, row in a.q_table.rows.items():
+        assert b.q_table.rows[state] == pytest.approx([value * factor for value in row])
 
 
 def test_episode_stats_account_for_every_fire():
@@ -373,15 +378,15 @@ def test_greedy_policy_uses_product_action_order():
             "1": [{"guard": "true", "to": 1}],
         },
     })
-    table = QTable()
-    policy = GreedyPolicy(table, spec, ("right", "left", "up", "down"))
-    legal = spec.compiled.action_table(("right", "left", "up", "down")).legal
-    assert legal[0] == ("right", "left", "up", "down", "epsilon_1")
-    assert legal[1] == ("right", "left", "up", "down")
-    assert legal[-1] == ("right", "left", "up", "down")
-    assert policy(((0, 0), 0)) == "right"        # all-zero table: first action
-    table.set(((0, 0), 0), "epsilon_1", 0.9)
-    assert policy(((0, 0), 0)) == "epsilon_1"
+    product = compile_product(corridor_env({}), spec)
+    table = QTable(product)
+    policy = GreedyPolicy(table)
+    base = ("right", "left", "up", "down")
+    assert product.actions == [base + ("epsilon_1",), base, base]   # q 0, q 1, sink
+    state = product.encode((0, 0), 0)
+    assert policy(state) == 0                    # all-zero table: first action
+    table.set(state, 4, 0.9)
+    assert product.action_names(state)[policy(state)] == "epsilon_1"
 
 
 # ---------------------------------------------------------------------------

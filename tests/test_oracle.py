@@ -16,13 +16,13 @@ from ldba_synth.oracle import (
     _prob1_max,
     _strongly_connected_components,
     build_explicit_product,
-    greedy_product_policy,
     max_sat_probability,
     mec_decompose,
 )
 
 from conftest import (
     brute_force_value,
+    greedy_product_policy,
     make_rng,
     product_rollout_sweeps,
     random_automaton,

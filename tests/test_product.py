@@ -50,6 +50,11 @@ def epsilon_spec():
     })
 
 
+def act(run, name):
+    """The id of the named action in the run's current product state."""
+    return run.product.action_names(run.state).index(name)
+
+
 # ---------------------------------------------------------------------------
 # reward spec
 # ---------------------------------------------------------------------------
@@ -80,24 +85,24 @@ def test_reward_spec_rejects_nonpositive_reward():
 def test_scripted_corridor_walk():
     env = corridor_env({2: {"a"}, 3: {"b"}})
     run = ProductRun(env, chain_spec(), RewardSpec(eta=0.5), make_rng(0))
-    assert run.reset() == ((0, 0), 0)
+    assert run.product.decode(run.reset()) == ((0, 0), 0)
 
-    tr = run.step("right")                      # to (0,1): unlabeled
-    assert tr.next_state == ((0, 1), 0)
+    tr = run.step(act(run, "right"))  # to (0,1): unlabeled
+    assert run.product.decode(tr.next_state) == ((0, 1), 0)
     assert (tr.reward, tr.gamma, tr.fired, tr.done) == (0.0, 1.0, False, False)
 
-    tr = run.step("right")                      # to (0,2): sees 'a'
-    assert tr.next_state == ((0, 2), 1)
+    tr = run.step(act(run, "right"))  # to (0,2): sees 'a'
+    assert run.product.decode(tr.next_state) == ((0, 2), 1)
     assert (tr.reward, tr.gamma, tr.fired, tr.done) == (0.0, 1.0, False, False)
     assert run.runtime.sweeps_completed == 0
 
-    tr = run.step("right")                      # to (0,3): sees 'b', accepting
-    assert tr.next_state == ((0, 3), 2)
+    tr = run.step(act(run, "right"))  # to (0,3): sees 'b', accepting
+    assert run.product.decode(tr.next_state) == ((0, 3), 2)
     assert (tr.reward, tr.gamma, tr.fired, tr.done) == (1.0, 0.5, True, False)
     assert run.runtime.sweeps_completed == 1
 
-    tr = run.step("right")                      # clamped; accepting loop refires
-    assert tr.next_state == ((0, 3), 2)
+    tr = run.step(act(run, "right"))  # clamped; accepting loop refires
+    assert run.product.decode(tr.next_state) == ((0, 3), 2)
     assert (tr.reward, tr.gamma, tr.fired, tr.done) == (1.0, 0.5, True, False)
     assert run.runtime.sweeps_completed == 2
 
@@ -106,9 +111,10 @@ def test_transition_records_source_state_and_action():
     env = corridor_env({})
     run = ProductRun(env, chain_spec(), RewardSpec(eta=0.5), make_rng(0))
     run.reset()
-    tr = run.step("right")
-    assert tr.state == ((0, 0), 0)
-    assert tr.action == "right"
+    tr = run.step(act(run, "right"))
+    assert run.product.decode(tr.state) == ((0, 0), 0)
+    assert tr.action == 0
+    assert run.product.action_names(tr.state)[tr.action] == "right"
 
 
 def test_custom_reward_values_flow_through():
@@ -116,11 +122,11 @@ def test_custom_reward_values_flow_through():
     reward = RewardSpec(eta=0.9, positive_reward=5.0, neutral_reward=-0.25)
     run = ProductRun(env, chain_spec(), reward, make_rng(0))
     run.reset()
-    first = run.step("right")                    # 'a' advances but nothing fires
+    first = run.step(act(run, "right"))  # 'a' advances but nothing fires
     assert (first.reward, first.gamma) == (-0.25, 1.0)
-    tr = run.step("right")                       # 'b' fires the frontier
+    tr = run.step(act(run, "right"))  # 'b' fires the frontier
     assert (tr.reward, tr.gamma) == (5.0, 0.9)
-    tr = run.step("left")                        # q stays accepting: refires
+    tr = run.step(act(run, "left"))  # q stays accepting: refires
     assert (tr.reward, tr.gamma) == (5.0, 0.9)
     assert run.runtime.sweeps_completed == 2
 
@@ -133,7 +139,7 @@ def test_discount_follows_the_frontier_not_the_reward_sign():
     run = ProductRun(env, chain_spec(), reward, make_rng(0))
     run.reset()
     plan = ["right", "left", "right", "right", "left", "right"]
-    fired = [run.step(action) for action in plan]
+    fired = [run.step(act(run, action)) for action in plan]
     assert [tr.fired for tr in fired] == [False, False, False, True, True, True]
     for tr in fired:
         if tr.fired:
@@ -153,10 +159,10 @@ def test_epsilon_action_freezes_env_and_consumes_no_randomness():
     run = ProductRun(env, epsilon_spec(), RewardSpec(eta=0.9), rng)
     run.reset()
     before = rng.getstate()
-    tr = run.step("epsilon_1")
+    tr = run.step(act(run, "epsilon_1"))
     assert rng.getstate() == before
-    assert tr.state == ((0, 0), 0)
-    assert tr.next_state == ((0, 0), 1)
+    assert run.product.decode(tr.state) == ((0, 0), 0)
+    assert run.product.decode(tr.next_state) == ((0, 0), 1)
     assert tr.fired is True                      # lands in the accepting set
     assert tr.reward == 1.0
 
@@ -164,22 +170,49 @@ def test_epsilon_action_freezes_env_and_consumes_no_randomness():
 def test_epsilon_actions_listed_after_base_actions():
     env = corridor_env({0: {"a"}})
     run = ProductRun(env, epsilon_spec(), RewardSpec(eta=0.9), make_rng(0))
-    assert run.available_actions(((0, 0), 0)) == env.actions + ("epsilon_1",)
-    assert run.available_actions(((0, 0), 1)) == env.actions
-    assert run.available_actions(((0, 0), SINK_STATE)) == env.actions
+    product = run.product
+    for q, names in ((0, env.actions + ("epsilon_1",)), (1, env.actions),
+                     (SINK_STATE, env.actions)):
+        state = product.encode((0, 0), q)
+        assert product.action_names(state) == names
+        assert run.available_actions(state) == range(len(names))
 
 
 def test_illegal_actions_raise():
     env = corridor_env({})
     run = ProductRun(env, epsilon_spec(), RewardSpec(eta=0.9), make_rng(0))
     run.reset()
+    for action in (5, -1):                       # q 0 offers ids 0-4 only
+        with pytest.raises(ProductError, match="illegal action"):
+            run.step(action)
+    run.step(act(run, "epsilon_1"))
     with pytest.raises(ProductError, match="illegal action"):
-        run.step("epsilon_7")
-    run.step("epsilon_1")
-    with pytest.raises(ProductError, match="illegal action"):
-        run.step("epsilon_1")                    # only defined at state 0
-    with pytest.raises(ProductError, match="illegal action"):
-        run.step("jump")
+        run.step(4)                              # epsilon_1 is only defined at q 0
+
+
+def test_product_ids_translate_to_the_spec_numbering():
+    spec = parse_ldba_spec({
+        "states": [5, 2],
+        "initial_state": 2,
+        "alphabet": ["a"],
+        "accepting_sets": [[5]],
+        "transitions": {
+            "2": [{"guard": "a", "to": 5}, {"guard": "true", "to": 2}],
+            "5": [{"guard": "a", "to": 5}, {"guard": "true", "to": -1}],
+        },
+    })
+    run = ProductRun(corridor_env({1: {"a"}}), spec, RewardSpec(eta=0.5), make_rng(0))
+    product = run.product
+    assert product.automaton.states == (5, 2, SINK_STATE)   # declaration order, sink last
+    assert run.reset() == product.encode((0, 0), 2) == 1     # cell 0, automaton index 1
+    tr = run.step(act(run, "right"))
+    assert (tr.next_state, tr.fired) == (product.encode((0, 1), 5), True)
+    assert product.decode(tr.next_state) == ((0, 1), 5)
+    tr = run.step(act(run, "right"))
+    assert (product.decode(tr.next_state), tr.done) == (((0, 2), SINK_STATE), True)
+    for cell, q in (((0, 4), 2), ((1, 0), 2), ((0, 0), 0)):
+        with pytest.raises(KeyError):
+            product.encode(cell, q)
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +224,16 @@ def test_done_exactly_when_sink_is_hit():
     env = corridor_env({0: {"a"}})               # at q=1, leaving 'a' sinks
     run = ProductRun(env, epsilon_spec(), RewardSpec(eta=0.9), make_rng(0))
     run.reset()
-    assert run.step("epsilon_1").done is False   # q=1, env frozen on the a-cell
-    tr = run.step("left")                        # clamped onto 'a': still alive
-    assert (tr.next_state, tr.done) == (((0, 0), 1), False)
-    tr = run.step("right")                       # (0, 1) is unlabeled: sink
-    assert tr.next_state[1] == SINK_STATE
+    assert run.step(act(run, "epsilon_1")).done is False   # q=1, env frozen on the a-cell
+    tr = run.step(act(run, "left"))  # clamped onto 'a': still alive
+    assert (run.product.decode(tr.next_state), tr.done) == (((0, 0), 1), False)
+    tr = run.step(act(run, "right"))  # (0, 1) is unlabeled: sink
+    assert run.product.decode(tr.next_state)[1] == SINK_STATE
     assert tr.done is True
     assert tr.fired is False
-    tr = run.step("left")                        # sink is absorbing
+    tr = run.step(act(run, "left"))  # sink is absorbing
     assert tr.done is True
-    assert tr.next_state[1] == SINK_STATE
+    assert run.product.decode(tr.next_state)[1] == SINK_STATE
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +269,7 @@ def test_reward_discount_coupling_randomized():
             tr = run.step(action)
             assert (tr.reward > 0) == tr.fired
             assert tr.gamma == (eta if tr.fired else 1.0)
-            assert tr.done == (tr.next_state[1] == SINK_STATE)
+            assert tr.done == (run.product.decode(tr.next_state)[1] == SINK_STATE)
             if tr.done:
                 break
 
@@ -251,5 +284,26 @@ def test_env_and_automaton_advance_in_lockstep():
         action = rng.choice(run.available_actions())
         tr = run.step(action)
         # the automaton component must match feeding the new cell's labels
-        assert tr.next_state[1] == run.runtime.state
+        assert tr.next_state % run.product.nq == run.runtime.state
         assert run.state == tr.next_state
+
+
+def test_base_moves_match_the_environment_step_and_its_rng_draws():
+    # ProductRun moves the agent on compiled successor cells; GridEnv.step is
+    # the reference: same cell and same rng state after every base action.
+    rng = make_rng(71)
+    for _ in range(20):
+        env = random_env(rng)                    # slip 0, 0.1 or 1/3
+        run = ProductRun(env, random_automaton(rng, sink_prob=0.0), RewardSpec(eta=0.5),
+                         make_rng(5))
+        reference = make_rng(5)
+        run.reset()
+        env.reset()
+        for _ in range(60):
+            action = rng.randrange(len(env.actions))
+            tr = run.step(action)
+            cell = env.step(env.actions[action], reference)
+            assert run.product.decode(tr.next_state)[0] == cell
+            assert run.rng.getstate() == reference.getstate()
+            if tr.done:
+                break
