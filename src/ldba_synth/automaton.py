@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .envs import is_int
+from .envs import is_int, read_text
 
 SINK_STATE = -1
 
@@ -506,5 +506,4 @@ def serialize_ldba_spec(spec: LdbaSpec) -> str:
 
 
 def load_ldba_file(path) -> LdbaSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_ldba_spec(handle.read())
+    return parse_ldba_spec(read_text(path, LdbaSpecError, "automaton"))

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .automaton import LdbaSpecError, load_ldba_file, spec_to_document
 from .envs import (EnvSpecError, env_to_document, is_int, is_number, load_env_file,
-                   require_positive, resolve_spec_path)
+                   read_text, require_positive, resolve_spec_path)
 from .evaluation import TestConfig, robustness_sweep, run_test
 from .learner import GreedyPolicy, Hyperparams, QTable, average_window, moving_average, train
 from .oracle import (DEFAULT_STATE_CAP, ProductSizeError, build_explicit_product,
@@ -71,14 +71,12 @@ def save_model(path, env_hash, ldba_hash, hp: Hyperparams, result) -> None:
         "interrupted": result.interrupted,
         "entries": entries,
     }
-    Path(path).write_text(canonical_json(payload), encoding="utf-8")
+    _write_json(path, payload)
 
 
 def load_model(path) -> dict:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise CliError(f"no such model file: {path}")
+        payload = json.loads(read_text(path, CliError, "model"))
     except json.JSONDecodeError as err:
         raise CliError(f"model file {path} is not valid JSON (line {err.lineno})")
     except RecursionError:
@@ -156,6 +154,11 @@ def _open_output(path):
         raise CliError(f"cannot write {path}: {err}")
 
 
+def _write_json(path, payload) -> None:
+    with _open_output(path) as handle:
+        handle.write(canonical_json(payload))
+
+
 def _write_csv(path, header, rows) -> None:
     with _open_output(path) as handle:
         writer = csv.writer(handle)
@@ -185,7 +188,7 @@ def write_test_results(path, report, config: TestConfig, oracle_reference) -> No
             for o in report.outcomes
         ],
     }
-    Path(path).write_text(canonical_json(payload), encoding="utf-8")
+    _write_json(path, payload)
 
 
 def write_sweep_csv(path, sweep) -> None:
@@ -290,14 +293,11 @@ def _load_specs(args):
     except FileNotFoundError as err:
         raise CliError(str(err))
     try:
-        env = load_env_file(env_path)
+        return load_env_file(env_path), load_ldba_file(ldba_path)
     except EnvSpecError as err:
         raise CliError(f"environment spec {env_path}: {err}")
-    try:
-        spec = load_ldba_file(ldba_path)
     except LdbaSpecError as err:
         raise CliError(f"automaton spec {ldba_path}: {err}")
-    return env, spec
 
 
 def _save_dir(args) -> Path:
@@ -446,6 +446,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _checked(require_positive, state_cap=args.state_cap)
     env, spec = _load_specs(args)
     try:
         prod = build_explicit_product(env, spec, args.state_cap)
@@ -466,7 +467,7 @@ def cmd_sweep(args) -> int:
     _check_algorithm(args.algorithm)
     env, spec = _load_specs(args)
     hp = _options(Hyperparams, args)
-    counts = _given(args, "trainings", "tests", "required_sweeps")
+    counts = _given(args, "trainings", "tests", "required_sweeps", "workers")
     _checked(require_positive, **counts)
     try:
         eta_grid = [float(v) for v in args.grid_eta.split(",") if v]
@@ -481,7 +482,7 @@ def cmd_sweep(args) -> int:
     out = _created(_save_dir(args))
 
     sweep = robustness_sweep(env, spec, hp, eta_grid, mu_grid, **counts,
-                             **_given(args, "seed", "workers"))
+                             **_given(args, "seed"))
     write_sweep_csv(out / "sweep.csv", sweep)
     print(f"[sweep] overall average success {sweep.overall_mean:.4f} "
           f"+/- {sweep.overall_std:.4f} over {len(sweep.cells)} cells")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 ACTION_DELTAS = {
@@ -68,17 +69,8 @@ class LabelRegion:
     labels: frozenset[str]
 
 
-@dataclass
-class EnumeratedModel:
-    """Explicit finite model of a grid: states and sparse kernel."""
-
-    states: list[tuple[int, int]]
-    index: dict[tuple[int, int], int]
-    kernel: list[dict[str, tuple[tuple[int, float], ...]]]
-
-
 class GridEnv:
-    """A labeled slippery grid. Stateful over the agent position only."""
+    """A labeled slippery grid; it holds no run state."""
 
     def __init__(self, height, width, actions, slip_probability, initial_state,
                  label_regions):
@@ -110,7 +102,6 @@ class GridEnv:
                 for c in range(clo, chi):
                     grid[r][c] = region.labels
         self._labels = grid
-        self._pos = self.initial_state
 
         for label in self.label_universe():
             _require(not label.startswith("epsilon_"),
@@ -119,9 +110,14 @@ class GridEnv:
     def label_universe(self) -> set[str]:
         return set().union(*(region.labels for region in self.regions))
 
-    def reset(self) -> tuple[int, int]:
-        self._pos = self.initial_state
-        return self._pos
+    @cached_property
+    def cells(self) -> list[tuple[int, int]]:
+        """The cells numbered row-major: ``cells[i]`` is cell i's (row, col)."""
+        return [(r, c) for r in range(self.height) for c in range(self.width)]
+
+    @cached_property
+    def cell_id(self) -> dict[tuple[int, int], int]:
+        return {cell: i for i, cell in enumerate(self.cells)}
 
     def state_label(self, state) -> frozenset[str]:
         return self._labels[state[0]][state[1]]
@@ -133,39 +129,39 @@ class GridEnv:
             return (r, c)
         return state
 
-    def step(self, action, rng) -> tuple[int, int]:
-        """Advance the agent; rng is consumed for the slip draw(s) only."""
+    def step(self, cell, action, rng) -> tuple[int, int]:
+        """Sample the cell action leads to from cell; rng is drawn for slips only."""
         if action not in self.actions:
             raise EnvSpecError(f"action {action!r} is not available in this environment")
         outcome = action
         if self.slip_probability > 0.0 and rng.random() < self.slip_probability:
             perp = PERPENDICULAR[action]
             outcome = (perp + ("stay",))[rng.randrange(3)] if perp else "stay"
-        self._pos = self._move(self._pos, outcome)
-        return self._pos
+        return self._move(cell, outcome)
 
-    def enumerate_model(self) -> EnumeratedModel:
-        """Explicit kernel P(s'|s,a); every row sums to 1 within 1e-12."""
-        states = [(r, c) for r in range(self.height) for c in range(self.width)]
-        index = {s: i for i, s in enumerate(states)}
+    def move_table(self) -> list[tuple[tuple[int, ...], ...]]:
+        """``table[i][a]``: the cell ids base action a leads to from cell i; the intended
+        one first, then, for a move that can slip, the two perpendicular ones and staying put."""
+        to = {d: [self.cell_id[self._move(s, d)] for s in self.cells] for d in ACTION_DELTAS}
+        outcomes = [(a,) + PERPENDICULAR[a] + ("stay",) * bool(PERPENDICULAR[a])
+                    for a in self.actions]
+        return list(zip(*(zip(*(to[d] for d in ds)) for ds in outcomes)))
+
+    def enumerate_model(self) -> list[dict[str, tuple[tuple[int, float], ...]]]:
+        """``kernel[i][a]``: the (j, P(j|i,a)) pairs over cell ids, sorted; they sum to 1."""
         slip = self.slip_probability
-        kernel: list[dict[str, tuple[tuple[int, float], ...]]] = []
-        for s in states:
-            row: dict[str, tuple[tuple[int, float], ...]] = {}
-            for action in self.actions:
-                mass: dict[int, float] = {}
-                perp = PERPENDICULAR[action]
-                if slip > 0.0 and perp:
-                    share = slip / 3.0
-                    mass[index[self._move(s, action)]] = 1.0 - slip
-                    for direction in perp + ("stay",):
-                        j = index[self._move(s, direction)]
-                        mass[j] = mass.get(j, 0.0) + share
-                else:
-                    mass[index[self._move(s, action)]] = 1.0
+        kernel = []
+        for moves in self.move_table():
+            row = {}
+            for action, outcomes in zip(self.actions, moves):
+                mass = {outcomes[0]: 1.0}
+                if slip > 0.0 and len(outcomes) > 1:
+                    mass[outcomes[0]] = 1.0 - slip
+                    for j in outcomes[1:]:
+                        mass[j] = mass.get(j, 0.0) + slip / 3.0
                 row[action] = tuple(sorted(mass.items()))
             kernel.append(row)
-        return EnumeratedModel(states, index, kernel)
+        return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +226,18 @@ def env_to_document(env: GridEnv) -> dict:
     }
 
 
+def read_text(path, error, kind) -> str:
+    """The UTF-8 text of a kind file; one that cannot be read raises error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise error(f"no such {kind} file: {path}") from None
+    except (OSError, UnicodeDecodeError) as err:
+        raise error(f"cannot read {kind} file {path}: {err}") from None
+
+
 def load_env_file(path) -> GridEnv:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_env_spec(handle.read())
+    return parse_env_spec(read_text(path, EnvSpecError, "environment"))
 
 
 def bundled_data_dir() -> Path:

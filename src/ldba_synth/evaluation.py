@@ -123,7 +123,8 @@ def robustness_sweep(env, ldba_spec, base_hp: Hyperparams, eta_grid, mu_grid,
                      required_sweeps: int = TestConfig.required_sweeps,
                      workers: int = 4) -> SweepResult:
     """Train and test over the (eta, mu) grid; the only home of each sweep default."""
-    require_positive(trainings=trainings, tests=tests, required_sweeps=required_sweeps)
+    require_positive(trainings=trainings, tests=tests, required_sweeps=required_sweeps,
+                     workers=workers)
     for name, values in (("eta_grid", eta_grid), ("mu_grid", mu_grid)):
         if not len(values):
             raise ValueError(f"{name} must name at least one value")

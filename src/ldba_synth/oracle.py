@@ -58,9 +58,9 @@ def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_C
         raise ProductSizeError(
             f"product needs {slots} state slots, above the cap of {state_cap}")
 
-    model = env.enumerate_model()
+    kernel = env.enumerate_model()
     product = compile_product(env, spec)
-    cells, names, sink = product.cells, product.automaton.states, product.nq - 1
+    cells, names, sink = env.cells, product.automaton.states, product.nq - 1
     delta, cell_class = product.automaton.delta, product.cell_class
     sink_node = (SINK_CELL, SINK_STATE)
     states: list[tuple] = []
@@ -95,7 +95,7 @@ def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_C
                 row[action] = ((visit(cell, after[epsilon_class]), 1.0),)
                 continue
             mass: dict[int, float] = {}
-            for j_cell, p in model.kernel[cell][action]:
+            for j_cell, p in kernel[cell][action]:
                 j = visit(j_cell, after[cell_class[j_cell]])
                 mass[j] = mass.get(j, 0.0) + p
             row[action] = tuple(sorted(mass.items()))

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .automaton import LdbaRuntime
-from .envs import ACTION_DELTAS, PERPENDICULAR, require_positive
+from .envs import require_positive
 
 
 @dataclass(frozen=True)
@@ -53,22 +53,18 @@ class ProductError(ValueError):
 class CompiledProduct:
     """One environment x automaton pair on integer ids; see compile_product.
 
-    Cells are numbered row-major (``cells[i]`` is cell i's (row, col)),
-    automaton states as in ``CompiledLdba``, and product state (cell, q) is
-    ``cell * nq + q``. Action ids index ``actions[q]``: the base actions,
-    then q's epsilon actions, whose label classes ``epsilon[q]`` holds
-    (None for base actions). ``moves[i][a]`` (built on first use) lists the
-    cells base action a leads to from cell i: intended, then, for a move
-    that can slip, the two perpendicular ones and staying put.
+    Cells are numbered as ``env.cells``, automaton states as in
+    ``CompiledLdba``, and product state (cell, q) is ``cell * nq + q``.
+    Action ids index ``actions[q]``: the base actions, then q's epsilon
+    actions, whose label classes ``epsilon[q]`` holds (None for base
+    actions). ``moves`` is ``env.move_table()``, built on first use.
     """
 
     def __init__(self, env, spec):
         automaton = spec.compiled
         self.env, self.automaton = env, automaton
         self.nq = len(automaton.states)
-        self.cells = [(r, c) for r in range(env.height) for c in range(env.width)]
-        self.cell_id = {cell: i for i, cell in enumerate(self.cells)}
-        self.cell_class = [automaton.label_class(env.state_label(s)) for s in self.cells]
+        self.cell_class = [automaton.label_class(env.state_label(s)) for s in env.cells]
         self.actions = [env.actions + spec.epsilon_names(q) for q in automaton.states]
         self.legal = [range(len(names)) for names in self.actions]
         self.epsilon = [(None,) * len(env.actions) + tuple(
@@ -78,19 +74,16 @@ class CompiledProduct:
 
     @cached_property
     def moves(self) -> list[tuple[tuple[int, ...], ...]]:
-        to = {d: [self.cell_id[self.env._move(s, d)] for s in self.cells] for d in ACTION_DELTAS}
-        outcomes = [(a,) + PERPENDICULAR[a] + ("stay",) * bool(PERPENDICULAR[a])
-                    for a in self.env.actions]
-        return list(zip(*(zip(*(to[d] for d in ds)) for ds in outcomes)))
+        return self.env.move_table()
 
     def encode(self, cell, q) -> int:
         """The id of product state (cell, q); KeyError off the grid or the automaton."""
-        return self.cell_id[cell] * self.nq + self.automaton.index[q]
+        return self.env.cell_id[cell] * self.nq + self.automaton.index[q]
 
     def decode(self, state: int) -> tuple:
         """The ((row, col), q) pair of a product id, q as the spec numbers it."""
         cell, q = divmod(state, self.nq)
-        return self.cells[cell], self.automaton.states[q]
+        return self.env.cells[cell], self.automaton.states[q]
 
     def action_names(self, state: int) -> tuple[str, ...]:
         return self.actions[state % self.nq]
@@ -113,7 +106,7 @@ class ProductRun:
         self.runtime = LdbaRuntime(ldba_spec)
         self.reward, self.rng, self._slip = reward, rng, env.slip_probability
         self._nq, self._sink = product.nq, product.nq - 1
-        self._epsilon, self._moves = product.epsilon, product.moves
+        self._legal, self._epsilon, self._moves = product.legal, product.epsilon, product.moves
         self.state = product.initial
         self.cell = product.initial // product.nq
 
@@ -130,11 +123,11 @@ class ProductRun:
     def step(self, action: int) -> Transition:
         state = self.state
         runtime = self.runtime
-        epsilon = self._epsilon[runtime.state]
-        if not 0 <= action < len(epsilon):
+        q = runtime.state
+        if action not in self._legal[q]:
             raise ProductError(f"illegal action {action!r} for product state "
                                f"{self.product.decode(state)}")
-        label_class = epsilon[action]
+        label_class = self._epsilon[q][action]
         cell = self.cell
         if label_class is None:
             outcomes = self._moves[cell][action]

@@ -391,6 +391,10 @@ def test_train_tests_with_the_testconfig_defaults(spec_files, tmp_path, monkeypa
     "sweep --trainings 0",
     "sweep --tests 0",
     "sweep --required_sweeps 0",
+    "sweep --workers 0",
+    "sweep --workers -3",
+    "oracle --state_cap 0",
+    "oracle --state_cap -1",
 ])
 def test_out_of_range_test_flags_exit_config_before_any_work(
         spec_files, tmp_path, capsys, monkeypatch, argv):
@@ -402,11 +406,12 @@ def test_out_of_range_test_flags_exit_config_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the flags were checked")
 
-    for name in ("train", "run_test", "robustness_sweep"):
+    for name in ("train", "run_test", "robustness_sweep", "build_explicit_product"):
         monkeypatch.setattr(f"ldba_synth.cli.{name}", no_work)
     command, flag, value = argv.split()
+    save_dir = [] if command == "oracle" else ["--save_dir", str(out)]
     rc = main([command, "--env", str(env_path), "--ldba", str(ldba_path),
-               "--save_dir", str(out), flag, value])
+               *save_dir, flag, value])
     assert rc == EXIT_CONFIG
     assert f"{flag[2:]} must be positive" in capsys.readouterr().err
 
@@ -438,6 +443,48 @@ def test_invalid_hyperparams_exit_config(spec_files, tmp_path, capsys):
     rc = main(train_args(spec_files, out, "--discount_factor", "1.5"))
     assert rc == EXIT_CONFIG
     assert "discount_factor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, unreadable", [
+    ("--model", "directory"),
+    ("--model", "latin-1"),
+    ("--env", "latin-1"),
+    ("--ldba", "latin-1"),
+])
+def test_unreadable_input_files_exit_config_before_save_dir(spec_files, tmp_path, capsys,
+                                                            flag, unreadable):
+    env_path, ldba_path = spec_files
+    trained = tmp_path / "trained"
+    assert main(train_args(spec_files, trained, "--no-test")) == EXIT_OK
+    capsys.readouterr()
+    latin_1 = tmp_path / "latin-1.json"
+    latin_1.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+    files = {"--env": env_path, "--ldba": ldba_path, "--model": trained / "learned_model.json"}
+    files[flag] = tmp_path if unreadable == "directory" else latin_1
+    out = tmp_path / "results"
+    rc = main(["test", *(str(part) for item in files.items() for part in item),
+               "--save_dir", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "cannot read" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("train", "learned_model.json"),
+    ("test", "test_results.json"),
+])
+def test_json_output_that_is_a_directory_exits_config(spec_files, tmp_path, capsys,
+                                                      command, blocked):
+    env_path, ldba_path = spec_files
+    out = tmp_path / "results"
+    if command == "test":
+        assert main(train_args(spec_files, out, "--no-test")) == EXIT_OK
+    (out / blocked).mkdir(parents=True)
+    argv = (train_args(spec_files, out, "--no-test") if command == "train" else
+            ["test", "--env", str(env_path), "--ldba", str(ldba_path), "--save_dir", str(out)])
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    assert f"cannot write {out / blocked}" in capsys.readouterr().err
 
 
 def test_missing_spec_exits_config(tmp_path, capsys):

@@ -48,36 +48,24 @@ def test_action_deltas_cover_the_five_moves():
 def test_deterministic_moves_and_wall_clamping():
     env = grid(slip=0.0, initial=(0, 0))
     rng = make_rng(0)
-    env.reset()
-    assert env.step("up", rng) == (0, 0)      # clamped at the top wall
-    assert env.step("left", rng) == (0, 0)    # clamped at the left wall
-    assert env.step("down", rng) == (1, 0)
-    assert env.step("right", rng) == (1, 1)
-    assert env.step("stay", rng) == (1, 1)
-
-
-def test_reset_restores_initial_state():
-    env = grid(slip=0.0, initial=(3, 1))
-    rng = make_rng(0)
-    assert env.reset() == (3, 1)
-    env.step("up", rng)
-    env.step("right", rng)
-    assert env.reset() == (3, 1)
+    assert env.step((0, 0), "up", rng) == (0, 0)      # clamped at the top wall
+    assert env.step((0, 0), "left", rng) == (0, 0)    # clamped at the left wall
+    assert env.step((0, 0), "down", rng) == (1, 0)
+    assert env.step((1, 0), "right", rng) == (1, 1)
+    assert env.step((1, 1), "stay", rng) == (1, 1)
 
 
 def test_step_rejects_unknown_action():
     env = grid(actions=("up", "down", "left", "right"))
-    env.reset()
     with pytest.raises(EnvSpecError, match="not available"):
-        env.step("stay", make_rng(0))
+        env.step((2, 2), "stay", make_rng(0))
 
 
 def test_stay_never_slips():
     env = grid(slip=1.0, initial=(2, 2))
     rng = make_rng(42)
-    env.reset()
     for _ in range(200):
-        assert env.step("stay", rng) == (2, 2)
+        assert env.step((2, 2), "stay", rng) == (2, 2)
 
 
 def test_constructor_validation():
@@ -98,13 +86,13 @@ def test_constructor_validation():
 
 def test_interior_slip_distribution_is_pinned():
     env = grid(slip=0.15)
-    model = env.enumerate_model()
-    row = dict(model.kernel[model.index[(2, 2)]]["up"])
+    index = env.cell_id
+    row = dict(env.enumerate_model()[index[(2, 2)]]["up"])
     expected = {
-        model.index[(1, 2)]: 0.85,   # intended move
-        model.index[(2, 1)]: 0.05,   # perpendicular slip
-        model.index[(2, 3)]: 0.05,   # perpendicular slip
-        model.index[(2, 2)]: 0.05,   # stay slip
+        index[(1, 2)]: 0.85,   # intended move
+        index[(2, 1)]: 0.05,   # perpendicular slip
+        index[(2, 3)]: 0.05,   # perpendicular slip
+        index[(2, 2)]: 0.05,   # stay slip
     }
     assert set(row) == set(expected)
     for j, p in expected.items():
@@ -113,40 +101,40 @@ def test_interior_slip_distribution_is_pinned():
 
 def test_wall_clamp_merges_slip_mass():
     env = grid(slip=0.15)
-    model = env.enumerate_model()
+    index = env.cell_id
     # at the corner, 'up' is blocked and the 'left' slip is blocked too
-    row = dict(model.kernel[model.index[(0, 0)]]["up"])
-    assert row[model.index[(0, 0)]] == pytest.approx(0.95, abs=1e-12)
-    assert row[model.index[(0, 1)]] == pytest.approx(0.05, abs=1e-12)
+    row = dict(env.enumerate_model()[index[(0, 0)]]["up"])
+    assert row[index[(0, 0)]] == pytest.approx(0.95, abs=1e-12)
+    assert row[index[(0, 1)]] == pytest.approx(0.05, abs=1e-12)
 
 
 def test_kernel_rows_are_distributions():
     rng = make_rng(3)
     for _ in range(25):
         env = random_env(rng)
-        model = env.enumerate_model()
-        for i, row in enumerate(model.kernel):
+        kernel = env.enumerate_model()
+        assert len(kernel) == len(env.cells) == env.height * env.width
+        for i, row in enumerate(kernel):
             assert set(row) == set(env.actions)
             for action, mass in row.items():
                 total = sum(p for _, p in mass)
                 assert total == pytest.approx(1.0, abs=1e-12)
                 for j, p in mass:
                     assert 0.0 < p <= 1.0
-                    assert 0 <= j < len(model.states)
+                    assert 0 <= j < len(env.cells)
 
 
 def test_step_frequencies_match_kernel():
     env = grid(slip=0.15)
-    model = env.enumerate_model()
+    kernel = env.enumerate_model()
     rng = make_rng(101)
     n = 100_000
     for action in ("up", "right", "stay"):
         counts = Counter()
         for _ in range(n):
-            env.reset()
-            counts[env.step(action, rng)] += 1
-        analytic = {model.states[j]: p
-                    for j, p in model.kernel[model.index[(2, 2)]][action]}
+            counts[env.step((2, 2), action, rng)] += 1
+        analytic = {env.cells[j]: p
+                    for j, p in kernel[env.cell_id[(2, 2)]][action]}
         assert set(counts) <= set(analytic)
         for state, p in analytic.items():
             assert counts[state] / n == pytest.approx(p, abs=0.01)
@@ -155,19 +143,31 @@ def test_step_frequencies_match_kernel():
 def test_step_frequencies_match_kernel_on_random_env():
     rng = make_rng(29)
     env = random_env(rng, max_side=4)
-    model = env.enumerate_model()
+    kernel = env.enumerate_model()
     start = env.initial_state
     action = env.actions[0]
     n = 40_000
     counts = Counter()
     for _ in range(n):
-        env.reset()
-        counts[env.step(action, rng)] += 1
-    analytic = {model.states[j]: p
-                for j, p in model.kernel[model.index[start]][action]}
+        counts[env.step(start, action, rng)] += 1
+    analytic = {env.cells[j]: p
+                for j, p in kernel[env.cell_id[start]][action]}
     assert set(counts) <= set(analytic)
     for state, p in analytic.items():
         assert counts[state] / n == pytest.approx(p, abs=0.015)
+
+
+def test_cells_are_numbered_row_major_and_the_kernel_reads_the_move_table():
+    rng = make_rng(5)
+    for _ in range(10):
+        env = random_env(rng)                    # slip 0, 0.1 or 1/3
+        assert env.cells == [(r, c) for r in range(env.height) for c in range(env.width)]
+        assert all(env.cell_id[cell] == i for i, cell in enumerate(env.cells))
+        for moves, row in zip(env.move_table(), env.enumerate_model(), strict=True):
+            for action, outcomes in zip(env.actions, moves, strict=True):
+                assert len(outcomes) == (1 if action == "stay" else 4)
+                support = set(outcomes) if env.slip_probability else {outcomes[0]}
+                assert {j for j, _ in row[action]} == support
 
 
 # ---------------------------------------------------------------------------

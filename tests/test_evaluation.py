@@ -245,6 +245,18 @@ def test_sweep_rejects_nonpositive_trainings():
         robustness_sweep(env, spec, base, [0.5], [0.5], trainings=0)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_rejects_nonpositive_workers_before_any_job(monkeypatch, pool_sizes, workers):
+    def fail(job):
+        raise AssertionError("no job may start")
+
+    monkeypatch.setattr("ldba_synth.evaluation._sweep_job", fail)
+    env, spec, base = sweep_args()
+    with pytest.raises(ValueError, match="workers must be positive"):
+        robustness_sweep(env, spec, base, [0.5], [0.5], trainings=1, tests=1, workers=workers)
+    assert pool_sizes == []
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("empty", ["eta_grid", "mu_grid"])
 def test_sweep_rejects_an_empty_grid_before_any_job(monkeypatch, pool_sizes, workers,

@@ -182,7 +182,7 @@ def test_illegal_actions_raise():
     env = corridor_env({})
     run = ProductRun(env, epsilon_spec(), RewardSpec(eta=0.9), make_rng(0))
     run.reset()
-    for action in (5, -1):                       # q 0 offers ids 0-4 only
+    for action in (5, -1, "up"):                 # q 0 offers ids 0-4 only
         with pytest.raises(ProductError, match="illegal action"):
             run.step(action)
     run.step(act(run, "epsilon_1"))
@@ -298,11 +298,11 @@ def test_base_moves_match_the_environment_step_and_its_rng_draws():
                          make_rng(5))
         reference = make_rng(5)
         run.reset()
-        env.reset()
+        cell = env.initial_state
         for _ in range(60):
             action = rng.randrange(len(env.actions))
             tr = run.step(action)
-            cell = env.step(env.actions[action], reference)
+            cell = env.step(cell, env.actions[action], reference)
             assert run.product.decode(tr.next_state)[0] == cell
             assert run.rng.getstate() == reference.getstate()
             if tr.done:
