@@ -384,6 +384,8 @@ def parse_ldba_spec(document) -> LdbaSpec:
     states = tuple(raw_states)
     state_set = set(states)
     valid_targets = state_set | {SINK_STATE}
+    # Row keys name a state only in canonical form, so no two keys name one state.
+    keyed = {str(q): q for q in states}
 
     initial = document.get("initial_state", 0)
     _require(is_int(initial) and initial in state_set,
@@ -415,11 +417,8 @@ def parse_ldba_spec(document) -> LdbaSpec:
     epsilon_transitions: dict[int, tuple[tuple[str, int], ...]] = {}
     epsilon_seen: set[str] = set()
     for key, entries in eps_raw.items():
-        try:
-            q = int(key)
-        except (TypeError, ValueError):
-            raise LdbaSpecError(f"epsilon_transitions key {key!r} is not a state")
-        _require(q in state_set, f"epsilon_transitions key {q} is not a declared state")
+        q = keyed.get(key)
+        _require(q is not None, f"epsilon_transitions key {key!r} is not a declared state")
         _require(isinstance(entries, list), f"epsilon_transitions[{q}] must be a list")
         pairs = []
         for entry in entries:
@@ -446,13 +445,9 @@ def parse_ldba_spec(document) -> LdbaSpec:
     trans_raw = document.get("transitions")
     _require(isinstance(trans_raw, dict), "missing 'transitions' object")
     transitions: dict[int, tuple[tuple[Guard, int], ...]] = {}
-    seen_states = set()
     for key, rows in trans_raw.items():
-        try:
-            q = int(key)
-        except (TypeError, ValueError):
-            raise LdbaSpecError(f"transitions key {key!r} is not a state")
-        _require(q in state_set, f"transitions key {q} is not a declared state")
+        q = keyed.get(key)
+        _require(q is not None, f"transitions key {key!r} is not a declared state")
         _require(isinstance(rows, list) and rows, f"state {q} needs at least one transition")
         parsed = []
         for row in rows:
@@ -469,8 +464,7 @@ def parse_ldba_spec(document) -> LdbaSpec:
         _require(isinstance(parsed[-1][0], GuardTrue),
                  f"state {q} lacks a final catch-all transition (guard 'true')")
         transitions[q] = tuple(parsed)
-        seen_states.add(q)
-    missing = state_set - seen_states
+    missing = state_set - set(transitions)
     _require(not missing, f"states without transition rows: {sorted(missing)}")
 
     return LdbaSpec(
@@ -499,10 +493,6 @@ def spec_to_document(spec: LdbaSpec) -> dict:
             for q, rows in sorted(spec.transitions.items())
         },
     }
-
-
-def serialize_ldba_spec(spec: LdbaSpec) -> str:
-    return json.dumps(spec_to_document(spec), indent=2, sort_keys=True) + "\n"
 
 
 def load_ldba_file(path) -> LdbaSpec:

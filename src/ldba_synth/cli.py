@@ -342,9 +342,9 @@ def _options(cls, args, **defaults):
     return options
 
 
-def _oracle_reference(env, spec, state_cap=DEFAULT_STATE_CAP):
+def _oracle_reference(env, spec):
     try:
-        prod = build_explicit_product(env, spec, state_cap)
+        prod = build_explicit_product(env, spec)
     except ProductSizeError:
         return None
     return max_sat_probability(prod).initial_value
@@ -456,9 +456,10 @@ def cmd_oracle(args) -> int:
     print(f"maximal satisfaction probability from the initial state: "
           f"{result.initial_value:.4f}")
     if args.dump_values:
+        named = map(compile_product(env, spec).decode, prod.states)
         _write_csv(args.dump_values, ["state", "row", "col", "q", "value"],
                    ([i, row, col, q, repr(result.values[i])]
-                    for i, ((row, col), q) in enumerate(prod.states)))
+                    for i, ((row, col), q) in enumerate(named)))
         print(f"[oracle] values written to {args.dump_values}")
     return EXIT_OK
 

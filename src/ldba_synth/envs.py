@@ -58,7 +58,7 @@ def is_number(value) -> bool:
 def require_positive(**values):
     """Raise ValueError naming the first of values that is not positive."""
     for name, value in values.items():
-        if value <= 0:
+        if not value > 0:  # NaN is not positive either
             raise ValueError(f"{name} must be positive")
 
 

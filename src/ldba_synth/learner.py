@@ -16,6 +16,7 @@ argmax decisions or the rng draw sequence when q_init is 0).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -51,6 +52,9 @@ class Hyperparams:
         self.reward_spec()  # RewardSpec checks positive_reward
         if self.learning_rate_decay < 0.0:
             raise ValueError("learning_rate_decay must be >= 0")
+        for name in ("positive_reward", "q_init", "learning_rate_decay"):
+            if not math.isfinite(getattr(self, name) or 0.0):  # None is the default reward
+                raise ValueError(f"{name} must be finite")
 
     def reward_spec(self) -> RewardSpec:
         rp = self.positive_reward

@@ -19,11 +19,11 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .automaton import SINK_STATE, LdbaSpec
-from .product import compile_product
+from .automaton import LdbaSpec
+from .product import SINK, compile_product
 
 DEFAULT_STATE_CAP = 10**6
-SINK_CELL = (-1, -1)
+VI_RESIDUAL = 1e-10  # value iteration stops once no value moves by this much
 
 
 class ProductSizeError(RuntimeError):
@@ -32,23 +32,26 @@ class ProductSizeError(RuntimeError):
 
 @dataclass
 class ExplicitProduct:
-    """Reachable product MDP with sparse per-action successor lists."""
+    """Reachable product MDP with sparse per-action successor lists.
 
-    states: list[tuple]               # ((row, col), q); sink is ((-1, -1), -1)
-    index: dict[tuple, int]
+    ``states[i]`` is node i's product id (see ``CompiledProduct``); every
+    sink slot collapses into the one node ``SINK``. The actions of node i
+    are the keys of ``successors[i]``, in the product's order.
+    """
+
+    states: list[int]
     initial: int
-    actions: list[tuple[str, ...]]    # available actions per state
     successors: list[dict[str, tuple[tuple[int, float], ...]]]
-    accepting_sets: tuple[frozenset[int], ...]  # product-state indices
+    accepting_sets: tuple[frozenset[int], ...]  # node indices
 
     def num_states(self) -> int:
         return len(self.states)
 
     @cached_property
     def supports(self) -> list[dict[str, tuple[int, ...]]]:
-        """Successor states of each available action, per state."""
-        return [{a: tuple(j for j, _ in row[a]) for a in acts}
-                for acts, row in zip(self.actions, self.successors)]
+        """Successor nodes of each available action, per node."""
+        return [{a: tuple(j for j, _ in succ) for a, succ in row.items()}
+                for row in self.successors]
 
 
 def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_CAP) -> ExplicitProduct:
@@ -60,37 +63,31 @@ def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_C
 
     kernel = env.enumerate_model()
     product = compile_product(env, spec)
-    cells, names, sink = env.cells, product.automaton.states, product.nq - 1
+    nq, sink = product.nq, product.nq - 1
     delta, cell_class = product.automaton.delta, product.cell_class
-    sink_node = (SINK_CELL, SINK_STATE)
-    states: list[tuple] = []
-    index: dict[tuple, int] = {}
-    actions: list[tuple[str, ...]] = []
+    states: list[int] = []
+    index: dict[int, int] = {}
     successors: list[dict[str, tuple[tuple[int, float], ...]]] = []
-    frontier: deque[tuple[int, int, int]] = deque()
 
     def visit(cell, q) -> int:
-        """Index of the product node (cell, q), numbered and queued on first sight."""
-        node = sink_node if q == sink else (cells[cell], names[q])
+        """Index of the node of product state (cell, q), numbered on first sight."""
+        node = SINK if q == sink else cell * nq + q
         i = index.get(node)
         if i is None:
-            i = len(states)
-            index[node] = i
+            i = index[node] = len(states)
             states.append(node)
-            actions.append(product.actions[q])
-            successors.append({})
-            frontier.append((i, cell, q))
         return i
 
-    initial = visit(*divmod(product.initial, product.nq))
-    while frontier:
-        i, cell, q = frontier.popleft()
+    initial = visit(*divmod(product.initial, nq))
+    # visit appends to states, so this expands every node once, in breadth-first order.
+    for i, node in enumerate(states):
+        cell, q = divmod(node, nq)
         if q == sink:
-            successors[i] = {a: ((i, 1.0),) for a in env.actions}
+            successors.append({a: ((i, 1.0),) for a in product.actions[q]})
             continue
         after = delta[q]
         row: dict[str, tuple[tuple[int, float], ...]] = {}
-        for action, epsilon_class in zip(actions[i], product.epsilon[q]):
+        for action, epsilon_class in zip(product.actions[q], product.epsilon[q]):
             if epsilon_class is not None:
                 row[action] = ((visit(cell, after[epsilon_class]), 1.0),)
                 continue
@@ -99,11 +96,12 @@ def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_C
                 j = visit(j_cell, after[cell_class[j_cell]])
                 mass[j] = mass.get(j, 0.0) + p
             row[action] = tuple(sorted(mass.items()))
-        successors[i] = row
+        successors.append(row)
 
-    accepting = tuple(frozenset(i for i, (s, q) in enumerate(states) if q in acc)
-                      for acc in spec.accepting_sets)
-    return ExplicitProduct(states, index, initial, actions, successors, accepting)
+    accmask = product.automaton.accmask
+    accepting = tuple(frozenset(i for i, node in enumerate(states) if accmask[node % nq] >> k & 1)
+                      for k in range(len(spec.accepting_sets)))
+    return ExplicitProduct(states, initial, successors, accepting)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +267,8 @@ class OracleResult:
     sweeps: int
 
 
-def max_sat_probability(prod: ExplicitProduct, residual: float = 1e-10,
-                        max_sweeps: int = 10**6, on_sweep=None) -> OracleResult:
+def max_sat_probability(prod: ExplicitProduct, max_sweeps: int = 10**6,
+                        on_sweep=None) -> OracleResult:
     """Maximal probability of satisfying the Buchi condition from each state."""
     mecs = mec_decompose(prod)
     target = set().union(*(m.states for m in mecs
@@ -298,10 +296,9 @@ def max_sat_probability(prod: ExplicitProduct, residual: float = 1e-10,
             delta = 0.0
             for i in undecided:
                 best = 0.0
-                row = prod.successors[i]
-                for a in prod.actions[i]:
+                for succ in prod.successors[i].values():
                     acc = 0.0
-                    for j, p in row[a]:
+                    for j, p in succ:
                         acc += p * values[j]
                     if acc > best:
                         best = acc
@@ -311,7 +308,7 @@ def max_sat_probability(prod: ExplicitProduct, residual: float = 1e-10,
                 values[i] = best
             if on_sweep is not None:
                 on_sweep(list(values))
-            if delta < residual:
+            if delta < VI_RESIDUAL:
                 break
 
     return OracleResult(values, values[prod.initial], frozenset(target), mecs, sweeps)

@@ -5,8 +5,8 @@ states, so a step is a few list lookups. Base actions move the agent and
 feed the new cell's label class to the automaton; epsilon-actions jump
 the automaton, freeze the environment and consume no randomness. A step
 that fires the accepting frontier pays positive_reward and discounts by
-eta, any other pays neutral_reward undiscounted. Episodes end exactly
-when the automaton hits the sink, which never fires.
+eta, any other pays 0 undiscounted. Episodes end exactly when the
+automaton hits the sink, which never fires.
 """
 
 from __future__ import annotations
@@ -15,8 +15,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .automaton import LdbaRuntime
+from .automaton import SINK_STATE, LdbaRuntime
 from .envs import require_positive
+
+SINK = -1  # the oracle's one sink node, decoded as (SINK_CELL, -1); -1 % nq is the sink
+SINK_CELL = (-1, -1)
 
 
 @dataclass(frozen=True)
@@ -25,7 +28,6 @@ class RewardSpec:
 
     eta: float
     positive_reward: float = 1.0
-    neutral_reward: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.eta < 1.0:
@@ -82,6 +84,8 @@ class CompiledProduct:
 
     def decode(self, state: int) -> tuple:
         """The ((row, col), q) pair of a product id, q as the spec numbers it."""
+        if state == SINK:
+            return SINK_CELL, SINK_STATE
         cell, q = divmod(state, self.nq)
         return self.env.cells[cell], self.automaton.states[q]
 
@@ -141,9 +145,9 @@ class ProductRun:
             label_class = self.product.cell_class[cell]
         q = runtime.step(label_class)
         next_state = self.state = cell * self._nq + q
-        reward = self.reward
         if runtime.advance_frontier(q):
+            reward = self.reward
             return _new(Transition, (state, action, next_state, reward.positive_reward,
                                      reward.eta, False, True))
-        return _new(Transition, (state, action, next_state, reward.neutral_reward, 1.0,
+        return _new(Transition, (state, action, next_state, 0.0, 1.0,
                                  q == self._sink, False))

@@ -128,19 +128,14 @@ def random_explicit_product(rng: random.Random, max_states: int = 10,
                             n_accepting_sets: int = 1) -> ExplicitProduct:
     """A random small MDP in ExplicitProduct form.
 
-    States are synthetic ((i, 0), 0) tuples; what the oracle consumes is
-    the graph structure, not the naming. Every row's mass sums to 1.
+    States carry synthetic ids 0..n-1; what the oracle consumes is the
+    graph structure, not the naming. Every row's mass sums to 1.
     """
     n = rng.randint(2, max_states)
-    states = [((i, 0), 0) for i in range(n)]
-    index = {node: i for i, node in enumerate(states)}
-    actions = []
     successors = []
     for _ in range(n):
-        acts = tuple(f"a{k}" for k in range(rng.randint(1, max_actions)))
-        actions.append(acts)
         row = {}
-        for a in acts:
+        for a in (f"a{k}" for k in range(rng.randint(1, max_actions))):
             support = rng.sample(range(n), rng.randint(1, min(3, n)))
             weights = [rng.random() + 0.05 for _ in support]
             total = sum(weights)
@@ -150,8 +145,7 @@ def random_explicit_product(rng: random.Random, max_states: int = 10,
         frozenset(rng.sample(range(n), rng.randint(1, max(1, n // 2))))
         for _ in range(n_accepting_sets)
     )
-    return ExplicitProduct(states, index, rng.randrange(n), actions,
-                           successors, accepting)
+    return ExplicitProduct(list(range(n)), rng.randrange(n), successors, accepting)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +167,9 @@ def brute_force_value(prod: ExplicitProduct) -> float:
     choices = []
     for i in range(n):
         rows = []
-        for a in prod.actions[i]:
+        for succ in prod.successors[i].values():
             mass: dict[int, float] = {}
-            for j, p in prod.successors[i][a]:
+            for j, p in succ:
                 mass[j] = mass.get(j, 0.0) + p
             rows.append(tuple(sorted(mass.items())))
         choices.append(rows)
@@ -217,11 +211,10 @@ def greedy_product_policy(prod: ExplicitProduct, values) -> dict[int, str]:
     """Value-greedy memoryless policy (lowest-index tie-break) for rollouts."""
     policy: dict[int, str] = {}
     for i in range(prod.num_states()):
-        best_a = prod.actions[i][0]
-        best_v = -1.0
-        for a in prod.actions[i]:
+        best_a, best_v = None, -1.0
+        for a, succ in prod.successors[i].items():
             acc = 0.0
-            for j, p in prod.successors[i][a]:
+            for j, p in succ:
                 acc += p * values[j]
             if acc > best_v + 1e-15:
                 best_a, best_v = a, acc
@@ -234,11 +227,12 @@ def product_rollout_sweeps(prod: ExplicitProduct, policy: dict[int, str],
                            steps: int) -> int:
     """Simulate a memoryless policy on an explicit product, counting sweeps.
 
-    The frontier bookkeeping mirrors the synchronizer: the successor's
-    automaton component is fed to advance_frontier after every step.
+    The frontier bookkeeping mirrors the synchronizer: the automaton
+    index of the successor's product id is fed to advance_frontier after
+    every step.
     """
     runtime = LdbaRuntime(spec)
-    index = spec.compiled.index
+    nq = len(spec.compiled.states)
     i = prod.initial
     for _ in range(steps):
         successors = prod.successors[i][policy[i]]
@@ -250,7 +244,7 @@ def product_rollout_sweeps(prod: ExplicitProduct, policy: dict[int, str],
             if draw < acc:
                 i = j
                 break
-        runtime.advance_frontier(index[prod.states[i][1]])
+        runtime.advance_frontier(prod.states[i] % nq)
     return runtime.sweeps_completed
 
 

@@ -155,6 +155,8 @@ MALFORMED_MODELS = {
     "hyperparams-list": model_payload(hyperparams=[]),
     "bad-discount": model_payload(hyperparams={"discount_factor": 1.5}),
     "bad-horizon": model_payload(hyperparams={"iteration_num_max": "20"}),
+    "nan-q-init": model_payload(hyperparams={"q_init": float("nan")}),
+    "infinite-positive-reward": model_payload(hyperparams={"positive_reward": float("inf")}),
 }
 
 
@@ -167,7 +169,8 @@ def test_load_model_rejects_malformed_payloads(tmp_path, name):
     assert info.value.code == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("name", ["format-only", "entry-not-object", "bad-discount"])
+@pytest.mark.parametrize("name", ["format-only", "entry-not-object", "bad-discount",
+                                  "nan-q-init"])
 def test_test_with_malformed_model_exits_config(spec_files, tmp_path, capsys, name):
     env_path, ldba_path = spec_files
     path = tmp_path / "model.json"
@@ -443,6 +446,19 @@ def test_invalid_hyperparams_exit_config(spec_files, tmp_path, capsys):
     rc = main(train_args(spec_files, out, "--discount_factor", "1.5"))
     assert rc == EXIT_CONFIG
     assert "discount_factor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value,message", [
+    ("nan", "positive_reward must be positive"),
+    ("inf", "positive_reward must be finite"),
+], ids=["nan", "inf"])
+def test_non_finite_hyperparams_exit_config_before_save_dir(spec_files, tmp_path, capsys,
+                                                             value, message):
+    out = tmp_path / "results"
+    rc = main(train_args(spec_files, out, "--positive_reward", value))
+    assert rc == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, unreadable", [

@@ -84,7 +84,6 @@ def test_hyperparams_defaults_give_probability_scale_rewards():
     spec = hp.reward_spec()
     assert spec.eta == hp.discount_factor
     assert spec.positive_reward == pytest.approx(1.0 - hp.discount_factor)
-    assert spec.neutral_reward == 0.0
 
 
 def test_hyperparams_explicit_reward_wins():
@@ -103,6 +102,13 @@ def test_hyperparams_explicit_reward_wins():
     ("epsilon", 1.1),
     ("positive_reward", 0.0),
     ("learning_rate_decay", -0.5),
+    ("positive_reward", float("nan")),
+    ("positive_reward", float("inf")),
+    ("q_init", float("nan")),
+    ("q_init", float("inf")),
+    ("q_init", float("-inf")),
+    ("learning_rate_decay", float("nan")),
+    ("learning_rate_decay", float("inf")),
 ])
 def test_hyperparams_validation(field, value):
     hp = Hyperparams(**{field: value})

@@ -6,12 +6,12 @@ import networkx as nx
 import pytest
 
 from ldba_synth.automaton import SINK_STATE, load_ldba_file, parse_ldba_spec
-from ldba_synth.envs import GridEnv, LabelRegion, bundled_data_dir, load_env_file
+from ldba_synth.envs import (GridEnv, LabelRegion, bundled_data_dir, load_env_file,
+                             resolve_spec_path)
 from ldba_synth.oracle import (
     DEFAULT_STATE_CAP,
     ExplicitProduct,
     ProductSizeError,
-    SINK_CELL,
     _prob0_max,
     _prob1_max,
     _strongly_connected_components,
@@ -19,6 +19,7 @@ from ldba_synth.oracle import (
     max_sat_probability,
     mec_decompose,
 )
+from ldba_synth.product import SINK, SINK_CELL, compile_product
 
 from conftest import (
     brute_force_value,
@@ -56,12 +57,9 @@ def chain_spec():
 
 def hand_mdp() -> ExplicitProduct:
     """Two absorbing fates; the initial state picks 0.3 or 0.4 toward success."""
-    states = [((0, 0), 0), ((1, 0), 0), ((2, 0), 0)]
     return ExplicitProduct(
-        states=states,
-        index={s: i for i, s in enumerate(states)},
+        states=[0, 1, 2],
         initial=0,
-        actions=[("a", "b"), ("a",), ("a",)],
         successors=[
             {"a": ((1, 0.3), (2, 0.7)), "b": ((1, 0.4), (2, 0.6))},
             {"a": ((1, 1.0),)},
@@ -73,12 +71,9 @@ def hand_mdp() -> ExplicitProduct:
 
 def alternation_mdp() -> ExplicitProduct:
     """One end component whose two accepting sets sit on opposite branches."""
-    states = [((0, 0), 0), ((1, 0), 0), ((2, 0), 0)]
     return ExplicitProduct(
-        states=states,
-        index={s: i for i, s in enumerate(states)},
+        states=[0, 1, 2],
         initial=0,
-        actions=[("go_l", "go_r"), ("back",), ("back",)],
         successors=[
             {"go_l": ((1, 1.0),), "go_r": ((2, 1.0),)},
             {"back": ((0, 1.0),)},
@@ -95,26 +90,30 @@ def alternation_mdp() -> ExplicitProduct:
 
 def test_product_keeps_only_reachable_states():
     env = corridor_env({})                       # no labels: the chain never advances
-    prod = build_explicit_product(env, chain_spec())
-    assert sorted(prod.states) == [((0, c), 0) for c in range(4)]
-    assert prod.states[prod.initial] == ((0, 0), 0)
+    spec = chain_spec()
+    prod = build_explicit_product(env, spec)
+    product = compile_product(env, spec)
+    assert sorted(map(product.decode, prod.states)) == [((0, c), 0) for c in range(4)]
+    assert product.decode(prod.states[prod.initial]) == ((0, 0), 0)
     assert all(acc == frozenset() for acc in prod.accepting_sets)
 
 
 def test_product_initial_node_and_index_are_consistent():
     env = corridor_env({2: {"a"}, 3: {"b"}})
-    prod = build_explicit_product(env, chain_spec())
-    assert prod.index[((0, 0), 0)] == prod.initial
-    for i, node in enumerate(prod.states):
-        assert prod.index[node] == i
+    spec = chain_spec()
+    prod = build_explicit_product(env, spec)
+    assert prod.states[prod.initial] == compile_product(env, spec).encode((0, 0), 0)
+    assert len(set(prod.states)) == prod.num_states()    # one node per product id
 
 
 def test_product_accepting_sets_project_automaton_states():
     env = corridor_env({2: {"a"}, 3: {"b"}})
-    prod = build_explicit_product(env, chain_spec())
+    spec = chain_spec()
+    prod = build_explicit_product(env, spec)
+    decode = compile_product(env, spec).decode
     (accepting,) = prod.accepting_sets
     assert accepting == frozenset(
-        i for i, (_, q) in enumerate(prod.states) if q == 2)
+        i for i, node in enumerate(prod.states) if decode(node)[1] == 2)
     assert accepting                              # q=2 is reachable here
 
 
@@ -132,11 +131,13 @@ def test_product_collapses_every_sink_slot_into_one_node():
                   slip_probability=0.2, initial_state=(1, 1),
                   label_regions=[LabelRegion((1, 2), (1, 2), frozenset({"safe"}))])
     prod = build_explicit_product(env, spec)
-    sinks = [i for i, (cell, q) in enumerate(prod.states) if q == SINK_STATE]
+    decode = compile_product(env, spec).decode
+    sinks = [i for i, node in enumerate(prod.states) if decode(node)[1] == SINK_STATE]
     assert len(sinks) == 1
     (sink,) = sinks
-    assert prod.states[sink] == (SINK_CELL, SINK_STATE)
-    assert prod.actions[sink] == env.actions
+    assert prod.states[sink] == SINK
+    assert decode(SINK) == (SINK_CELL, SINK_STATE)
+    assert tuple(prod.successors[sink]) == env.actions
     for action in env.actions:
         assert prod.successors[sink][action] == ((sink, 1.0),)
 
@@ -155,9 +156,10 @@ def test_product_epsilon_rows_are_deterministic_env_freezes():
     })
     env = corridor_env({})
     prod = build_explicit_product(env, spec)
-    i = prod.index[((0, 0), 0)]
-    assert prod.actions[i] == env.actions + ("epsilon_1",)
-    j = prod.index[((0, 0), 1)]
+    product = compile_product(env, spec)
+    i = prod.states.index(product.encode((0, 0), 0))
+    assert tuple(prod.successors[i]) == env.actions + ("epsilon_1",)
+    j = prod.states.index(product.encode((0, 0), 1))
     assert prod.successors[i]["epsilon_1"] == ((j, 1.0),)
 
 
@@ -169,9 +171,7 @@ def test_product_rows_are_distributions_on_random_specs():
         prod = build_explicit_product(env, spec)
         n = prod.num_states()
         for i in range(n):
-            assert set(prod.successors[i]) == set(prod.actions[i])
-            for action in prod.actions[i]:
-                mass = prod.successors[i][action]
+            for mass in prod.successors[i].values():
                 assert sum(p for _, p in mass) == pytest.approx(1.0, abs=1e-12)
                 assert all(0 <= j < n for j, _ in mass)
         # re-walk the graph: everything interned must be reachable
@@ -179,12 +179,32 @@ def test_product_rows_are_distributions_on_random_specs():
         frontier = [prod.initial]
         while frontier:
             i = frontier.pop()
-            for action in prod.actions[i]:
-                for j, _ in prod.successors[i][action]:
+            for mass in prod.successors[i].values():
+                for j, _ in mass:
                     if j not in seen:
                         seen.add(j)
                         frontier.append(j)
         assert seen == set(range(n))
+
+
+def test_product_nodes_are_named_by_product_ids():
+    gridworld = (load_env_file(resolve_spec_path("gridworld-1", "envs")),
+                 load_ldba_file(resolve_spec_path("goal1-or-goal2", "ldba")))
+    rng = make_rng(71)
+    for env, spec in [gridworld] + [(random_env(rng), random_automaton(rng))
+                                    for _ in range(10)]:
+        prod = build_explicit_product(env, spec)
+        product = compile_product(env, spec)
+        assert product.decode(prod.states[prod.initial]) == (env.initial_state,
+                                                             spec.initial_state)
+        # a node's actions are its product id's, in order; the sink's too
+        for i, node in enumerate(prod.states):
+            assert tuple(prod.successors[i]) == product.action_names(node)
+    prod = build_explicit_product(*gridworld)
+    decode = compile_product(*gridworld).decode
+    sinks = [node for node in prod.states if decode(node)[1] == SINK_STATE]
+    assert sinks == [SINK]
+    assert decode(SINK) == ((-1, -1), -1)
 
 
 def test_product_size_cap_is_checked_up_front():
@@ -273,7 +293,7 @@ def test_mec_properties_on_random_products():
             assert nx.is_strongly_connected(g)
         # every state whose every action self-loops must land in some MEC
         for i in range(prod.num_states()):
-            if all(prod.successors[i][a] == ((i, 1.0),) for a in prod.actions[i]):
+            if all(succ == ((i, 1.0),) for succ in prod.successors[i].values()):
                 assert i in seen
 
 
@@ -316,8 +336,7 @@ def reference_prob1_max(prod: ExplicitProduct, target: set[int]) -> set[int]:
         while True:
             grown = set(t)
             for i in u - t:
-                for a in prod.actions[i]:
-                    succ = prod.successors[i][a]
+                for succ in prod.successors[i].values():
                     if all(j in u for j, _ in succ) and any(j in t for j, _ in succ):
                         grown.add(i)
                         break
@@ -497,12 +516,9 @@ def test_greedy_policy_picks_the_better_action():
 
 
 def test_greedy_policy_breaks_ties_toward_the_first_action():
-    states = [((0, 0), 0), ((1, 0), 0)]
     prod = ExplicitProduct(
-        states=states,
-        index={s: i for i, s in enumerate(states)},
+        states=[0, 1],
         initial=0,
-        actions=[("x", "y"), ("x",)],
         successors=[
             {"x": ((1, 1.0),), "y": ((1, 1.0),)},
             {"x": ((1, 1.0),)},

@@ -63,7 +63,6 @@ def act(run, name):
 def test_reward_spec_defaults():
     spec = RewardSpec(eta=0.9)
     assert spec.positive_reward == 1.0
-    assert spec.neutral_reward == 0.0
 
 
 @pytest.mark.parametrize("eta", [0.0, 1.0, -0.2, 1.7])
@@ -119,11 +118,11 @@ def test_transition_records_source_state_and_action():
 
 def test_custom_reward_values_flow_through():
     env = corridor_env({1: {"a"}, 2: {"b"}})
-    reward = RewardSpec(eta=0.9, positive_reward=5.0, neutral_reward=-0.25)
+    reward = RewardSpec(eta=0.9, positive_reward=5.0)
     run = ProductRun(env, chain_spec(), reward, make_rng(0))
     run.reset()
     first = run.step(act(run, "right"))  # 'a' advances but nothing fires
-    assert (first.reward, first.gamma) == (-0.25, 1.0)
+    assert (first.reward, first.gamma) == (0.0, 1.0)
     tr = run.step(act(run, "right"))  # 'b' fires the frontier
     assert (tr.reward, tr.gamma) == (5.0, 0.9)
     tr = run.step(act(run, "left"))  # q stays accepting: refires
@@ -132,11 +131,10 @@ def test_custom_reward_values_flow_through():
 
 
 def test_discount_follows_the_frontier_not_the_reward_sign():
-    # A positive neutral reward must not discount: eta applies exactly on
-    # the steps that fire the frontier.
+    # eta applies exactly on the steps that fire the frontier; the others
+    # pay 0 undiscounted.
     env = corridor_env({1: {"a"}, 2: {"b"}})
-    reward = RewardSpec(eta=0.9, neutral_reward=0.25)
-    run = ProductRun(env, chain_spec(), reward, make_rng(0))
+    run = ProductRun(env, chain_spec(), RewardSpec(eta=0.9), make_rng(0))
     run.reset()
     plan = ["right", "left", "right", "right", "left", "right"]
     fired = [run.step(act(run, action)) for action in plan]
@@ -145,7 +143,7 @@ def test_discount_follows_the_frontier_not_the_reward_sign():
         if tr.fired:
             assert (tr.reward, tr.gamma) == (1.0, 0.9)
         else:
-            assert (tr.reward, tr.gamma) == (0.25, 1.0)
+            assert (tr.reward, tr.gamma) == (0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
