@@ -14,12 +14,11 @@ sweep counter increments.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .envs import is_int, read_text
+from .envs import decode_json, is_int, read_text
 
 SINK_STATE = -1
 
@@ -368,12 +367,7 @@ def _require(cond: bool, message: str):
 def parse_ldba_spec(document) -> LdbaSpec:
     """Build a validated LdbaSpec from a JSON string or decoded dict."""
     if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as err:
-            raise LdbaSpecError(f"syntax error at line {err.lineno}: {err.msg}") from err
-        except RecursionError:
-            raise LdbaSpecError("document is nested too deeply") from None
+        document = decode_json(document, LdbaSpecError)
     _require(isinstance(document, dict), "automaton document must be a JSON object")
 
     raw_states = document.get("states")

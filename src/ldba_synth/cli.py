@@ -15,6 +15,7 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 from contextlib import nullcontext
@@ -22,8 +23,8 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .automaton import LdbaSpecError, load_ldba_file, spec_to_document
-from .envs import (EnvSpecError, env_to_document, is_int, is_number, load_env_file,
-                   read_text, require_positive, resolve_spec_path)
+from .envs import (EnvSpecError, decode_json, env_to_document, is_int, is_number,
+                   load_env_file, read_text, require_positive, resolve_spec_path)
 from .evaluation import TestConfig, robustness_sweep, run_test
 from .learner import GreedyPolicy, Hyperparams, QTable, average_window, moving_average, train
 from .oracle import (DEFAULT_STATE_CAP, ProductSizeError, build_explicit_product,
@@ -75,12 +76,7 @@ def save_model(path, env_hash, ldba_hash, hp: Hyperparams, result) -> None:
 
 
 def load_model(path) -> dict:
-    try:
-        payload = json.loads(read_text(path, CliError, "model"))
-    except json.JSONDecodeError as err:
-        raise CliError(f"model file {path} is not valid JSON (line {err.lineno})")
-    except RecursionError:
-        raise CliError(f"model file {path} is nested too deeply") from None
+    payload = decode_json(read_text(path, CliError, "model"), CliError, f"model file {path}")
     if not isinstance(payload, dict) or payload.get("format") != "ldba-synth-model":
         raise CliError(f"model file {path} has an unrecognized format")
     problem = _model_problem(payload)
@@ -121,8 +117,8 @@ def _model_problem(payload: dict) -> str | None:
         cell = entry.get("s") if isinstance(entry, dict) else None
         if not (isinstance(cell, list) and len(cell) == 2 and all(map(is_int, cell))
                 and is_int(entry.get("q")) and isinstance(entry.get("action"), str)
-                and is_number(entry.get("value"))):
-            return f"entry {k} needs s: [int, int], q: int, a string action, a numeric value"
+                and is_number(entry.get("value")) and math.isfinite(entry["value"])):
+            return f"entry {k} needs s: [int, int], q: int, a string action, a finite value"
     return None
 
 

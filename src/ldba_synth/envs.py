@@ -172,12 +172,7 @@ class GridEnv:
 def parse_env_spec(document) -> GridEnv:
     """Build a GridEnv from a JSON string or decoded dict."""
     if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as err:
-            raise EnvSpecError(f"syntax error at line {err.lineno}: {err.msg}") from err
-        except RecursionError:
-            raise EnvSpecError("document is nested too deeply") from None
+        document = decode_json(document, EnvSpecError)
     _require(isinstance(document, dict), "environment document must be a JSON object")
     for key in ("height", "width", "actions", "slip_probability", "initial_state"):
         _require(key in document, f"missing environment key {key!r}")
@@ -234,6 +229,22 @@ def read_text(path, error, kind) -> str:
         raise error(f"no such {kind} file: {path}") from None
     except (OSError, UnicodeDecodeError) as err:
         raise error(f"cannot read {kind} file {path}: {err}") from None
+
+
+def decode_json(text: str, error, subject: str = "document"):
+    """Decoded JSON text; bad syntax, deep nesting or a repeated key raises error."""
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            raise error(f"{subject} repeats the key {max(keys, key=keys.count)!r}")
+        return obj
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as err:
+        raise error(f"{subject} is not valid JSON (syntax error: {err})") from None
+    except RecursionError:
+        raise error(f"{subject} is nested too deeply") from None
 
 
 def load_env_file(path) -> GridEnv:

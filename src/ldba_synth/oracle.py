@@ -10,7 +10,12 @@ accepting MECs is then the Buchi value. Reachability is solved by
 Gauss-Seidel value iteration after the standard qualitative
 precomputations on a predecessor index (prob0 by backward search, prob1
 by the Pmax=1 fixed point of Baier & Katoen, Principles of Model Checking,
-10.6), so almost-sure states report exactly 1.
+10.6), so almost-sure states report exactly 1. A sweep recomputes only the
+undecided states flagged stale: a state whose value changes flags its
+readers (the undecided states it is a successor of, itself on a self-loop).
+An update whose inputs did not move gives the same float again, and a
+successor of value 0 adds exactly +0.0, so its term is left out; the values,
+sweep snapshots and sweep count are bit for bit those of full sweeps.
 """
 
 from __future__ import annotations
@@ -287,6 +292,14 @@ def max_sat_probability(prod: ExplicitProduct, max_sweeps: int = 10**6,
 
     sweeps = 0
     if undecided:
+        readers: dict[int, list[int]] = {i: [] for i in undecided}
+        for i in undecided:
+            for j in readers.keys() & {j for sup in prod.supports[i].values() for j in sup}:
+                readers[j].append(i)
+        work = [(i, tuple(tuple(t for t in succ if t[0] not in never)
+                          for succ in prod.successors[i].values()), readers[i])
+                for i in undecided]
+        stale = bytearray(i in readers for i in range(n))
         while True:
             sweeps += 1
             if sweeps > max_sweeps:
@@ -294,18 +307,24 @@ def max_sat_probability(prod: ExplicitProduct, max_sweeps: int = 10**6,
                     "value iteration did not converge within the sweep guard; "
                     "this signals a modeling bug")
             delta = 0.0
-            for i in undecided:
+            for i, rows, to_flag in work:
+                if not stale[i]:
+                    continue
+                stale[i] = 0
                 best = 0.0
-                for succ in prod.successors[i].values():
+                for succ in rows:
                     acc = 0.0
                     for j, p in succ:
                         acc += p * values[j]
                     if acc > best:
                         best = acc
                 diff = best - values[i]
-                if diff > delta:
-                    delta = diff
-                values[i] = best
+                if diff:
+                    if diff > delta:
+                        delta = diff
+                    values[i] = best
+                    for r in to_flag:
+                        stale[r] = 1
             if on_sweep is not None:
                 on_sweep(list(values))
             if delta < VI_RESIDUAL:

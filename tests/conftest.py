@@ -118,6 +118,20 @@ def random_env(rng: random.Random, max_side: int = 4,
     )
 
 
+def gated_lake(size: int = 8, slip: float = 0.45) -> GridEnv:
+    """Slippery lake whose two goals are walled off by pits behind one gate each."""
+    n = size
+    pits = {(n - 3, 0), (n - 3, 2), (n - 2, 2), (n - 1, 2),
+            (0, n - 3), (2, n - 3), (2, n - 2), (2, n - 1), (n // 2, n // 2)}
+    regions = [LabelRegion((r, r + 1), (c, c + 1), frozenset({"unsafe"}))
+               for r, c in sorted(pits)]
+    regions.append(LabelRegion((n - 2, n), (0, 2), frozenset({"goal1"})))
+    regions.append(LabelRegion((0, 2), (n - 2, n), frozenset({"goal2"})))
+    return GridEnv(height=n, width=n, actions=["down", "right", "up", "left"],
+                   slip_probability=slip, initial_state=(0, 0),
+                   label_regions=regions)
+
+
 # ---------------------------------------------------------------------------
 # random explicit products (for the oracle)
 # ---------------------------------------------------------------------------

@@ -295,6 +295,14 @@ def test_reject_noncanonical_state_keys(field, key):
         parse_ldba_spec(doc)
 
 
+def test_repeated_transition_key_raises_spec_error():
+    # json.loads alone keeps the later "1": state 1 would take a row into the sink
+    row = '"1": [{"guard": "true", "to": 1}]'
+    text = json.dumps(minimal_document()).replace(row, row + ', "1": [{"guard": "true", "to": -1}]')
+    with pytest.raises(LdbaSpecError, match="repeats the key '1'"):
+        parse_ldba_spec(text)
+
+
 def test_deeply_nested_json_raises_spec_error():
     with pytest.raises(LdbaSpecError, match="nested too deeply"):
         parse_ldba_spec('{"states": ' + "[" * 100000)

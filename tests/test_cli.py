@@ -152,6 +152,9 @@ MALFORMED_MODELS = {
     "missing-q": model_payload(entries=[{"s": [0, 0], "action": "right", "value": 0.5}]),
     "numeric-action": model_payload(entries=[dict(GOOD_ENTRY, action=1)]),
     "string-value": model_payload(entries=[dict(GOOD_ENTRY, value="0.5")]),
+    "nan-value": model_payload(entries=[dict(GOOD_ENTRY, value=float("nan"))]),
+    "infinite-value": model_payload(entries=[dict(GOOD_ENTRY, value=float("inf"))]),
+    "minus-infinite-value": model_payload(entries=[dict(GOOD_ENTRY, value=float("-inf"))]),
     "hyperparams-list": model_payload(hyperparams=[]),
     "bad-discount": model_payload(hyperparams={"discount_factor": 1.5}),
     "bad-horizon": model_payload(hyperparams={"iteration_num_max": "20"}),
@@ -170,7 +173,7 @@ def test_load_model_rejects_malformed_payloads(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", ["format-only", "entry-not-object", "bad-discount",
-                                  "nan-q-init"])
+                                  "nan-q-init", "nan-value"])
 def test_test_with_malformed_model_exits_config(spec_files, tmp_path, capsys, name):
     env_path, ldba_path = spec_files
     path = tmp_path / "model.json"
@@ -179,6 +182,21 @@ def test_test_with_malformed_model_exits_config(spec_files, tmp_path, capsys, na
                "--save_dir", str(tmp_path / "out"), "--model", str(path)])
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: model file")
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_entry_field_exits_config(spec_files, tmp_path, capsys):
+    env_path, ldba_path = spec_files
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_payload()).replace('"value": 0.5', '"value": 0.5, "value": 9'),
+                    encoding="utf-8")
+    with pytest.raises(CliError, match="repeats the key 'value'") as info:
+        load_model(path)
+    assert info.value.code == EXIT_CONFIG
+    rc = main(["test", "--env", str(env_path), "--ldba", str(ldba_path),
+               "--save_dir", str(tmp_path / "out"), "--model", str(path)])
+    assert rc == EXIT_CONFIG
+    assert "repeats the key 'value'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -21,7 +21,7 @@ from ldba_synth.envs import (
     resolve_spec_path,
 )
 
-from conftest import make_rng, random_env
+from conftest import gated_lake, make_rng, random_env
 
 
 def grid(height=5, width=5, slip=0.0, actions=("up", "down", "left", "right", "stay"),
@@ -273,6 +273,12 @@ def test_parse_env_spec_rejects_booleans_as_numbers(key, value, message):
         parse_env_spec(minimal_env_document(**{key: value}))
 
 
+def test_parse_env_spec_rejects_a_repeated_key():
+    text = json.dumps(minimal_env_document()).replace('"width": 4', '"width": 4, "width": 9')
+    with pytest.raises(EnvSpecError, match="repeats the key 'width'"):
+        parse_env_spec(text)
+
+
 def test_parse_env_spec_rejects_deeply_nested_json():
     with pytest.raises(EnvSpecError, match="nested too deeply"):
         parse_env_spec("[" * 100000)
@@ -301,11 +307,16 @@ def test_env_document_round_trip_preserves_everything():
 def test_bundled_envs_are_canonical_byte_for_byte():
     data_dir = bundled_data_dir() / "envs"
     paths = sorted(data_dir.glob("*.json"))
-    assert len(paths) == 9
+    assert len(paths) == 10
     for path in paths:
         text = path.read_text(encoding="utf-8")
         env = load_env_file(path)
         assert canonical_json(env_to_document(env)) == text, path.name
+
+
+def test_bundled_gated_lake_is_the_golden_lake():
+    text = resolve_spec_path("gated-lake", "envs").read_text(encoding="utf-8")
+    assert text == canonical_json(env_to_document(gated_lake()))
 
 
 def test_resolve_spec_path_prefers_direct_files(tmp_path):

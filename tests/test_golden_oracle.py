@@ -16,7 +16,7 @@ import json
 import pytest
 
 from ldba_synth.automaton import load_ldba_file
-from ldba_synth.envs import GridEnv, LabelRegion, load_env_file, resolve_spec_path
+from ldba_synth.envs import GridEnv, load_env_file, resolve_spec_path
 from ldba_synth.oracle import (
     _prob0_max,
     _prob1_max,
@@ -24,23 +24,11 @@ from ldba_synth.oracle import (
     max_sat_probability,
 )
 
+from conftest import gated_lake
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def gated_lake(size: int = 8, slip: float = 0.45) -> GridEnv:
-    """Slippery lake whose two goals are walled off by pits behind one gate each."""
-    n = size
-    pits = {(n - 3, 0), (n - 3, 2), (n - 2, 2), (n - 1, 2),
-            (0, n - 3), (2, n - 3), (2, n - 2), (2, n - 1), (n // 2, n // 2)}
-    regions = [LabelRegion((r, r + 1), (c, c + 1), frozenset({"unsafe"}))
-               for r, c in sorted(pits)]
-    regions.append(LabelRegion((n - 2, n), (0, 2), frozenset({"goal1"})))
-    regions.append(LabelRegion((0, 2), (n - 2, n), frozenset({"goal2"})))
-    return GridEnv(height=n, width=n, actions=["down", "right", "up", "left"],
-                   slip_probability=slip, initial_state=(0, 0),
-                   label_regions=regions)
 
 
 def bundled_env(name: str) -> GridEnv:

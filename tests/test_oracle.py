@@ -10,6 +10,7 @@ from ldba_synth.envs import (GridEnv, LabelRegion, bundled_data_dir, load_env_fi
                              resolve_spec_path)
 from ldba_synth.oracle import (
     DEFAULT_STATE_CAP,
+    VI_RESIDUAL,
     ExplicitProduct,
     ProductSizeError,
     _prob0_max,
@@ -23,6 +24,7 @@ from ldba_synth.product import SINK, SINK_CELL, compile_product
 
 from conftest import (
     brute_force_value,
+    gated_lake,
     greedy_product_policy,
     make_rng,
     product_rollout_sweeps,
@@ -500,6 +502,102 @@ def test_values_are_probabilities():
                                        n_accepting_sets=rng.randint(1, 2))
         result = max_sat_probability(prod)
         assert all(-1e-12 <= v <= 1.0 + 1e-12 for v in result.values)
+
+
+# ---------------------------------------------------------------------------
+# value iteration against the full Gauss-Seidel sweep
+# ---------------------------------------------------------------------------
+
+
+def reference_value_iteration(prod: ExplicitProduct, on_sweep=None) -> tuple[list[float], int]:
+    """Gauss-Seidel that recomputes every undecided state on every sweep."""
+    mecs = mec_decompose(prod)
+    target = set().union(*(m.states for m in mecs
+                           if all(m.states & acc for acc in prod.accepting_sets)))
+    values = [0.0] * prod.num_states()
+    if not target:
+        return values, 0
+    sure, never = _prob1_max(prod, target), _prob0_max(prod, target)
+    for i in sure:
+        values[i] = 1.0
+    undecided = [i for i in range(prod.num_states()) if i not in sure and i not in never]
+    sweeps = 0
+    while undecided:
+        sweeps += 1
+        delta = 0.0
+        for i in undecided:
+            best = 0.0
+            for succ in prod.successors[i].values():
+                acc = 0.0
+                for j, p in succ:
+                    acc += p * values[j]
+                if acc > best:
+                    best = acc
+            diff = best - values[i]
+            if diff > delta:
+                delta = diff
+            values[i] = best
+        if on_sweep is not None:
+            on_sweep(list(values))
+        if delta < VI_RESIDUAL:
+            break
+    return values, sweeps
+
+
+def assert_value_iteration_matches_reference(prod) -> int:
+    """Values, sweep count and every sweep's snapshot equal the reference's."""
+    snapshots, expected = [], []
+    result = max_sat_probability(prod, on_sweep=snapshots.append)
+    values, sweeps = reference_value_iteration(prod, on_sweep=expected.append)
+    assert result.values == values
+    assert result.sweeps == sweeps
+    assert snapshots == expected
+    return sweeps
+
+
+def random_lake(rng, max_side: int = 5) -> GridEnv:
+    """A slippery lake for frozen-lake-reach: one cell per goal, single-cell pits."""
+    height, width = rng.randint(3, max_side), rng.randint(3, max_side)
+    cells = [(r, c) for r in range(height) for c in range(width)]
+    start, goal1, goal2, *rest = rng.sample(cells, len(cells))
+    pits = rest[:rng.randint(1, len(rest) // 3)]
+    regions = [LabelRegion((r, r + 1), (c, c + 1), frozenset({"unsafe"})) for r, c in pits]
+    regions += [LabelRegion((r, r + 1), (c, c + 1), frozenset({label}))
+                for label, (r, c) in (("goal1", goal1), ("goal2", goal2))]
+    actions = ["up", "down", "left", "right"] + (["stay"] if rng.random() < 0.5 else [])
+    rng.shuffle(actions)
+    return GridEnv(height=height, width=width, actions=actions,
+                   slip_probability=rng.choice([0.1, 1.0 / 3.0, 0.45]),
+                   initial_state=start, label_regions=regions)
+
+
+@pytest.mark.parametrize("size,slip", [(10, 0.2), (8, 0.45)])
+def test_value_iteration_matches_reference_on_gated_lakes(size, slip):
+    spec = load_ldba_file(resolve_spec_path("frozen-lake-reach", "ldba"))
+    prod = build_explicit_product(gated_lake(size, slip), spec)
+    assert assert_value_iteration_matches_reference(prod) >= 100
+
+
+@pytest.mark.parametrize("env_name,ldba_name", BUNDLED_PAIRS)
+def test_value_iteration_matches_reference_on_bundled_benchmarks(env_name, ldba_name):
+    env = load_env_file(resolve_spec_path(env_name, "envs"))
+    spec = load_ldba_file(resolve_spec_path(ldba_name, "ldba"))
+    assert_value_iteration_matches_reference(build_explicit_product(env, spec))
+
+
+def test_value_iteration_matches_reference_on_random_lakes():
+    # Random products and random envs are almost always decided by
+    # prob0/prob1; these lakes keep states undecided, so the sweeps run.
+    spec = load_ldba_file(resolve_spec_path("frozen-lake-reach", "ldba"))
+    rng = make_rng(71)
+    solved = 0
+    for _ in range(200):
+        sweeps = assert_value_iteration_matches_reference(
+            build_explicit_product(random_lake(rng), spec))
+        solved += sweeps >= 10
+        if solved == 10:
+            break
+    assert solved == 10
 
 
 # ---------------------------------------------------------------------------
