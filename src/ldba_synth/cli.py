@@ -3,7 +3,8 @@
 This is the only module that writes files or prints. Exit codes: 0 on
 success, 2 on configuration errors (missing or invalid specs, bad
 flags), 3 on model/spec incompatibility, 4 when the explicit product
-exceeds the state cap. The LDBA_SYNTH_RESULTS environment variable
+exceeds the state cap, 141 (128 + SIGPIPE) when standard output closes
+early, as under ``| head``. The LDBA_SYNTH_RESULTS environment variable
 overrides --save_dir. Interrupting a training run (Ctrl-C) saves the
 partial outcomes before exiting.
 """
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INCOMPATIBLE = 3
 EXIT_SIZE_CAP = 4
+EXIT_CLOSED_STDOUT = 141
 
 _OUT_OF_SCOPE = {"nfq", "ddpg"}
 
@@ -500,7 +502,13 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; the flush at exit now goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_STDOUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

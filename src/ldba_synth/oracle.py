@@ -2,27 +2,29 @@
 
 The environment kernel and automaton are composed into an explicit
 product MDP (reachable part only, all sink slots collapsed into one
-absorbing node). Maximal end components are found by iterative SCC
-refinement; a MEC is accepting when its states intersect every accepting
-set, matching the frontier semantics that all sets must be visited
-infinitely often. The maximal probability of reaching the union of
-accepting MECs is then the Buchi value. Reachability is solved by
-Gauss-Seidel value iteration after the standard qualitative
-precomputations on a predecessor index (prob0 by backward search, prob1
-by the Pmax=1 fixed point of Baier & Katoen, Principles of Model Checking,
-10.6), so almost-sure states report exactly 1. A sweep recomputes only the
-undecided states flagged stale: a state whose value changes flags its
-readers (the undecided states it is a successor of, itself on a self-loop).
-An update whose inputs did not move gives the same float again, and a
-successor of value 0 adds exactly +0.0, so its term is left out; the values,
-sweep snapshots and sweep count are bit for bit those of full sweeps.
+absorbing node) held in flat arrays, see ExplicitProduct. Maximal end
+components are found by iterative SCC refinement on them, sorting nothing;
+a MEC is accepting when its states intersect every accepting set, matching
+the frontier semantics that all sets must be visited infinitely often. The
+maximal probability of reaching the union of accepting MECs is then the
+Buchi value. Reachability is solved by Gauss-Seidel value iteration after
+the standard qualitative precomputations on a predecessor index (prob0 by
+backward search, prob1 by the Pmax=1 fixed point of Baier & Katoen,
+Principles of Model Checking, 10.6), so almost-sure states report exactly 1.
+A sweep recomputes only the undecided states flagged stale: a state whose
+value changes flags its readers (the undecided states it is a successor of,
+itself on a self-loop). An update whose inputs did not move gives the same
+float again, and a successor of value 0 adds exactly +0.0, so its term is
+left out; the values, sweep snapshots and sweep count are bit for bit those
+of full sweeps.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 from .automaton import LdbaSpec
 from .product import SINK, compile_product
@@ -35,28 +37,71 @@ class ProductSizeError(RuntimeError):
     """Raised when |S| * (|Q|+1) exceeds the configured state cap."""
 
 
-@dataclass
 class ExplicitProduct:
-    """Reachable product MDP with sparse per-action successor lists.
+    """Reachable product MDP in one CSR (compressed sparse row) layout.
 
     ``states[i]`` is node i's product id (see ``CompiledProduct``); every
-    sink slot collapses into the one node ``SINK``. The actions of node i
-    are the keys of ``successors[i]``, in the product's order.
+    sink slot collapses into the one node ``SINK``. Node i's actions
+    ``actions[i]``, in the product's order, own rows ``first_row[i]`` up to
+    ``first_row[i + 1]``; row r owns edges ``first_edge[r]`` up to
+    ``first_edge[r + 1]`` of ``succ`` (64-bit successor ids) and ``prob``.
     """
 
-    states: list[int]
-    initial: int
-    successors: list[dict[str, tuple[tuple[int, float], ...]]]
-    accepting_sets: tuple[frozenset[int], ...]  # node indices
+    def __init__(self, states: list[int], initial: int, accepting_sets=()):
+        self.states, self.initial = states, initial
+        self.accepting_sets: tuple[frozenset[int], ...] = accepting_sets  # node indices
+        self.actions: list[tuple[str, ...]] = []
+        self.first_row, self.first_edge = array("q", [0]), array("q", [0])
+        self.succ, self.prob = array("q"), array("d")
+
+    @classmethod
+    def from_successors(cls, states, initial, successors, accepting_sets) -> ExplicitProduct:
+        """A product from one ``{action: ((j, p), ...)}`` dict per node."""
+        prod = cls(states, initial, accepting_sets)
+        for row in successors:
+            prod.add_node(tuple(row), row.values())
+        return prod
+
+    def add_node(self, actions: tuple[str, ...], rows) -> None:
+        """Append the next node: its action names and each action's (j, p) pairs."""
+        for row in rows:
+            for j, p in row:
+                self.succ.append(j)
+                self.prob.append(p)
+            self.first_edge.append(len(self.succ))
+        self.actions.append(actions)
+        self.first_row.append(len(self.first_edge) - 1)
 
     def num_states(self) -> int:
         return len(self.states)
 
-    @cached_property
-    def supports(self) -> list[dict[str, tuple[int, ...]]]:
-        """Successor nodes of each available action, per node."""
-        return [{a: tuple(j for j, _ in succ) for a, succ in row.items()}
-                for row in self.successors]
+    def rows(self, i: int) -> range:
+        return range(self.first_row[i], self.first_row[i + 1])
+
+    def targets(self, first: int, stop: int) -> array:
+        """Successor nodes of rows first up to stop; a node's rows are adjacent."""
+        return self.succ[self.first_edge[first]:self.first_edge[stop]]
+
+    def pairs(self, r: int):
+        return zip(self.targets(r, r + 1), self.prob[self.first_edge[r]:self.first_edge[r + 1]])
+
+    @property
+    def successors(self) -> SuccessorRows:
+        return SuccessorRows(self)
+
+
+class SuccessorRows(Sequence):
+    """Read-only view: ``[i]`` builds node i's ``{action: ((j, p), ...)}`` dict."""
+
+    def __init__(self, prod: ExplicitProduct):
+        self.prod = prod
+
+    def __len__(self) -> int:
+        return self.prod.num_states()
+
+    def __getitem__(self, i: int) -> dict[str, tuple[tuple[int, float], ...]]:
+        i, prod = range(len(self))[i], self.prod  # IndexError past the end ends iteration
+        return {a: tuple(prod.pairs(r)) for a, r in zip(prod.actions[i], prod.rows(i))}
 
 
 def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_CAP) -> ExplicitProduct:
@@ -72,7 +117,6 @@ def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_C
     delta, cell_class = product.automaton.delta, product.cell_class
     states: list[int] = []
     index: dict[int, int] = {}
-    successors: list[dict[str, tuple[tuple[int, float], ...]]] = []
 
     def visit(cell, q) -> int:
         """Index of the node of product state (cell, q), numbered on first sight."""
@@ -83,30 +127,32 @@ def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_C
             states.append(node)
         return i
 
-    initial = visit(*divmod(product.initial, nq))
+    prod = ExplicitProduct(states, visit(*divmod(product.initial, nq)))
     # visit appends to states, so this expands every node once, in breadth-first order.
     for i, node in enumerate(states):
         cell, q = divmod(node, nq)
+        names = product.actions[q]
         if q == sink:
-            successors.append({a: ((i, 1.0),) for a in product.actions[q]})
+            prod.add_node(names, [((i, 1.0),)] * len(names))
             continue
         after = delta[q]
-        row: dict[str, tuple[tuple[int, float], ...]] = {}
-        for action, epsilon_class in zip(product.actions[q], product.epsilon[q]):
+        rows = []
+        for action, epsilon_class in zip(names, product.epsilon[q]):
             if epsilon_class is not None:
-                row[action] = ((visit(cell, after[epsilon_class]), 1.0),)
+                rows.append(((visit(cell, after[epsilon_class]), 1.0),))
                 continue
             mass: dict[int, float] = {}
             for j_cell, p in kernel[cell][action]:
                 j = visit(j_cell, after[cell_class[j_cell]])
                 mass[j] = mass.get(j, 0.0) + p
-            row[action] = tuple(sorted(mass.items()))
-        successors.append(row)
+            rows.append(sorted(mass.items()))
+        prod.add_node(names, rows)
 
     accmask = product.automaton.accmask
-    accepting = tuple(frozenset(i for i, node in enumerate(states) if accmask[node % nq] >> k & 1)
-                      for k in range(len(spec.accepting_sets)))
-    return ExplicitProduct(states, initial, successors, accepting)
+    prod.accepting_sets = tuple(
+        frozenset(i for i, node in enumerate(states) if accmask[node % nq] >> k & 1)
+        for k in range(len(spec.accepting_sets)))
+    return prod
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +160,8 @@ def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_C
 # ---------------------------------------------------------------------------
 
 
-def _strongly_connected_components(nodes, edges) -> list[list[int]]:
-    """Iterative Tarjan SCC over an adjacency dict restricted to nodes."""
+def _strongly_connected_components(nodes, successors) -> list[list[int]]:
+    """Iterative Tarjan SCC over nodes; successors(node) must stay among them."""
     indexof: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -126,7 +172,7 @@ def _strongly_connected_components(nodes, edges) -> list[list[int]]:
     for root in nodes:
         if root in indexof:
             continue
-        work = [(root, iter(edges.get(root, ())))]
+        work = [(root, iter(successors(root)))]
         indexof[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -140,11 +186,11 @@ def _strongly_connected_components(nodes, edges) -> list[list[int]]:
                     counter += 1
                     stack.append(succ)
                     on_stack.add(succ)
-                    work.append((succ, iter(edges.get(succ, ()))))
+                    work.append((succ, iter(successors(succ))))
                     advanced = True
                     break
-                if succ in on_stack:
-                    low[node] = min(low[node], indexof[succ])
+                if succ in on_stack and indexof[succ] < low[node]:
+                    low[node] = indexof[succ]
             if advanced:
                 continue
             work.pop()
@@ -176,33 +222,41 @@ def mec_decompose(prod: ExplicitProduct) -> list[Mec]:
     leaves the candidate are dropped, states left without actions are
     dropped, and the remainder is re-partitioned into SCCs until stable.
     """
-    supports = prod.supports
-    candidates: list[set[int]] = [set(range(prod.num_states()))]
+    targets = prod.targets
+    # a candidate maps each of its nodes to the action rows that may stay inside it
+    candidates: list[dict] = [{i: prod.rows(i) for i in range(prod.num_states())}]
     mecs: list[Mec] = []
+
+    def successors(i):
+        rows = kept[i]
+        if rows[-1] - rows[0] < len(rows):  # adjacent rows: one slice
+            return set(targets(rows[0], rows[-1] + 1))
+        return set().union(*[targets(r, r + 1) for r in rows])
+
     while candidates:
-        cand = candidates.pop()
-        while True:
-            kept: dict[int, tuple[str, ...]] = {}
-            for i in sorted(cand):
-                acts = tuple(a for a, sup in supports[i].items() if cand.issuperset(sup))
-                if acts:
-                    kept[i] = acts
-            if len(kept) < len(cand):
-                cand = set(kept)
-                if not cand:
-                    break
-                continue
-            edges = {
-                i: sorted({j for a in kept[i] for j in supports[i][a]})
-                for i in kept
-            }
-            comps = _strongly_connected_components(sorted(kept), edges)
-            if len(comps) == 1:
-                comp = set(comps[0])
-                mecs.append(Mec(frozenset(comp), {i: kept[i] for i in comp}))
-                break
-            candidates.extend(set(c) for c in comps)
-            break
+        kept = candidates.pop()
+        cand = set(kept)
+        removed = True
+        while removed:  # a pass that removes nothing saw every row against the final cand
+            removed = False
+            for i, rows in list(kept.items()):
+                # the span also covers rows dropped between: if it stays inside, all rows do
+                if rows and cand.issuperset(targets(rows[0], rows[-1] + 1)):
+                    continue
+                kept[i] = rows = [r for r in rows if cand.issuperset(targets(r, r + 1))]
+                if not rows:
+                    del kept[i]
+                    cand.discard(i)
+                    removed = True
+        if not kept:
+            continue
+        comps = _strongly_connected_components(kept, successors)
+        if len(comps) == 1:
+            mecs.append(Mec(frozenset(cand), {
+                i: tuple(prod.actions[i][r - prod.first_row[i]] for r in rows)
+                for i, rows in kept.items()}))
+        else:
+            candidates.extend({i: kept[i] for i in comp} for comp in comps)
     # Deterministic order: by smallest member state index.
     mecs.sort(key=lambda m: min(m.states))
     return mecs
@@ -224,11 +278,13 @@ def _backward_rounds(prod: ExplicitProduct, target):
     n = prod.num_states()
     pre: list[list[int]] = [[] for _ in range(n)]
     owner: list[int] = []
-    for i, row in enumerate(prod.supports):
+    first_row, first_edge, succ = prod.first_row, prod.first_edge, prod.succ
+    for i in range(n):
         if i not in target:
-            for sup in row.values():
-                for j in sup:
-                    pre[j].append(len(owner))
+            for r in range(first_row[i], first_row[i + 1]):
+                k = len(owner)
+                for j in succ[first_edge[r]:first_edge[r + 1]]:
+                    pre[j].append(k)
                 owner.append(i)
     disabled = bytearray(len(owner))
     reach = bytearray([1]) * n
@@ -294,10 +350,11 @@ def max_sat_probability(prod: ExplicitProduct, max_sweeps: int = 10**6,
     if undecided:
         readers: dict[int, list[int]] = {i: [] for i in undecided}
         for i in undecided:
-            for j in readers.keys() & {j for sup in prod.supports[i].values() for j in sup}:
+            for j in readers.keys() & prod.targets(prod.first_row[i], prod.first_row[i + 1]):
                 readers[j].append(i)
-        work = [(i, tuple(tuple(t for t in succ if t[0] not in never)
-                          for succ in prod.successors[i].values()), readers[i])
+        ids, floats = list(range(n)), {}  # shared ints and floats keep the loop's data small
+        work = [(i, tuple(tuple((ids[j], floats.setdefault(p, p)) for j, p in prod.pairs(r)
+                                if j not in never) for r in prod.rows(i)), readers[i])
                 for i in undecided]
         stale = bytearray(i in readers for i in range(n))
         while True:

@@ -159,7 +159,8 @@ def random_explicit_product(rng: random.Random, max_states: int = 10,
         frozenset(rng.sample(range(n), rng.randint(1, max(1, n // 2))))
         for _ in range(n_accepting_sets)
     )
-    return ExplicitProduct(list(range(n)), rng.randrange(n), successors, accepting)
+    return ExplicitProduct.from_successors(list(range(n)), rng.randrange(n), successors,
+                                           accepting)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,17 @@ import argparse
 import csv
 import inspect
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 
 import pytest
 
+import ldba_synth
 from ldba_synth.cli import (
+    EXIT_CLOSED_STDOUT,
     EXIT_CONFIG,
     EXIT_INCOMPATIBLE,
     EXIT_OK,
@@ -674,6 +680,21 @@ def test_oracle_state_cap_exits_4(spec_files, capsys):
                "--state_cap", "3"])
     assert rc == EXIT_SIZE_CAP
     assert "state slots" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_with_its_code_and_no_traceback():
+    src = str(Path(ldba_synth.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ldba_synth.cli", "oracle", "--env", "minecraft",
+         "--ldba", "minecraft-t1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader leaves before the first line is written
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_CLOSED_STDOUT
+    assert "Traceback" not in stderr
 
 
 # ---------------------------------------------------------------------------
