@@ -18,12 +18,11 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .envs import decode_json, is_int, read_text
+from .envs import PROPOSITION_RE, decode_json, is_int, read_text
 
 SINK_STATE = -1
 
 EPSILON_NAME_RE = re.compile(r"^epsilon_\d+$")
-PROPOSITION_RE = re.compile(r"^[a-z0-9_]+$")
 
 # Most operators and opening parentheses one guard may hold; see parse_guard.
 MAX_GUARD_OPERATORS = 100
@@ -211,7 +210,7 @@ def parse_guard(text: str) -> Guard:
         take()
         if tok == "true":
             return GuardTrue()
-        if not PROPOSITION_RE.match(tok):
+        if not PROPOSITION_RE.fullmatch(tok):
             raise LdbaSpecError(f"guard {text!r}: bad proposition {tok!r}")
         return GuardProp(tok)
 
@@ -388,7 +387,7 @@ def parse_ldba_spec(document) -> LdbaSpec:
     alphabet_raw = document.get("alphabet", [])
     _require(isinstance(alphabet_raw, list), "'alphabet' must be a list")
     for prop in alphabet_raw:
-        _require(isinstance(prop, str) and PROPOSITION_RE.match(prop),
+        _require(isinstance(prop, str) and PROPOSITION_RE.fullmatch(prop),
                  f"bad proposition name {prop!r}")
         _require(not prop.startswith("epsilon_"),
                  f"proposition {prop!r} uses the reserved epsilon_ prefix")

@@ -16,7 +16,8 @@ files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -35,6 +36,9 @@ PERPENDICULAR = {
     "right": ("up", "down"),
     "stay": (),
 }
+
+# A cell label, and so an automaton proposition; match it with fullmatch.
+PROPOSITION_RE = re.compile(r"[a-z0-9_]+")
 
 
 class EnvSpecError(ValueError):
@@ -60,6 +64,20 @@ def require_positive(**values):
     for name, value in values.items():
         if not value > 0:  # NaN is not positive either
             raise ValueError(f"{name} must be positive")
+
+
+def require_field_types(options) -> None:
+    """Raise ValueError naming the first field of dataclass options whose value
+    has the wrong type: an int field takes is_int, any other is_number, and a
+    field whose default is None also None. Ranges, finiteness included, are
+    the caller's to check after this."""
+    for field in fields(options):
+        value = getattr(options, field.name)
+        if field.type in ("int", int):
+            if not is_int(value):
+                raise ValueError(f"{field.name} must be an integer")
+        elif not (is_number(value) or value is None and field.default is None):
+            raise ValueError(f"{field.name} must be a number")
 
 
 @dataclass
@@ -104,6 +122,8 @@ class GridEnv:
         self._labels = grid
 
         for label in self.label_universe():
+            _require(isinstance(label, str) and PROPOSITION_RE.fullmatch(label),
+                     f"label {label!r} is not a proposition name ([a-z0-9_]+)")
             _require(not label.startswith("epsilon_"),
                      f"label {label!r} uses the reserved epsilon_ prefix")
 

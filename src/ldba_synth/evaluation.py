@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from random import Random
 
-from .envs import require_positive
+from .envs import require_field_types, require_positive
 from .learner import GreedyPolicy, Hyperparams, train
 from .product import ProductRun
 
@@ -32,6 +32,7 @@ class TestConfig:
     seed: int = 0
 
     def validate(self):
+        require_field_types(self)
         require_positive(rollouts=self.rollouts, horizon=self.horizon,
                          required_sweeps=self.required_sweeps)
 

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .automaton import LdbaSpec
-from .envs import require_positive
+from .envs import require_field_types, require_positive
 from .product import ProductRun, RewardSpec
 
 
@@ -40,6 +40,7 @@ class Hyperparams:
     learning_rate_decay: float = 0.0
 
     def validate(self):
+        require_field_types(self)
         if self.episode_num < 0:
             raise ValueError("episode_num must be >= 0")
         require_positive(iteration_num_max=self.iteration_num_max)

@@ -8,9 +8,10 @@ a MEC is accepting when its states intersect every accepting set, matching
 the frontier semantics that all sets must be visited infinitely often. The
 maximal probability of reaching the union of accepting MECs is then the
 Buchi value. Reachability is solved by Gauss-Seidel value iteration after
-the standard qualitative precomputations on a predecessor index (prob0 by
-backward search, prob1 by the Pmax=1 fixed point of Baier & Katoen,
-Principles of Model Checking, 10.6), so almost-sure states report exactly 1.
+the standard qualitative precomputations (prob0 by backward search, prob1
+by the Pmax=1 fixed point of Baier & Katoen, Principles of Model Checking,
+10.6), so almost-sure states report exactly 1. prob1, prob0 and the readers
+below read one predecessor index, built once per solve (timed in oracle.vi_s).
 A sweep recomputes only the undecided states flagged stale: a state whose
 value changes flags its readers (the undecided states it is a successor of,
 itself on a self-loop). An update whose inputs did not move gives the same
@@ -267,25 +268,29 @@ def mec_decompose(prod: ExplicitProduct) -> list[Mec]:
 # ---------------------------------------------------------------------------
 
 
-def _backward_rounds(prod: ExplicitProduct, target):
-    """Reach flags per round of the predecessor-driven Pmax=1 fixed point.
-
-    Each round searches backward from the target along the enabled
-    (state, action) pairs, then disables every pair with an edge into a
-    state it missed. Round one is plain reachability; the last drops
-    nothing. Only edges leaving non-target states are indexed.
-    """
-    n = prod.num_states()
-    pre: list[list[int]] = [[] for _ in range(n)]
+def _predecessor_index(prod: ExplicitProduct, target) -> tuple[list[list[int]], list[int]]:
+    """Rows of non-target nodes by successor: pre[j] lists the rows into j, row k is owner[k]'s."""
+    pre: list[list[int]] = [[] for _ in range(prod.num_states())]
     owner: list[int] = []
     first_row, first_edge, succ = prod.first_row, prod.first_edge, prod.succ
-    for i in range(n):
+    for i in range(len(pre)):
         if i not in target:
             for r in range(first_row[i], first_row[i + 1]):
                 k = len(owner)
                 for j in succ[first_edge[r]:first_edge[r + 1]]:
                     pre[j].append(k)
                 owner.append(i)
+    return pre, owner
+
+
+def _backward_rounds(index, target):
+    """Reach flags per round of the predecessor-driven Pmax=1 fixed point.
+
+    Each round searches the index backward from the target along the enabled
+    (state, action) pairs, then disables every pair with an edge into a state
+    it missed. Round one is plain reachability; the last drops nothing.
+    """
+    (pre, owner), n = index, len(index[0])
     disabled = bytearray(len(owner))
     reach = bytearray([1]) * n
     while True:
@@ -307,15 +312,14 @@ def _backward_rounds(prod: ExplicitProduct, target):
                 disabled[k] = 1
 
 
-def _prob0_max(prod: ExplicitProduct, target: set[int]) -> set[int]:
+def _prob0_max(prod: ExplicitProduct, target: set[int], index) -> set[int]:
     """States from which no policy can reach the target at all."""
-    reach = next(_backward_rounds(prod, target))
-    return {i for i, r in enumerate(reach) if not r}
+    return {i for i, r in enumerate(next(_backward_rounds(index, target))) if not r}
 
 
-def _prob1_max(prod: ExplicitProduct, target: set[int]) -> set[int]:
+def _prob1_max(prod: ExplicitProduct, target: set[int], index) -> set[int]:
     """States with an almost-surely-reaching policy."""
-    reach = deque(_backward_rounds(prod, target), maxlen=1)[0]
+    reach = deque(_backward_rounds(index, target), maxlen=1)[0]
     return {i for i, r in enumerate(reach) if r}
 
 
@@ -340,23 +344,24 @@ def max_sat_probability(prod: ExplicitProduct, max_sweeps: int = 10**6,
     if not target:
         return OracleResult(values, 0.0, frozenset(), mecs, 0)
 
-    sure = _prob1_max(prod, target)
-    never = _prob0_max(prod, target)
+    pre, owner = index = _predecessor_index(prod, target)
+    sure = _prob1_max(prod, target, index)
+    never = _prob0_max(prod, target, index)
     for i in sure:
         values[i] = 1.0
-    undecided = [i for i in range(n) if i not in sure and i not in never]
+    stale = bytearray(i not in sure and i not in never for i in range(n))
+    undecided = [i for i in range(n) if stale[i]]
 
     sweeps = 0
     if undecided:
-        readers: dict[int, list[int]] = {i: [] for i in undecided}
-        for i in undecided:
-            for j in readers.keys() & prod.targets(prod.first_row[i], prod.first_row[i + 1]):
-                readers[j].append(i)
         ids, floats = list(range(n)), {}  # shared ints and floats keep the loop's data small
+        # a reader of j owns a row into j; a node's rows are adjacent, so dedupe in order
+        readers = {j: list(dict.fromkeys(ids[i] for i in map(owner.__getitem__, pre[j])
+                                         if stale[i])) for j in undecided}
+        del index, pre, owner  # held while the rows are built, it would raise the peak
         work = [(i, tuple(tuple((ids[j], floats.setdefault(p, p)) for j, p in prod.pairs(r)
                                 if j not in never) for r in prod.rows(i)), readers[i])
                 for i in undecided]
-        stale = bytearray(i in readers for i in range(n))
         while True:
             sweeps += 1
             if sweeps > max_sweeps:

@@ -260,6 +260,11 @@ def test_reject_reserved_prefix_in_alphabet():
         parse_ldba_spec(minimal_document(alphabet=["a", "epsilon_9"]))
 
 
+def test_reject_alphabet_name_with_a_trailing_newline():
+    with pytest.raises(LdbaSpecError, match="bad proposition name"):
+        parse_ldba_spec(minimal_document(alphabet=["a", "b\n"]))
+
+
 def _targeting(target, epsilon=False):
     doc = minimal_document()
     if epsilon:

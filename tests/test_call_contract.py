@@ -1,9 +1,10 @@
-"""The per-step call contract that the traced benchmark relies on.
+"""The call contract that the traced benchmark relies on.
 
 perfbench/probes.py wraps these names from outside and checks its call
 counts exactly against what the output files say. The same contract is
 checked here, so a change that inlines one of these layers fails the
-fast suite and not only the benchmark's self-test.
+fast suite and not only the benchmark's self-test. That holds for the
+per-step layers and for the oracle's phases.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from collections import Counter
 
 import pytest
 
-from ldba_synth import automaton, cli, envs, learner, product
+from ldba_synth import automaton, cli, envs, learner, oracle, product
 from ldba_synth.cli import EXIT_OK, main
+from ldba_synth.oracle import ExplicitProduct, max_sat_probability
 
 # (owner, attribute) pairs wrapped by name, as perfbench/probes.py does
 WRAPPED = {
@@ -79,3 +81,48 @@ def test_one_call_per_layer_per_step(tmp_path, capsys, calls, env, ldba):
     assert counts["product.reset"] == len(episodes) + len(rollouts)
     assert len(trained[0].q_table) == len(entries)
     assert counts["envs.step"] <= steps
+
+
+def test_oracle_phases_called_once_each_on_the_built_product(monkeypatch):
+    built, phases = [], []
+
+    def build(*args, _fn=cli.build_explicit_product, **kwargs):
+        built.append(_fn(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_explicit_product", build)
+    for name in ("mec_decompose", "_prob1_max", "_prob0_max"):
+        def phase(*args, _fn=getattr(oracle, name), _name=name, **kwargs):
+            phases.append((_name, args[0], _fn(*args, **kwargs)))
+            return phases[-1][2]
+        monkeypatch.setattr(oracle, name, phase)
+    assert main(["oracle", "--env", "gridworld-1", "--ldba", "goal1-or-goal2"]) == EXIT_OK
+
+    assert [name for name, _, _ in phases] == ["mec_decompose", "_prob1_max", "_prob0_max"]
+    assert len(built) == 1
+    assert all(prod is built[0] for _, prod, _ in phases)
+    sure, never = phases[1][2], phases[2][2]
+    assert isinstance(sure, set) and isinstance(never, set)
+    assert sure and never and not sure & never
+
+
+def two_node_product(accepting: int) -> ExplicitProduct:
+    """Node 0 moves to node 1, which loops; only the loop of node 1 is an end
+    component, so the product has an accepting MEC exactly when accepting is 1."""
+    return ExplicitProduct.from_successors(
+        states=[0, 1], initial=0,
+        successors=[{"go": ((1, 1.0),)}, {"stay": ((1, 1.0),)}],
+        accepting_sets=(frozenset({accepting}),))
+
+
+@pytest.mark.parametrize("accepting, builds", [(1, 1), (0, 0)])
+def test_predecessor_index_built_at_most_once_per_solve(monkeypatch, accepting, builds):
+    counted = []
+
+    def index(*args, _fn=oracle._predecessor_index):
+        counted.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(oracle, "_predecessor_index", index)
+    assert max_sat_probability(two_node_product(accepting)).initial_value == accepting
+    assert len(counted) == builds

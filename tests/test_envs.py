@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ldba_synth.cli import canonical_json
+from ldba_synth.cli import EXIT_CONFIG, canonical_json, main
 from ldba_synth.envs import (
     ACTION_DELTAS,
     EnvSpecError,
@@ -196,9 +196,22 @@ def test_region_can_carry_multiple_labels():
     assert env.state_label((0, 1)) == frozenset({"goal", "goal2"})
 
 
-def test_reserved_epsilon_prefix_rejected_on_labels():
+def test_reserved_epsilon_prefix_rejected_on_labels(tmp_path, capsys):
     with pytest.raises(EnvSpecError, match="epsilon_"):
         grid(regions=[LabelRegion((0, 1), (0, 1), frozenset({"epsilon_3"}))])
+    # no guard can name these, so a region carrying one could never be read
+    for label in ("Goal", "", "a b", "goal\n", "goal!", 7):
+        with pytest.raises(EnvSpecError, match="proposition name"):
+            grid(regions=[LabelRegion((0, 1), (0, 1), frozenset({label}))])
+        if isinstance(label, str):
+            region = {"rows": [0, 1], "cols": [0, 1], "label": ["goal", label]}
+            with pytest.raises(EnvSpecError, match="proposition name"):
+                parse_env_spec(minimal_env_document(label_regions=[region]))
+    path = tmp_path / "env.json"
+    region = {"rows": [0, 1], "cols": [0, 1], "label": "Goal"}
+    path.write_text(json.dumps(minimal_env_document(label_regions=[region])), encoding="utf-8")
+    assert main(["oracle", "--env", str(path), "--ldba", "minecraft-t1"]) == EXIT_CONFIG
+    assert "proposition name" in capsys.readouterr().err
 
 
 def test_region_bounds_are_half_open():

@@ -69,7 +69,8 @@ def test_test_config_defaults_and_validation():
     cfg = TestConfig()
     assert (cfg.rollouts, cfg.horizon, cfg.required_sweeps, cfg.seed) == (100, 4000, 1, 0)
     for bad in (TestConfig(rollouts=0), TestConfig(horizon=0),
-                TestConfig(required_sweeps=0)):
+                TestConfig(required_sweeps=0), TestConfig(rollouts=2.5),
+                TestConfig(horizon=True), TestConfig(seed=None)):
         with pytest.raises(ValueError):
             bad.validate()
 

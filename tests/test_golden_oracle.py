@@ -18,6 +18,7 @@ import pytest
 from ldba_synth.automaton import load_ldba_file
 from ldba_synth.envs import GridEnv, load_env_file, resolve_spec_path
 from ldba_synth.oracle import (
+    _predecessor_index,
     _prob0_max,
     _prob1_max,
     build_explicit_product,
@@ -64,10 +65,11 @@ def solve_digests(prod) -> dict[str, str]:
     result = max_sat_probability(prod)
     target = set(result.accepting_target)
     mecs = [(sorted(m.states), sorted(m.actions.items())) for m in result.mecs]
+    index = _predecessor_index(prod, target)
     return {
         "values": _sha256(repr(result.values)),
-        "sure": _sha256(repr(sorted(_prob1_max(prod, target)))),
-        "never": _sha256(repr(sorted(_prob0_max(prod, target)))),
+        "sure": _sha256(repr(sorted(_prob1_max(prod, target, index)))),
+        "never": _sha256(repr(sorted(_prob0_max(prod, target, index)))),
         "mecs": _sha256(json.dumps(mecs, separators=(",", ":"))),
     }
 

@@ -109,6 +109,12 @@ def test_hyperparams_explicit_reward_wins():
     ("q_init", float("-inf")),
     ("learning_rate_decay", float("nan")),
     ("learning_rate_decay", float("inf")),
+    ("iteration_num_max", "20"),
+    ("epsilon", None),
+    ("episode_num", 2.5),
+    ("seed", True),
+    ("q_init", None),
+    ("discount_factor", "0.9"),
 ])
 def test_hyperparams_validation(field, value):
     hp = Hyperparams(**{field: value})

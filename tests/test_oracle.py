@@ -15,6 +15,7 @@ from ldba_synth.oracle import (
     VI_RESIDUAL,
     ExplicitProduct,
     ProductSizeError,
+    _predecessor_index,
     _prob0_max,
     _prob1_max,
     _strongly_connected_components,
@@ -411,8 +412,9 @@ def reference_prob1_max(prod: ExplicitProduct, target: set[int]) -> set[int]:
 
 
 def assert_qualitative_sets_match_reference(prod, target):
-    assert _prob1_max(prod, target) == reference_prob1_max(prod, target)
-    assert _prob0_max(prod, target) == reference_prob0_max(prod, target)
+    index = _predecessor_index(prod, target)
+    assert _prob1_max(prod, target, index) == reference_prob1_max(prod, target)
+    assert _prob0_max(prod, target, index) == reference_prob0_max(prod, target)
 
 
 def test_qualitative_sets_match_reference_on_random_products():
@@ -577,7 +579,8 @@ def reference_value_iteration(prod: ExplicitProduct, on_sweep=None) -> tuple[lis
     values = [0.0] * prod.num_states()
     if not target:
         return values, 0
-    sure, never = _prob1_max(prod, target), _prob0_max(prod, target)
+    index = _predecessor_index(prod, target)
+    sure, never = _prob1_max(prod, target, index), _prob0_max(prod, target, index)
     for i in sure:
         values[i] = 1.0
     undecided = [i for i in range(prod.num_states()) if i not in sure and i not in never]
