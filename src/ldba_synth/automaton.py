@@ -10,6 +10,11 @@ the accepting frontier: visiting a state of a still-remaining accepting
 set removes that set (one set per step, in declaration order) and fires a
 reward signal; once the family is exhausted it resets in full and the
 sweep counter increments.
+
+A parsed guard is a nested tuple: ``("true",)``, ``("prop", name)``,
+``("not", g)`` or ``("and" | "or", g1, g2, ...)``. No operand of an ``and``
+or ``or`` has its parent's operator, so two guards are equal exactly when
+their canonical texts (``guard_text``) are.
 """
 
 from __future__ import annotations
@@ -18,11 +23,11 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .envs import PROPOSITION_RE, decode_json, is_int, read_text
+from .envs import decode_json, is_int, proposition_name_problem, read_text
 
 SINK_STATE = -1
 
-EPSILON_NAME_RE = re.compile(r"^epsilon_\d+$")
+EPSILON_NAME_RE = re.compile(r"epsilon_[0-9]+")  # match it with fullmatch
 
 # Most operators and opening parentheses one guard may hold; see parse_guard.
 MAX_GUARD_OPERATORS = 100
@@ -37,132 +42,62 @@ class LdbaSpecError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class Guard:
-    """Propositional formula evaluated against a set of labels."""
-
-    def evaluate(self, labels) -> bool:
-        raise NotImplementedError
-
-    def propositions(self) -> set[str]:
-        raise NotImplementedError
-
-    def to_string(self) -> str:
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.to_string()!r})"
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.to_string() == other.to_string()
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.to_string()))
+def holds(guard: tuple, labels) -> bool:
+    """Whether a guard is true of a label set."""
+    op = guard[0]
+    if op == "prop":
+        return guard[1] in labels
+    if op == "not":
+        return not holds(guard[1], labels)
+    if op == "and":
+        return all(holds(g, labels) for g in guard[1:])
+    if op == "or":
+        return any(holds(g, labels) for g in guard[1:])
+    return True  # ("true",)
 
 
-class GuardTrue(Guard):
-    """The catch-all guard; accepts every label set."""
+def guard_propositions(guard: tuple) -> set[str]:
+    """The propositions a guard names."""
+    if guard[0] == "prop":
+        return {guard[1]}
+    return set().union(*map(guard_propositions, guard[1:]))
 
-    def evaluate(self, labels) -> bool:
-        return True
 
-    def propositions(self) -> set[str]:
-        return set()
-
-    def to_string(self) -> str:
+def guard_text(guard: tuple) -> str:
+    """Canonical text of a guard; parse_guard reads it back to an equal guard."""
+    op = guard[0]
+    if op == "true":
         return "true"
-
-
-class GuardProp(Guard):
-    """Atomic proposition; true when the label is present."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def evaluate(self, labels) -> bool:
-        return self.name in labels
-
-    def propositions(self) -> set[str]:
-        return {self.name}
-
-    def to_string(self) -> str:
-        return self.name
-
-
-class GuardNot(Guard):
-    def __init__(self, inner: Guard):
-        self.inner = inner
-
-    def evaluate(self, labels) -> bool:
-        return not self.inner.evaluate(labels)
-
-    def propositions(self) -> set[str]:
-        return self.inner.propositions()
-
-    def to_string(self) -> str:
-        inner = self.inner.to_string()
-        if isinstance(self.inner, (GuardProp, GuardTrue, GuardNot)):
-            return f"!{inner}"
-        return f"!({inner})"
-
-
-class GuardAnd(Guard):
-    def __init__(self, left: Guard, right: Guard):
-        self.left = left
-        self.right = right
-
-    def evaluate(self, labels) -> bool:
-        return self.left.evaluate(labels) and self.right.evaluate(labels)
-
-    def propositions(self) -> set[str]:
-        return self.left.propositions() | self.right.propositions()
-
-    def to_string(self) -> str:
-        parts = []
-        for side in (self.left, self.right):
-            text = side.to_string()
-            parts.append(f"({text})" if isinstance(side, GuardOr) else text)
-        return " & ".join(parts)
-
-
-class GuardOr(Guard):
-    def __init__(self, left: Guard, right: Guard):
-        self.left = left
-        self.right = right
-
-    def evaluate(self, labels) -> bool:
-        return self.left.evaluate(labels) or self.right.evaluate(labels)
-
-    def propositions(self) -> set[str]:
-        return self.left.propositions() | self.right.propositions()
-
-    def to_string(self) -> str:
-        return f"{self.left.to_string()} | {self.right.to_string()}"
+    if op == "prop":
+        return guard[1]
+    if op == "not":
+        inner = guard_text(guard[1])
+        return f"!{inner}" if guard[1][0] in ("true", "prop", "not") else f"!({inner})"
+    if op == "and":
+        return " & ".join(f"({guard_text(g)})" if g[0] == "or" else guard_text(g)
+                          for g in guard[1:])
+    return " | ".join(map(guard_text, guard[1:]))
 
 
 _TOKEN_RE = re.compile(r"\s*(\(|\)|&\&?|\|\|?|!|[a-z0-9_]+)")
 
 
-def _tokenize_guard(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
+def parse_guard(text: str) -> tuple:
+    """Parse a guard string; grammar is `|` < `&` < `!` with parentheses.
+
+    Whitespace may come before and after any token. A guard may hold at most
+    MAX_GUARD_OPERATORS operators and opening parentheses together. That
+    bounds the depth of the parser's recursion and of the parsed guard, which
+    the guard functions recurse over too.
+    """
+    tokens, pos, end = [], 0, len(text.rstrip())
+    while pos < end:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise LdbaSpecError(f"guard {text!r}: unexpected character at offset {pos}")
         tok = m.group(1)
         tokens.append("&" if tok == "&&" else "|" if tok == "||" else tok)
         pos = m.end()
-    return tokens
-
-
-def parse_guard(text: str) -> Guard:
-    """Parse a guard string; grammar is `|` < `&` < `!` with parentheses.
-
-    A guard may hold at most MAX_GUARD_OPERATORS operators and opening
-    parentheses together. That bounds the depth of the parser's recursion
-    and of the parsed formula, whose methods recurse too.
-    """
-    tokens = _tokenize_guard(text)
     if not tokens:
         raise LdbaSpecError("empty guard string")
     if sum(tok in {"!", "&", "|", "("} for tok in tokens) > MAX_GUARD_OPERATORS:
@@ -175,29 +110,27 @@ def parse_guard(text: str) -> Guard:
 
     def take():
         nonlocal pos
-        tok = tokens[pos]
         pos += 1
-        return tok
 
-    def parse_or() -> Guard:
-        node = parse_and()
-        while peek() == "|":
+    def parse_chain(symbol, op, parse_operand) -> tuple:
+        operands = [parse_operand()]
+        while peek() == symbol:
             take()
-            node = GuardOr(node, parse_and())
-        return node
+            operands.append(parse_operand())
+        flat = [h for g in operands for h in (g[1:] if g[0] == op else (g,))]
+        return (op, *flat) if len(flat) > 1 else flat[0]
 
-    def parse_and() -> Guard:
-        node = parse_unary()
-        while peek() == "&":
-            take()
-            node = GuardAnd(node, parse_unary())
-        return node
+    def parse_or() -> tuple:
+        return parse_chain("|", "or", parse_and)
 
-    def parse_unary() -> Guard:
+    def parse_and() -> tuple:
+        return parse_chain("&", "and", parse_unary)
+
+    def parse_unary() -> tuple:
         tok = peek()
         if tok == "!":
             take()
-            return GuardNot(parse_unary())
+            return ("not", parse_unary())
         if tok == "(":
             take()
             node = parse_or()
@@ -208,11 +141,7 @@ def parse_guard(text: str) -> Guard:
         if tok is None or tok in {")", "&", "|"}:
             raise LdbaSpecError(f"guard {text!r}: unexpected token {tok!r}")
         take()
-        if tok == "true":
-            return GuardTrue()
-        if not PROPOSITION_RE.fullmatch(tok):
-            raise LdbaSpecError(f"guard {text!r}: bad proposition {tok!r}")
-        return GuardProp(tok)
+        return ("true",) if tok == "true" else ("prop", tok)
 
     node = parse_or()
     if pos != len(tokens):
@@ -238,7 +167,7 @@ class LdbaSpec:
     initial_state: int
     alphabet: tuple[str, ...]
     accepting_sets: tuple[frozenset[int], ...]
-    transitions: dict[int, tuple[tuple[Guard, int], ...]]
+    transitions: dict[int, tuple[tuple[tuple, int], ...]]
     epsilon_transitions: dict[int, tuple[tuple[str, int], ...]]
 
     def epsilon_names(self, q: int) -> tuple[str, ...]:
@@ -266,7 +195,7 @@ def step_state(spec: LdbaSpec, q: int, labels) -> int:
                 return target
         raise LdbaSpecError(f"epsilon action {name!r} is not available from state {q}")
     for guard, target in spec.transitions[q]:
-        if guard.evaluate(labels):
+        if holds(guard, labels):
             return target
     raise AssertionError(f"state {q} has no matching transition (missing catch-all)")
 
@@ -387,10 +316,8 @@ def parse_ldba_spec(document) -> LdbaSpec:
     alphabet_raw = document.get("alphabet", [])
     _require(isinstance(alphabet_raw, list), "'alphabet' must be a list")
     for prop in alphabet_raw:
-        _require(isinstance(prop, str) and PROPOSITION_RE.fullmatch(prop),
-                 f"bad proposition name {prop!r}")
-        _require(not prop.startswith("epsilon_"),
-                 f"proposition {prop!r} uses the reserved epsilon_ prefix")
+        problem = proposition_name_problem(prop)
+        _require(problem is None, f"bad proposition name {prop!r}: {problem}")
     _require(len(set(alphabet_raw)) == len(alphabet_raw), "duplicate alphabet entries")
     alphabet = tuple(alphabet_raw)
 
@@ -423,8 +350,8 @@ def parse_ldba_spec(document) -> LdbaSpec:
             else:
                 raise LdbaSpecError(
                     f"epsilon_transitions[{q}] entries must be names or {{name, to}} objects")
-            _require(isinstance(name, str) and EPSILON_NAME_RE.match(name),
-                     f"epsilon name {name!r} must match epsilon_<k>")
+            _require(isinstance(name, str) and EPSILON_NAME_RE.fullmatch(name),
+                     f"epsilon name {name!r} must be epsilon_<digits>")
             if target is None:
                 target = int(name.split("_")[1])
             _require(is_int(target) and target in valid_targets,
@@ -437,7 +364,7 @@ def parse_ldba_spec(document) -> LdbaSpec:
 
     trans_raw = document.get("transitions")
     _require(isinstance(trans_raw, dict), "missing 'transitions' object")
-    transitions: dict[int, tuple[tuple[Guard, int], ...]] = {}
+    transitions: dict[int, tuple[tuple[tuple, int], ...]] = {}
     for key, rows in trans_raw.items():
         q = keyed.get(key)
         _require(q is not None, f"transitions key {key!r} is not a declared state")
@@ -447,14 +374,14 @@ def parse_ldba_spec(document) -> LdbaSpec:
             _require(isinstance(row, dict) and isinstance(row.get("guard"), str) and "to" in row,
                      f"state {q}: transitions must be {{guard: string, to}} objects")
             guard = parse_guard(row["guard"])
-            for prop in guard.propositions():
+            for prop in guard_propositions(guard):
                 _require(prop in alphabet,
                          f"state {q}: guard proposition {prop!r} is not in the alphabet")
             target = row["to"]
             _require(is_int(target) and target in valid_targets,
                      f"state {q}: transition targets unknown state {target}")
             parsed.append((guard, target))
-        _require(isinstance(parsed[-1][0], GuardTrue),
+        _require(parsed[-1][0] == ("true",),
                  f"state {q} lacks a final catch-all transition (guard 'true')")
         transitions[q] = tuple(parsed)
     missing = state_set - set(transitions)
@@ -482,7 +409,7 @@ def spec_to_document(spec: LdbaSpec) -> dict:
             for q, pairs in sorted(spec.epsilon_transitions.items())
         },
         "transitions": {
-            str(q): [{"guard": guard.to_string(), "to": target} for guard, target in rows]
+            str(q): [{"guard": guard_text(guard), "to": target} for guard, target in rows]
             for q, rows in sorted(spec.transitions.items())
         },
     }

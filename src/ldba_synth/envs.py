@@ -37,8 +37,16 @@ PERPENDICULAR = {
     "stay": (),
 }
 
-# A cell label, and so an automaton proposition; match it with fullmatch.
-PROPOSITION_RE = re.compile(r"[a-z0-9_]+")
+
+def proposition_name_problem(name) -> str | None:
+    """Why name may not be a cell label or automaton proposition, or None if it may."""
+    if not (isinstance(name, str) and re.fullmatch(r"[a-z0-9_]+", name)):
+        return "it must match [a-z0-9_]+"
+    if name.startswith("epsilon_"):
+        return "the epsilon_ prefix is reserved for epsilon moves"
+    if name == "true":
+        return "true is reserved for the catch-all guard"
+    return None
 
 
 class EnvSpecError(ValueError):
@@ -122,10 +130,8 @@ class GridEnv:
         self._labels = grid
 
         for label in self.label_universe():
-            _require(isinstance(label, str) and PROPOSITION_RE.fullmatch(label),
-                     f"label {label!r} is not a proposition name ([a-z0-9_]+)")
-            _require(not label.startswith("epsilon_"),
-                     f"label {label!r} uses the reserved epsilon_ prefix")
+            problem = proposition_name_problem(label)
+            _require(problem is None, f"label {label!r} is not a proposition name: {problem}")
 
     def label_universe(self) -> set[str]:
         return set().union(*(region.labels for region in self.regions))

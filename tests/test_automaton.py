@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 
 from ldba_synth.automaton import (
     MAX_GUARD_OPERATORS,
-    GuardAnd,
-    GuardNot,
-    GuardOr,
-    GuardProp,
-    GuardTrue,
     LdbaRuntime,
     LdbaSpecError,
     SINK_STATE,
+    guard_propositions,
+    guard_text,
+    holds,
     load_ldba_file,
     parse_guard,
     parse_ldba_spec,
@@ -44,58 +42,58 @@ def all_label_subsets(pool=LABEL_POOL):
 
 
 def test_guard_atoms():
-    assert parse_guard("true").evaluate(frozenset()) is True
-    assert parse_guard("a").evaluate(frozenset({"a"})) is True
-    assert parse_guard("a").evaluate(frozenset({"b"})) is False
-    assert parse_guard("!a").evaluate(frozenset()) is True
-    assert parse_guard("!a").evaluate(frozenset({"a"})) is False
+    assert holds(parse_guard("true"), frozenset()) is True
+    assert holds(parse_guard("a"), frozenset({"a"})) is True
+    assert holds(parse_guard("a"), frozenset({"b"})) is False
+    assert holds(parse_guard("!a"), frozenset()) is True
+    assert holds(parse_guard("!a"), frozenset({"a"})) is False
 
 
 def test_guard_precedence_or_binds_loosest():
     g = parse_guard("a | b & c")
-    assert isinstance(g, GuardOr)
-    assert g.evaluate({"a"}) is True
-    assert g.evaluate({"b"}) is False
-    assert g.evaluate({"b", "c"}) is True
-    assert g.evaluate({"c"}) is False
+    assert g[0] == "or"
+    assert holds(g, {"a"}) is True
+    assert holds(g, {"b"}) is False
+    assert holds(g, {"b", "c"}) is True
+    assert holds(g, {"c"}) is False
 
 
 def test_guard_precedence_not_binds_tightest():
     g = parse_guard("!a & b")
-    assert isinstance(g, GuardAnd)
-    assert g.evaluate({"b"}) is True
-    assert g.evaluate({"a", "b"}) is False
-    assert g.evaluate(set()) is False
+    assert g[0] == "and"
+    assert holds(g, {"b"}) is True
+    assert holds(g, {"a", "b"}) is False
+    assert holds(g, set()) is False
 
 
 def test_guard_parentheses_override():
     g = parse_guard("!(a | b)")
-    assert g.evaluate(set()) is True
-    assert g.evaluate({"a"}) is False
-    assert g.evaluate({"b"}) is False
+    assert holds(g, set()) is True
+    assert holds(g, {"a"}) is False
+    assert holds(g, {"b"}) is False
     h = parse_guard("(a | b) & c")
-    assert h.evaluate({"a", "c"}) is True
-    assert h.evaluate({"a"}) is False
+    assert holds(h, {"a", "c"}) is True
+    assert holds(h, {"a"}) is False
 
 
 def test_guard_doubled_operators_are_synonyms():
     for labels in all_label_subsets(("a", "b")):
-        assert (parse_guard("a && b").evaluate(labels)
-                == parse_guard("a & b").evaluate(labels))
-        assert (parse_guard("a || b").evaluate(labels)
-                == parse_guard("a | b").evaluate(labels))
+        assert (holds(parse_guard("a && b"), labels)
+                == holds(parse_guard("a & b"), labels))
+        assert (holds(parse_guard("a || b"), labels)
+                == holds(parse_guard("a | b"), labels))
 
 
 def test_guard_to_string_round_trip():
     samples = [
         "true", "a", "!a", "a & b", "a | b", "a | b & c",
-        "(a | b) & c", "!(a & b) | c", "a & !b & c", "!!a",
+        "(a | b) & c", "!(a & b) | c", "a & !b & c", "!!a", "a & (b & c)", "(a | b) | c",
     ]
     for text in samples:
         g = parse_guard(text)
-        again = parse_guard(g.to_string())
+        again = parse_guard(guard_text(g))
         for labels in all_label_subsets(("a", "b", "c")):
-            assert g.evaluate(labels) == again.evaluate(labels), text
+            assert holds(g, labels) == holds(again, labels), text
         assert again == g
 
 
@@ -103,8 +101,10 @@ def test_guard_equality_and_hash():
     assert parse_guard("a & b") == parse_guard("a && b")
     assert parse_guard("a") != parse_guard("b")
     assert hash(parse_guard("a | b")) == hash(parse_guard("a || b"))
-    assert isinstance(parse_guard("true"), GuardTrue)
-    assert isinstance(parse_guard("wood"), GuardProp)
+    for spaced in (" a", "a ", "a\n", " ( a ) "):
+        assert parse_guard(spaced) == parse_guard("a")
+    assert parse_guard("true") == ("true",)
+    assert parse_guard("wood") == ("prop", "wood")
 
 
 @pytest.mark.parametrize("bad", ["", "a &", "(a", "a b", "& a", "a |", "()", "!"])
@@ -132,20 +132,23 @@ def test_deep_guards_raise_spec_error(deep):
 
 def test_guards_at_the_operator_limit_parse():
     limit = MAX_GUARD_OPERATORS
-    assert parse_guard("!" * limit + "a").evaluate(set()) is (limit % 2 == 1)
-    assert parse_guard("(" * limit + "a" + ")" * limit) == GuardProp("a")
-    assert parse_guard(" & ".join(["a"] * (limit + 1))).propositions() == {"a"}
+    assert holds(parse_guard("!" * limit + "a"), set()) is (limit % 2 == 1)
+    assert parse_guard("(" * limit + "a" + ")" * limit) == ("prop", "a")
+    assert guard_propositions(parse_guard(" & ".join(["a"] * (limit + 1)))) == {"a"}
     with pytest.raises(LdbaSpecError, match="more than"):
         parse_guard(" && ".join(["a"] * (limit + 2)))
 
 
 def _exercise(guard):
-    """Every recursive Guard method must run on a parsed guard."""
-    guard.to_string()
-    guard.propositions()
+    """Every recursive guard function must run on a parsed guard, and the guard
+    re-parsed from its canonical text must equal it and agree with it on
+    every label set."""
+    again = parse_guard(guard_text(guard))
+    assert again == guard
     hash(guard)
-    for labels in all_label_subsets(("a", "b")):
-        guard.evaluate(labels)
+    pool = tuple(sorted(guard_propositions(guard) | {"a", "b"}))[:8]
+    for labels in all_label_subsets(pool):
+        assert holds(again, labels) == holds(guard, labels)
 
 
 GUARD_PIECES = ["a", "b", "true", "!", "&", "&&", "|", "||", "(", ")", " "]
@@ -256,8 +259,22 @@ def test_reject_duplicate_epsilon_names():
 
 
 def test_reject_reserved_prefix_in_alphabet():
-    with pytest.raises(LdbaSpecError, match="reserved"):
-        parse_ldba_spec(minimal_document(alphabet=["a", "epsilon_9"]))
+    for reserved in ("epsilon_9", "true"):
+        with pytest.raises(LdbaSpecError, match="reserved"):
+            parse_ldba_spec(minimal_document(alphabet=["a", reserved]))
+
+
+# "$" also matches before a final newline, and "\d" matches any Unicode digit
+@pytest.mark.parametrize("name", ["epsilon_1\n", "epsilon_\u0661", "epsilon_1"])
+@pytest.mark.parametrize("shorthand", [True, False], ids=["shorthand", "name_to"])
+def test_epsilon_names_are_ascii_digits_only(name, shorthand):
+    doc = minimal_document()
+    doc["epsilon_transitions"] = {"0": [name if shorthand else {"name": name, "to": 1}]}
+    if name == "epsilon_1":
+        assert parse_ldba_spec(doc).epsilon_transitions[0] == (("epsilon_1", 1),)
+    else:
+        with pytest.raises(LdbaSpecError, match="epsilon name"):
+            parse_ldba_spec(doc)
 
 
 def test_reject_alphabet_name_with_a_trailing_newline():

@@ -199,8 +199,8 @@ def test_region_can_carry_multiple_labels():
 def test_reserved_epsilon_prefix_rejected_on_labels(tmp_path, capsys):
     with pytest.raises(EnvSpecError, match="epsilon_"):
         grid(regions=[LabelRegion((0, 1), (0, 1), frozenset({"epsilon_3"}))])
-    # no guard can name these, so a region carrying one could never be read
-    for label in ("Goal", "", "a b", "goal\n", "goal!", 7):
+    # no guard can test these, so a region carrying one could never be read
+    for label in ("Goal", "", "a b", "goal\n", "goal!", 7, "true"):
         with pytest.raises(EnvSpecError, match="proposition name"):
             grid(regions=[LabelRegion((0, 1), (0, 1), frozenset({label}))])
         if isinstance(label, str):
