@@ -438,18 +438,22 @@ def cmd_test(args) -> int:
 def cmd_oracle(args) -> int:
     _checked(require_positive, state_cap=args.state_cap)
     env, spec = _load_specs(args)
-    try:
-        prod = build_explicit_product(env, spec, args.state_cap)
-    except ProductSizeError as err:
-        raise CliError(str(err), EXIT_SIZE_CAP)
-    result = max_sat_probability(prod)
-    print(f"maximal satisfaction probability from the initial state: "
-          f"{result.initial_value:.4f}")
+    # The dump file is opened before the build, so a bad path fails fast.
+    with _open_output(args.dump_values) if args.dump_values else nullcontext() as handle:
+        try:
+            prod = build_explicit_product(env, spec, args.state_cap)
+        except ProductSizeError as err:
+            raise CliError(str(err), EXIT_SIZE_CAP)
+        result = max_sat_probability(prod)
+        print(f"maximal satisfaction probability from the initial state: "
+              f"{result.initial_value:.4f}")
+        if handle:
+            writer = csv.writer(handle)
+            writer.writerow(["state", "row", "col", "q", "value"])
+            named = map(compile_product(env, spec).decode, prod.states)
+            writer.writerows([i, row, col, q, repr(result.values[i])]
+                             for i, ((row, col), q) in enumerate(named))
     if args.dump_values:
-        named = map(compile_product(env, spec).decode, prod.states)
-        _write_csv(args.dump_values, ["state", "row", "col", "q", "value"],
-                   ([i, row, col, q, repr(result.values[i])]
-                    for i, ((row, col), q) in enumerate(named)))
         print(f"[oracle] values written to {args.dump_values}")
     return EXIT_OK
 

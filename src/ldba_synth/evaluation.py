@@ -63,15 +63,15 @@ def run_test(policy, env, ldba_spec, config: TestConfig,
     for k in range(config.rollouts):
         rng = Random(config.seed * _SEED_STRIDE + k)
         run = ProductRun(env, ldba_spec, reward_spec, rng)
-        state = run.reset()
+        state, run_step = run.reset(), run.step
         sink, steps = False, 0
         for step in range(config.horizon):
-            tr = run.step(policy(state))
+            tr = run_step(policy(state))
             if trace is not None:
                 trace(k, step, tr)
-            state = tr.next_state
+            state = tr[2]  # next_state
             steps += 1
-            if tr.done:
+            if tr[5]:      # done
                 sink = True
                 break
         sweeps = run.runtime.sweeps_completed

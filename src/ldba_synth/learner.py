@@ -205,13 +205,17 @@ def train(env, ldba_spec: LdbaSpec, hp: Hyperparams, on_episode=None) -> TrainRe
 
 
 class GreedyPolicy:
-    """Deterministic greedy policy induced by a Q table: product id to action id."""
+    """Deterministic greedy policy induced by a Q table: product id to action id.
+
+    A snapshot: each stored row's greedy action is recorded at construction,
+    so later writes to the table do not change it. Unseen states pick 0.
+    """
 
     def __init__(self, qtable: QTable):
-        self.qtable = qtable
+        self.actions = {state: qtable.best_action(state) for state in qtable.rows}
 
     def __call__(self, state) -> int:
-        return self.qtable.best_action(state)
+        return self.actions.get(state, 0)
 
 
 def average_window(window: int, episodes: int) -> int:

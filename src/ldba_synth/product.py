@@ -109,7 +109,8 @@ class ProductRun:
         self.product = product = compile_product(env, ldba_spec)
         self.runtime = LdbaRuntime(ldba_spec)
         self.reward, self.rng, self._slip = reward, rng, env.slip_probability
-        self._nq, self._sink = product.nq, product.nq - 1
+        self._random, self._randrange = rng.random, rng.randrange
+        self._nq, self._sink, self._cell_class = product.nq, product.nq - 1, product.cell_class
         self._legal, self._epsilon, self._moves = product.legal, product.epsilon, product.moves
         self.state = product.initial
         self.cell = product.initial // product.nq
@@ -136,13 +137,13 @@ class ProductRun:
         if label_class is None:
             outcomes = self._moves[cell][action]
             slip = self._slip
-            if slip and self.rng.random() < slip:
+            if slip and self._random() < slip:
                 if len(outcomes) > 1:  # a perpendicular cell or staying put
-                    cell = outcomes[1 + self.rng.randrange(3)]
+                    cell = outcomes[1 + self._randrange(3)]
             else:
                 cell = outcomes[0]
             self.cell = cell
-            label_class = self.product.cell_class[cell]
+            label_class = self._cell_class[cell]
         q = runtime.step(label_class)
         next_state = self.state = cell * self._nq + q
         if runtime.advance_frontier(q):

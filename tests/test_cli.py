@@ -666,12 +666,20 @@ def test_oracle_dumps_per_state_values(spec_files, tmp_path, capsys):
     assert {row[3] for row in rows[1:]} >= {"0", "1", "2"}
 
 
-def test_oracle_unwritable_dump_values_exits_config(spec_files, tmp_path, capsys):
+def test_oracle_unwritable_dump_values_exits_config(spec_files, tmp_path, capsys,
+                                                    monkeypatch):
     env_path, ldba_path = spec_files
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the product was built before the dump path was checked")
+
+    monkeypatch.setattr("ldba_synth.cli.build_explicit_product", no_build)
     rc = main(["oracle", "--env", str(env_path), "--ldba", str(ldba_path),
                "--dump_values", str(tmp_path / "missing" / "values.csv")])
     assert rc == EXIT_CONFIG
-    assert "cannot write" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "cannot write" in captured.err
+    assert captured.out == ""
 
 
 def test_oracle_state_cap_exits_4(spec_files, capsys):
@@ -682,14 +690,18 @@ def test_oracle_state_cap_exits_4(spec_files, capsys):
     assert "state slots" in capsys.readouterr().err
 
 
-def test_closed_stdout_exits_with_its_code_and_no_traceback():
+def _subprocess_env() -> dict:
+    """os.environ with this checkout's ldba_synth first on PYTHONPATH."""
     src = str(Path(ldba_synth.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_closed_stdout_exits_with_its_code_and_no_traceback():
     proc = subprocess.Popen(
         [sys.executable, "-m", "ldba_synth.cli", "oracle", "--env", "minecraft",
          "--ldba", "minecraft-t1"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env())
     proc.stdout.close()  # the reader leaves before the first line is written
     stderr = proc.stderr.read().decode()
     proc.stderr.close()
@@ -738,3 +750,26 @@ def test_cli_requires_a_subcommand():
         main([])
     with pytest.raises(SystemExit):
         main(["train"])                          # --env/--ldba are required
+
+
+STDLIB_ONLY_SCRIPT = """
+import sys
+from ldba_synth.cli import main
+
+specs = ["--env", "robot-surve", "--ldba", "robot-surve", "--save_dir", sys.argv[1]]
+assert main(["train", *specs, "--episode_num", "5", "--iteration_num_max", "50"]) == 0
+assert main(["test", *specs, "--rollouts", "2"]) == 0
+assert main(["oracle", "--env", "gridworld-1", "--ldba", "goal1-or-goal2"]) == 0
+print(" ".join(sorted({name.partition(".")[0] for name in sys.modules})))
+"""
+
+
+def test_runtime_imports_only_the_standard_library(tmp_path):
+    # the package declares no dependencies; numpy alone would add about
+    # 11 MB to a run's peak RSS
+    proc = subprocess.run([sys.executable, "-c", STDLIB_ONLY_SCRIPT, str(tmp_path / "out")],
+                          capture_output=True, text=True, env=_subprocess_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = set(proc.stdout.splitlines()[-1].split())
+    assert "ldba_synth" in imported
+    assert not imported & {"numpy", "networkx", "hypothesis"}

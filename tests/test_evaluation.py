@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import math
+from random import Random
 
 import pytest
 
-from ldba_synth.automaton import parse_ldba_spec
-from ldba_synth.envs import GridEnv, LabelRegion
+from ldba_synth import evaluation
+from ldba_synth.automaton import load_ldba_file, parse_ldba_spec
+from ldba_synth.envs import GridEnv, LabelRegion, load_env_file, resolve_spec_path
 from ldba_synth.evaluation import (
+    RolloutOutcome,
     TestConfig,
     robustness_sweep,
     run_test,
 )
-from ldba_synth.learner import Hyperparams
-from ldba_synth.product import compile_product
+from ldba_synth.learner import GreedyPolicy, Hyperparams, train
+from ldba_synth.product import ProductRun, compile_product
 
 REWARD = Hyperparams().reward_spec()
 
@@ -163,6 +166,62 @@ def test_trace_sees_every_transition():
         assert compile_product(env, spec).decode(chunk[0][1].state) == ((0, 0), 0)
         for (_, a), (_, b) in zip(chunk, chunk[1:]):
             assert b.state == a.next_state
+
+
+def reference_rollouts(qtable, env, spec, config, reward):
+    """run_test spelled out, reading qtable.best_action at every step.
+
+    Returns the outcomes, every (rollout, step, transition) and each
+    rollout's final generator state.
+    """
+    outcomes, transitions, rng_states = [], [], []
+    for k in range(config.rollouts):
+        rng = Random(config.seed * evaluation._SEED_STRIDE + k)
+        run = ProductRun(env, spec, reward, rng)
+        state, steps, sink = run.reset(), 0, False
+        while steps < config.horizon and not sink:
+            tr = run.step(qtable.best_action(state))
+            transitions.append((k, steps, tr))
+            state, steps, sink = tr.next_state, steps + 1, tr.done
+        sweeps = run.runtime.sweeps_completed
+        outcomes.append(RolloutOutcome(not sink and sweeps >= config.required_sweeps,
+                                       steps, sweeps, sink))
+        rng_states.append(rng.getstate())
+    return outcomes, transitions, rng_states
+
+
+@pytest.mark.parametrize("env_name, ldba_name", [
+    ("minecraft", "minecraft-t1"),       # slip
+    ("gridworld-1", "goal1-or-goal2"),   # epsilon-moves
+])
+def test_run_test_matches_a_best_action_reference_loop(monkeypatch, env_name, ldba_name):
+    env = load_env_file(resolve_spec_path(env_name, "envs"))
+    spec = load_ldba_file(resolve_spec_path(ldba_name, "ldba"))
+    hp = Hyperparams(episode_num=40, iteration_num_max=600, epsilon=0.05, seed=2)
+    qtable = train(env, spec, hp).q_table
+    config = TestConfig(rollouts=12, horizon=600, seed=3)
+
+    generators = []   # run_test's per-rollout generators, in order
+
+    class RecordedRandom(Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            generators.append((seed, self))
+
+    monkeypatch.setattr(evaluation, "Random", RecordedRandom)
+    transitions = []
+    report = run_test(GreedyPolicy(qtable), env, spec, config, hp.reward_spec(),
+                      trace=lambda k, step, tr: transitions.append((k, step, tr)))
+    expected = reference_rollouts(qtable, env, spec, config, hp.reward_spec())
+    assert (report.outcomes, transitions, [g.getstate() for _, g in generators]) == expected
+
+    # each pair exercises what it is here for: slip draws in every rollout,
+    # and greedy epsilon-moves on gridworld-1
+    assert all(g.getstate() != Random(seed).getstate() for seed, g in generators)
+    product = compile_product(env, spec)
+    epsilon_steps = sum(product.epsilon[tr.state % product.nq][tr.action] is not None
+                        for _, _, tr in transitions)
+    assert (epsilon_steps > 0) == (env_name == "gridworld-1")
 
 
 # ---------------------------------------------------------------------------

@@ -398,7 +398,33 @@ def test_greedy_policy_uses_product_action_order():
     state = product.encode((0, 0), 0)
     assert policy(state) == 0                    # all-zero table: first action
     table.set(state, 4, 0.9)
-    assert product.action_names(state)[policy(state)] == "epsilon_1"
+    assert product.action_names(state)[GreedyPolicy(table)(state)] == "epsilon_1"
+    assert policy(state) == 0                    # a policy is a snapshot of its table
+
+
+def test_greedy_policy_matches_best_action_on_random_tables():
+    # The frozen action table answers as QTable.best_action does, on rows
+    # with exact ties, rows at q_init != 0, epsilon columns and unseen states.
+    rng = make_rng(83)
+    seen = Counter()
+    for _ in range(60):
+        product = compile_product(random_env(rng), random_automaton(rng, epsilon_prob=0.6))
+        table = QTable(product, q_init=rng.choice([0.0, 0.5, -1.0]))
+        states = rng.sample(range(len(product.cell_class) * product.nq), 6)
+        for state in states[:4]:
+            width = len(table.row(state))   # some rows keep q_init everywhere
+            for _ in range(rng.randint(0, width)):
+                table.set(state, rng.randrange(width), rng.choice([0.0, 0.5, rng.random()]))
+        policy = GreedyPolicy(table)
+        for state in states:
+            row = table.rows.get(state)
+            assert policy(state) == table.best_action(state)
+            seen["unseen" if row is None else "stored"] += 1
+            if row is not None:
+                seen["tie"] += row.count(max(row)) > 1
+                seen["q_init"] += table.q_init != 0.0 and not any(table.written[state])
+                seen["epsilon"] += product.epsilon[state % product.nq][policy(state)] is not None
+    assert min(seen[key] for key in ("unseen", "stored", "tie", "q_init", "epsilon")) > 0, seen
 
 
 # ---------------------------------------------------------------------------
