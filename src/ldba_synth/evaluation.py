@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from random import Random
 
@@ -139,6 +138,7 @@ def robustness_sweep(env, ldba_spec, base_hp: Hyperparams, eta_grid, mu_grid,
             jobs.append((env, ldba_spec, hp, cfg))
 
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             rates = list(pool.map(_sweep_job, jobs))
     else:

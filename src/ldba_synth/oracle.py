@@ -14,10 +14,14 @@ by the Pmax=1 fixed point of Baier & Katoen, Principles of Model Checking,
 below read one predecessor index, built once per solve (timed in oracle.vi_s).
 A sweep recomputes only the undecided states flagged stale: a state whose
 value changes flags its readers (the undecided states it is a successor of,
-itself on a self-loop). An update whose inputs did not move gives the same
-float again, and a successor of value 0 adds exactly +0.0, so its term is
-left out; the values, sweep snapshots and sweep count are bit for bit those
-of full sweeps.
+itself on a self-loop); itertools.compress skips the others, reading the
+flags lazily. An update whose inputs did not move gives the same float
+again, and a successor of value 0 adds exactly +0.0, so its term is left
+out. A row of at most four terms is one flat tuple padded with (0, 0.0),
+summed in one expression left to right as the loop does; 0.0 + x == x for
+x >= +0.0 and a pad adds exactly +0.0 (values are finite, non-negative), so
+values, sweep snapshots and sweep count are bit for bit those of full
+sweeps. Longer rows, which grid products never make, keep the loop.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from array import array
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, compress
 
 from .automaton import LdbaSpec
 from .product import SINK, compile_product
@@ -349,19 +354,28 @@ def max_sat_probability(prod: ExplicitProduct, max_sweeps: int = 10**6,
     never = _prob0_max(prod, target, index)
     for i in sure:
         values[i] = 1.0
-    stale = bytearray(i not in sure and i not in never for i in range(n))
-    undecided = [i for i in range(n) if stale[i]]
+    undecided = [i for i in range(n) if i not in sure and i not in never]
 
     sweeps = 0
     if undecided:
         ids, floats = list(range(n)), {}  # shared ints and floats keep the loop's data small
+        position = {i: k for k, i in enumerate(undecided)}
         # a reader of j owns a row into j; a node's rows are adjacent, so dedupe in order
-        readers = {j: list(dict.fromkeys(ids[i] for i in map(owner.__getitem__, pre[j])
-                                         if stale[i])) for j in undecided}
+        readers = [list(dict.fromkeys(position[i] for i in map(owner.__getitem__, pre[j])
+                                      if i in position)) for j in undecided]
         del index, pre, owner  # held while the rows are built, it would raise the peak
-        work = [(i, tuple(tuple((ids[j], floats.setdefault(p, p)) for j, p in prod.pairs(r)
-                                if j not in never) for r in prod.rows(i)), readers[i])
-                for i in undecided]
+        work = []
+        for k, i in enumerate(undecided):
+            rows, long = [], []
+            for r in prod.rows(i):
+                terms = [(ids[j], floats.setdefault(p, p)) for j, p in prod.pairs(r)
+                         if j not in never]
+                if len(terms) > 4:
+                    long.append(tuple(terms))
+                elif terms:  # a row into never alone is worth 0.0 and cannot raise best
+                    rows.append(tuple(chain.from_iterable(terms + [(0, 0.0)] * (4 - len(terms)))))
+            work.append((k, i, tuple(rows), tuple(long), readers[k]))
+        stale = bytearray([1]) * len(work)
         while True:
             sweeps += 1
             if sweeps > max_sweeps:
@@ -369,12 +383,14 @@ def max_sat_probability(prod: ExplicitProduct, max_sweeps: int = 10**6,
                     "value iteration did not converge within the sweep guard; "
                     "this signals a modeling bug")
             delta = 0.0
-            for i, rows, to_flag in work:
-                if not stale[i]:
-                    continue
-                stale[i] = 0
+            for k, i, rows, long, to_flag in compress(work, stale):
+                stale[k] = 0
                 best = 0.0
-                for succ in rows:
+                for j0, p0, j1, p1, j2, p2, j3, p3 in rows:
+                    acc = p0 * values[j0] + p1 * values[j1] + p2 * values[j2] + p3 * values[j3]
+                    if acc > best:
+                        best = acc
+                for succ in long:
                     acc = 0.0
                     for j, p in succ:
                         acc += p * values[j]

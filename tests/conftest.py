@@ -139,18 +139,20 @@ def gated_lake(size: int = 8, slip: float = 0.45) -> GridEnv:
 
 def random_explicit_product(rng: random.Random, max_states: int = 10,
                             max_actions: int = 2,
-                            n_accepting_sets: int = 1) -> ExplicitProduct:
+                            n_accepting_sets: int = 1,
+                            max_support: int = 3) -> ExplicitProduct:
     """A random small MDP in ExplicitProduct form.
 
     States carry synthetic ids 0..n-1; what the oracle consumes is the
-    graph structure, not the naming. Every row's mass sums to 1.
+    graph structure, not the naming. Every row's mass sums to 1 over at
+    most max_support successors.
     """
     n = rng.randint(2, max_states)
     successors = []
     for _ in range(n):
         row = {}
         for a in (f"a{k}" for k in range(rng.randint(1, max_actions))):
-            support = rng.sample(range(n), rng.randint(1, min(3, n)))
+            support = rng.sample(range(n), rng.randint(1, min(max_support, n)))
             weights = [rng.random() + 0.05 for _ in support]
             total = sum(weights)
             row[a] = tuple(sorted((j, w / total) for j, w in zip(support, weights)))

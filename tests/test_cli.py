@@ -766,10 +766,11 @@ print(" ".join(sorted({name.partition(".")[0] for name in sys.modules})))
 
 def test_runtime_imports_only_the_standard_library(tmp_path):
     # the package declares no dependencies; numpy alone would add about
-    # 11 MB to a run's peak RSS
+    # 11 MB to a run's peak RSS, and the process pool, which only a parallel
+    # sweep starts, about 1.5 MB
     proc = subprocess.run([sys.executable, "-c", STDLIB_ONLY_SCRIPT, str(tmp_path / "out")],
                           capture_output=True, text=True, env=_subprocess_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     imported = set(proc.stdout.splitlines()[-1].split())
     assert "ldba_synth" in imported
-    assert not imported & {"numpy", "networkx", "hypothesis"}
+    assert not imported & {"numpy", "networkx", "hypothesis", "concurrent", "multiprocessing"}
