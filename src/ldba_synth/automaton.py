@@ -180,20 +180,9 @@ class LdbaSpec:
 
 
 def step_state(spec: LdbaSpec, q: int, labels) -> int:
-    """Successor automaton state for a label set; pure, no frontier effects."""
+    """Successor automaton state for a label set, by guards only; no frontier effects."""
     if q == SINK_STATE:
         return SINK_STATE
-    epsilon = [lab for lab in labels if lab.startswith("epsilon_")]
-    if epsilon:
-        if len(labels) != 1:
-            raise LdbaSpecError(
-                f"epsilon label must be delivered alone, got {sorted(labels)!r}"
-            )
-        name = epsilon[0]
-        for cand, target in spec.epsilon_transitions.get(q, ()):
-            if cand == name:
-                return target
-        raise LdbaSpecError(f"epsilon action {name!r} is not available from state {q}")
     for guard, target in spec.transitions[q]:
         if holds(guard, labels):
             return target
@@ -204,21 +193,30 @@ class CompiledLdba:
     """Dense tables of one spec, shared by the learner, tester and oracle.
 
     States are indexed in declaration order, sink last (``states[i]``, and
-    ``index`` the inverse); label sets are numbered as classes on first
-    sight. ``delta[i][c]`` indexes the successor of state i on class c (None
-    for an epsilon move i lacks); bit k of ``accmask[i]`` is set when state
+    ``index`` the inverse). ``delta[i][c]`` indexes the successor of state i
+    on class c, a column: first one per epsilon move, ``epsilon[i]`` listing
+    state i's in order (None in rows but its own and the sink's), then one
+    per label set on first sight. Bit k of ``accmask[i]`` is set when state
     i lies in ``spec.accepting_sets[k]``. Built once per spec, on first use.
     """
 
     def __init__(self, spec: LdbaSpec):
         self.spec = spec
         self.states = spec.states + (SINK_STATE,)
-        self.index = {q: i for i, q in enumerate(self.states)}
+        self.index = index = {q: i for i, q in enumerate(self.states)}
         self.accmask = [sum(1 << k for k, acc in enumerate(spec.accepting_sets) if q in acc)
                         for q in self.states]
         self.full_frontier = (1 << len(spec.accepting_sets)) - 1
         self.classes: dict[frozenset, int] = {}
         self.delta: list[list[int | None]] = [[] for _ in self.states]
+        self.epsilon: list[tuple[int, ...]] = [()] * len(self.states)
+        sink = len(self.states) - 1
+        for q, moves in spec.epsilon_transitions.items():
+            i = index[q]
+            for _, target in moves:
+                self.epsilon[i] += (len(self.delta[0]),)
+                for k, row in enumerate(self.delta):
+                    row.append(index[target] if k == i else sink if k == sink else None)
         self.products: dict = {}  # product.CompiledProduct per environment, by id
 
     def label_class(self, labels) -> int:
@@ -226,19 +224,16 @@ class CompiledLdba:
         labels = frozenset(labels)
         cls = self.classes.get(labels)
         if cls is None:
-            cls = self.classes[labels] = len(self.classes)
+            cls = self.classes[labels] = len(self.delta[0])
             for q, row in zip(self.states, self.delta):
-                try:
-                    row.append(self.index[step_state(self.spec, q, labels)])
-                except LdbaSpecError:  # an epsilon move q does not offer
-                    row.append(None)
+                row.append(self.index[step_state(self.spec, q, labels)])
         return cls
 
 
 class LdbaRuntime:
     """Mutable run of an automaton on dense ids: state, frontier, sweep counter.
 
-    ``state`` indexes ``compiled.states``; ``step`` takes a label class. The
+    ``state`` indexes ``compiled.states``; ``step`` takes a ``delta`` class. The
     frontier is a bitmask over ``spec.accepting_sets``; ``remaining`` lists
     the sets still in it, in declaration order.
     """

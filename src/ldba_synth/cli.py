@@ -358,9 +358,8 @@ def cmd_train(args) -> int:
     _check_algorithm(args.algorithm)
     env, spec = _load_specs(args)
     hp = _options(Hyperparams, args)
-    # The test settings are checked before training, so bad ones fail fast.
-    config = (_options(TestConfig, args, horizon=hp.iteration_num_max, seed=hp.seed)
-              if args.test else None)
+    # The test settings are checked before training, with --no-test too.
+    config = _options(TestConfig, args, horizon=hp.iteration_num_max, seed=hp.seed)
     out = _created(_save_dir(args))
 
     every = max(1, hp.episode_num // 10)

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress
 
 from .automaton import LdbaSpec
@@ -91,23 +91,11 @@ class ExplicitProduct:
     def pairs(self, r: int):
         return zip(self.targets(r, r + 1), self.prob[self.first_edge[r]:self.first_edge[r + 1]])
 
-    @property
-    def successors(self) -> SuccessorRows:
-        return SuccessorRows(self)
-
-
-class SuccessorRows(Sequence):
-    """Read-only view: ``[i]`` builds node i's ``{action: ((j, p), ...)}`` dict."""
-
-    def __init__(self, prod: ExplicitProduct):
-        self.prod = prod
-
-    def __len__(self) -> int:
-        return self.prod.num_states()
-
-    def __getitem__(self, i: int) -> dict[str, tuple[tuple[int, float], ...]]:
-        i, prod = range(len(self))[i], self.prod  # IndexError past the end ends iteration
-        return {a: tuple(prod.pairs(r)) for a, r in zip(prod.actions[i], prod.rows(i))}
+    @cached_property
+    def successors(self) -> tuple[dict[str, tuple[tuple[int, float], ...]], ...]:
+        """Node i's ``{action: ((j, p), ...)}`` dict at [i], built on first read."""
+        return tuple({a: tuple(self.pairs(r)) for a, r in zip(self.actions[i], self.rows(i))}
+                     for i in range(self.num_states()))
 
 
 def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_CAP) -> ExplicitProduct:

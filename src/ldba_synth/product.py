@@ -58,7 +58,7 @@ class CompiledProduct:
     Cells are numbered as ``env.cells``, automaton states as in
     ``CompiledLdba``, and product state (cell, q) is ``cell * nq + q``.
     Action ids index ``actions[q]``: the base actions, then q's epsilon
-    actions, whose label classes ``epsilon[q]`` holds (None for base
+    actions, whose automaton classes ``epsilon[q]`` holds (None for base
     actions). ``moves`` is ``env.move_table()``, built on first use.
     """
 
@@ -69,9 +69,7 @@ class CompiledProduct:
         self.cell_class = [automaton.label_class(env.state_label(s)) for s in env.cells]
         self.actions = [env.actions + spec.epsilon_names(q) for q in automaton.states]
         self.legal = [range(len(names)) for names in self.actions]
-        self.epsilon = [(None,) * len(env.actions) + tuple(
-            automaton.label_class({name}) for name in spec.epsilon_names(q))
-            for q in automaton.states]
+        self.epsilon = [(None,) * len(env.actions) + moves for moves in automaton.epsilon]
         self.initial = self.encode(env.initial_state, spec.initial_state)
 
     @cached_property
@@ -132,9 +130,9 @@ class ProductRun:
         if action not in self._legal[q]:
             raise ProductError(f"illegal action {action!r} for product state "
                                f"{self.product.decode(state)}")
-        label_class = self._epsilon[q][action]
+        cls = self._epsilon[q][action]
         cell = self.cell
-        if label_class is None:
+        if cls is None:
             outcomes = self._moves[cell][action]
             slip = self._slip
             if slip and self._random() < slip:
@@ -143,8 +141,8 @@ class ProductRun:
             else:
                 cell = outcomes[0]
             self.cell = cell
-            label_class = self._cell_class[cell]
-        q = runtime.step(label_class)
+            cls = self._cell_class[cell]
+        q = runtime.step(cls)
         next_state = self.state = cell * self._nq + q
         if runtime.advance_frontier(q):
             reward = self.reward

@@ -133,6 +133,49 @@ def gated_lake(size: int = 8, slip: float = 0.45) -> GridEnv:
 
 
 # ---------------------------------------------------------------------------
+# hand-built corridors and automata
+# ---------------------------------------------------------------------------
+
+
+def corridor_env(labels_by_col, width=4, slip=0.0):
+    """A 1 x width corridor; labels_by_col maps column -> label set."""
+    regions = [LabelRegion((0, 1), (c, c + 1), frozenset(labs))
+               for c, labs in labels_by_col.items()]
+    return GridEnv(height=1, width=width,
+                   actions=["right", "left", "up", "down"],
+                   slip_probability=slip, initial_state=(0, 0),
+                   label_regions=regions)
+
+
+def chain_spec():
+    """Visit an a-cell, then a b-cell; the b-state is an endlessly firing accepting loop."""
+    return parse_ldba_spec({
+        "states": [0, 1, 2],
+        "initial_state": 0,
+        "alphabet": ["a", "b"],
+        "accepting_sets": [[2]],
+        "transitions": {
+            "0": [{"guard": "a", "to": 1}, {"guard": "true", "to": 0}],
+            "1": [{"guard": "b", "to": 2}, {"guard": "true", "to": 1}],
+            "2": [{"guard": "true", "to": 2}],
+        },
+    })
+
+
+def hazard_spec():
+    """Stepping on 'bad' drops the run into the sink."""
+    return parse_ldba_spec({
+        "states": [0],
+        "initial_state": 0,
+        "alphabet": ["bad"],
+        "accepting_sets": [[0]],
+        "transitions": {
+            "0": [{"guard": "bad", "to": -1}, {"guard": "true", "to": 0}],
+        },
+    })
+
+
+# ---------------------------------------------------------------------------
 # random explicit products (for the oracle)
 # ---------------------------------------------------------------------------
 

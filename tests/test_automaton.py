@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +26,7 @@ from ldba_synth.automaton import (
 from ldba_synth.cli import canonical_json
 from ldba_synth.envs import bundled_data_dir
 
-from conftest import LABEL_POOL, make_rng, random_automaton, random_automaton_document
+from conftest import LABEL_POOL, make_rng, random_automaton
 
 
 def all_label_subsets(pool=LABEL_POOL):
@@ -378,17 +377,6 @@ def test_sink_is_absorbing_for_every_label_set():
         assert step_state(spec, SINK_STATE, labels) == SINK_STATE
 
 
-def test_epsilon_label_must_be_alone():
-    doc = minimal_document()
-    doc["epsilon_transitions"] = {"0": [{"name": "epsilon_0", "to": 1}]}
-    spec = parse_ldba_spec(doc)
-    assert step_state(spec, 0, {"epsilon_0"}) == 1
-    with pytest.raises(LdbaSpecError, match="alone"):
-        step_state(spec, 0, {"epsilon_0", "a"})
-    with pytest.raises(LdbaSpecError, match="not available"):
-        step_state(spec, 1, {"epsilon_0"})
-
-
 def test_runtime_step_matches_pure_step_state():
     rng = make_rng(7)
     for trial in range(30):
@@ -414,7 +402,8 @@ def test_compiled_tables_number_states_in_declaration_order_with_the_sink_last()
     assert compiled.states == (7, 3, SINK_STATE)
     assert compiled.index == {7: 0, 3: 1, SINK_STATE: 2}
     assert compiled.accmask == [1, 0, 0]
-    a, plain, eps = (compiled.label_class(labels) for labels in ({"a"}, set(), {"epsilon_0"}))
+    a, plain = (compiled.label_class(labels) for labels in ({"a"}, set()))
+    eps = compiled.epsilon[1][0]
     assert compiled.label_class(frozenset({"a"})) == a      # one class per label set
     assert [row[a] for row in compiled.delta] == [0, 0, 2]
     assert [row[plain] for row in compiled.delta] == [2, 1, 2]
@@ -547,5 +536,5 @@ def test_bundled_goal_alternative_uses_epsilon_choice():
     spec = load_ldba_file(bundled_data_dir() / "ldba" / "goal1-or-goal2.json")
     assert spec.epsilon_names(0) == ("epsilon_1", "epsilon_2")
     assert spec.accepting_sets == (frozenset({1, 2}),)
-    assert step_state(spec, 0, {"epsilon_1"}) == 1
-    assert step_state(spec, 0, {"epsilon_2"}) == 2
+    compiled = spec.compiled
+    assert [compiled.states[compiled.delta[0][c]] for c in compiled.epsilon[0]] == [1, 2]

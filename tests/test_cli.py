@@ -485,6 +485,15 @@ def test_non_finite_hyperparams_exit_config_before_save_dir(spec_files, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_no_test_still_checks_test_flags_before_save_dir(spec_files, tmp_path, capsys, value):
+    out = tmp_path / "results"
+    rc = main(train_args(spec_files, out, "--no-test", "--rollouts", value))
+    assert rc == EXIT_CONFIG
+    assert "rollouts must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, unreadable", [
     ("--model", "directory"),
     ("--model", "latin-1"),

@@ -8,8 +8,8 @@ from random import Random
 import pytest
 
 from ldba_synth import evaluation
-from ldba_synth.automaton import load_ldba_file, parse_ldba_spec
-from ldba_synth.envs import GridEnv, LabelRegion, load_env_file, resolve_spec_path
+from ldba_synth.automaton import load_ldba_file
+from ldba_synth.envs import load_env_file, resolve_spec_path
 from ldba_synth.evaluation import (
     RolloutOutcome,
     TestConfig,
@@ -19,42 +19,9 @@ from ldba_synth.evaluation import (
 from ldba_synth.learner import GreedyPolicy, Hyperparams, train
 from ldba_synth.product import ProductRun, compile_product
 
+from conftest import chain_spec, corridor_env, hazard_spec
+
 REWARD = Hyperparams().reward_spec()
-
-
-def corridor_env(labels_by_col, width=4, slip=0.0):
-    regions = [LabelRegion((0, 1), (c, c + 1), frozenset(labs))
-               for c, labs in labels_by_col.items()]
-    return GridEnv(height=1, width=width,
-                   actions=["right", "left", "up", "down"],
-                   slip_probability=slip, initial_state=(0, 0),
-                   label_regions=regions)
-
-
-def chain_spec():
-    return parse_ldba_spec({
-        "states": [0, 1, 2],
-        "initial_state": 0,
-        "alphabet": ["a", "b"],
-        "accepting_sets": [[2]],
-        "transitions": {
-            "0": [{"guard": "a", "to": 1}, {"guard": "true", "to": 0}],
-            "1": [{"guard": "b", "to": 2}, {"guard": "true", "to": 1}],
-            "2": [{"guard": "true", "to": 2}],
-        },
-    })
-
-
-def hazard_spec():
-    return parse_ldba_spec({
-        "states": [0],
-        "initial_state": 0,
-        "alphabet": ["bad"],
-        "accepting_sets": [[0]],
-        "transitions": {
-            "0": [{"guard": "bad", "to": -1}, {"guard": "true", "to": 0}],
-        },
-    })
 
 
 def press(action):

@@ -7,7 +7,6 @@ from collections import Counter
 import pytest
 
 from ldba_synth.automaton import parse_ldba_spec
-from ldba_synth.envs import GridEnv, LabelRegion
 from ldba_synth.learner import (
     GreedyPolicy,
     Hyperparams,
@@ -19,44 +18,8 @@ from ldba_synth.learner import (
 )
 from ldba_synth.product import compile_product
 
-from conftest import make_rng, random_automaton, random_env
-
-
-def corridor_env(labels_by_col, width=4, slip=0.0):
-    regions = [LabelRegion((0, 1), (c, c + 1), frozenset(labs))
-               for c, labs in labels_by_col.items()]
-    return GridEnv(height=1, width=width,
-                   actions=["right", "left", "up", "down"],
-                   slip_probability=slip, initial_state=(0, 0),
-                   label_regions=regions)
-
-
-def chain_spec():
-    """Reach 'a' then 'b'; the b-state is an endlessly firing accepting loop."""
-    return parse_ldba_spec({
-        "states": [0, 1, 2],
-        "initial_state": 0,
-        "alphabet": ["a", "b"],
-        "accepting_sets": [[2]],
-        "transitions": {
-            "0": [{"guard": "a", "to": 1}, {"guard": "true", "to": 0}],
-            "1": [{"guard": "b", "to": 2}, {"guard": "true", "to": 1}],
-            "2": [{"guard": "true", "to": 2}],
-        },
-    })
-
-
-def hazard_spec():
-    """Stepping on 'bad' drops the run into the sink."""
-    return parse_ldba_spec({
-        "states": [0],
-        "initial_state": 0,
-        "alphabet": ["bad"],
-        "accepting_sets": [[0]],
-        "transitions": {
-            "0": [{"guard": "bad", "to": -1}, {"guard": "true", "to": 0}],
-        },
-    })
+from conftest import (chain_spec, corridor_env, hazard_spec, make_rng, random_automaton,
+                      random_env)
 
 
 def one_shot_spec():

@@ -27,6 +27,8 @@ from ldba_synth.product import SINK, SINK_CELL, compile_product
 
 from conftest import (
     brute_force_value,
+    chain_spec,
+    corridor_env,
     gated_lake,
     greedy_product_policy,
     make_rng,
@@ -35,29 +37,6 @@ from conftest import (
     random_env,
     random_explicit_product,
 )
-
-
-def corridor_env(labels_by_col, width=4, slip=0.0):
-    regions = [LabelRegion((0, 1), (c, c + 1), frozenset(labs))
-               for c, labs in labels_by_col.items()]
-    return GridEnv(height=1, width=width,
-                   actions=["right", "left", "up", "down"],
-                   slip_probability=slip, initial_state=(0, 0),
-                   label_regions=regions)
-
-
-def chain_spec():
-    return parse_ldba_spec({
-        "states": [0, 1, 2],
-        "initial_state": 0,
-        "alphabet": ["a", "b"],
-        "accepting_sets": [[2]],
-        "transitions": {
-            "0": [{"guard": "a", "to": 1}, {"guard": "true", "to": 0}],
-            "1": [{"guard": "b", "to": 2}, {"guard": "true", "to": 1}],
-            "2": [{"guard": "true", "to": 2}],
-        },
-    })
 
 
 def hand_mdp() -> ExplicitProduct:
@@ -228,6 +207,15 @@ def test_from_successors_round_trips_random_products():
             again.successors[len(rows)]
         with pytest.raises(TypeError):
             again.successors[0] = {}
+
+
+def test_successor_dicts_are_built_once_and_only_on_demand():
+    env = load_env_file(resolve_spec_path("gridworld-1", "envs"))
+    spec = load_ldba_file(resolve_spec_path("goal1-or-goal2", "ldba"))
+    prod = build_explicit_product(env, spec)
+    max_sat_probability(prod)
+    assert "successors" not in vars(prod)  # neither the build nor the solve reads them
+    assert prod.successors is prod.successors
 
 
 @pytest.mark.parametrize("env_name,ldba_name,states,edges,epsilon_rows", [

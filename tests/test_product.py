@@ -5,35 +5,10 @@ from __future__ import annotations
 import pytest
 
 from ldba_synth.automaton import SINK_STATE, parse_ldba_spec
-from ldba_synth.envs import GridEnv, LabelRegion
 from ldba_synth.product import ProductError, ProductRun, RewardSpec
 
-from conftest import make_rng, random_automaton, random_env
-
-
-def corridor_env(labels_by_col, width=4, slip=0.0):
-    """A 1 x width corridor; labels_by_col maps column -> label set."""
-    regions = [LabelRegion((0, 1), (c, c + 1), frozenset(labs))
-               for c, labs in labels_by_col.items()]
-    return GridEnv(height=1, width=width,
-                   actions=["right", "left", "up", "down"],
-                   slip_probability=slip, initial_state=(0, 0),
-                   label_regions=regions)
-
-
-def chain_spec():
-    """Visit an a-cell, then a b-cell; b-state is the accepting loop."""
-    return parse_ldba_spec({
-        "states": [0, 1, 2],
-        "initial_state": 0,
-        "alphabet": ["a", "b"],
-        "accepting_sets": [[2]],
-        "transitions": {
-            "0": [{"guard": "a", "to": 1}, {"guard": "true", "to": 0}],
-            "1": [{"guard": "b", "to": 2}, {"guard": "true", "to": 1}],
-            "2": [{"guard": "true", "to": 2}],
-        },
-    })
+from conftest import (chain_spec, corridor_env, make_rng, random_automaton,
+                      random_env)
 
 
 def epsilon_spec():
