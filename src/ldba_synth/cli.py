@@ -449,9 +449,9 @@ def cmd_oracle(args) -> int:
         if handle:
             writer = csv.writer(handle)
             writer.writerow(["state", "row", "col", "q", "value"])
-            named = map(compile_product(env, spec).decode, prod.states)
-            writer.writerows([i, row, col, q, repr(result.values[i])]
-                             for i, ((row, col), q) in enumerate(named))
+            named = zip(map(compile_product(env, spec).decode, prod.states), result.values)
+            writer.writerows((i, row, col, q, repr(value))
+                             for i, (((row, col), q), value) in enumerate(named))
     if args.dump_values:
         print(f"[oracle] values written to {args.dump_values}")
     return EXIT_OK

@@ -176,16 +176,22 @@ class GridEnv:
     def enumerate_model(self) -> list[dict[str, tuple[tuple[int, float], ...]]]:
         """``kernel[i][a]``: the (j, P(j|i,a)) pairs over cell ids, sorted; they sum to 1."""
         slip = self.slip_probability
+        keep, third = 1.0 - slip, slip / 3.0
         kernel = []
         for moves in self.move_table():
             row = {}
             for action, outcomes in zip(self.actions, moves):
-                mass = {outcomes[0]: 1.0}
-                if slip > 0.0 and len(outcomes) > 1:
-                    mass[outcomes[0]] = 1.0 - slip
+                if slip == 0.0 or len(outcomes) == 1:
+                    row[action] = ((outcomes[0], 1.0),)
+                elif len(set(outcomes)) == 4:  # no wall: nothing to merge
+                    j0, j1, j2, j3 = outcomes
+                    row[action] = tuple(sorted(((j0, keep), (j1, third), (j2, third),
+                                                (j3, third))))
+                else:
+                    mass = {outcomes[0]: keep}
                     for j in outcomes[1:]:
-                        mass[j] = mass.get(j, 0.0) + slip / 3.0
-                row[action] = tuple(sorted(mass.items()))
+                        mass[j] = mass.get(j, 0.0) + third
+                    row[action] = tuple(sorted(mass.items()))
             kernel.append(row)
         return kernel
 

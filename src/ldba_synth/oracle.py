@@ -3,25 +3,29 @@
 The environment kernel and automaton are composed into an explicit
 product MDP (reachable part only, all sink slots collapsed into one
 absorbing node) held in flat arrays, see ExplicitProduct. Maximal end
-components are found by iterative SCC refinement on them, sorting nothing;
-a MEC is accepting when its states intersect every accepting set, matching
-the frontier semantics that all sets must be visited infinitely often. The
-maximal probability of reaching the union of accepting MECs is then the
-Buchi value. Reachability is solved by Gauss-Seidel value iteration after
-the standard qualitative precomputations (prob0 by backward search, prob1
-by the Pmax=1 fixed point of Baier & Katoen, Principles of Model Checking,
-10.6), so almost-sure states report exactly 1. prob1, prob0 and the readers
-below read one predecessor index, built once per solve (timed in oracle.vi_s).
+components are found by iterative SCC refinement on them (Baier & Katoen,
+Principles of Model Checking, 10.6.3), sorting nothing; Tarjan's search runs
+on int lists indexed by node. A MEC is accepting when its states intersect
+every accepting set, matching the frontier semantics that all sets must be
+visited infinitely often. The maximal probability of reaching the union of
+accepting MECs is then the Buchi value. Reachability is solved by
+Gauss-Seidel value iteration after the standard qualitative precomputations
+(prob0 by backward search, prob1 by the Pmax=1 fixed point of 10.6), so
+almost-sure states report exactly 1. prob1, prob0 and the readers below
+read one predecessor index, built once per solve (timed in oracle.vi_s).
 A sweep recomputes only the undecided states flagged stale: a state whose
 value changes flags its readers (the undecided states it is a successor of,
 itself on a self-loop); itertools.compress skips the others, reading the
 flags lazily. An update whose inputs did not move gives the same float
 again, and a successor of value 0 adds exactly +0.0, so its term is left
-out. A row of at most four terms is one flat tuple padded with (0, 0.0),
-summed in one expression left to right as the loop does; 0.0 + x == x for
-x >= +0.0 and a pad adds exactly +0.0 (values are finite, non-negative), so
-values, sweep snapshots and sweep count are bit for bit those of full
-sweeps. Longer rows, which grid products never make, keep the loop.
+out. A state's first four rows of at most four terms are one flat 32-slot
+tuple, each row padded with (0, 0.0) to four terms and missing rows all
+pads, evaluated as four fixed expressions summed left to right as the loop
+does; 0.0 + x == x for x >= +0.0 and a pad adds exactly +0.0 (values are
+finite, non-negative), so values, sweep snapshots and sweep count are bit
+for bit those of full sweeps. Further rows and longer rows keep the loop;
+a grid move has at most four outcomes, and a state rarely keeps more than
+four rows that can reach the target.
 """
 
 from __future__ import annotations
@@ -65,18 +69,14 @@ class ExplicitProduct:
         """A product from one ``{action: ((j, p), ...)}`` dict per node."""
         prod = cls(states, initial, accepting_sets)
         for row in successors:
-            prod.add_node(tuple(row), row.values())
+            for pairs in row.values():
+                for j, p in pairs:
+                    prod.succ.append(j)
+                    prod.prob.append(p)
+                prod.first_edge.append(len(prod.succ))
+            prod.actions.append(tuple(row))
+            prod.first_row.append(len(prod.first_edge) - 1)
         return prod
-
-    def add_node(self, actions: tuple[str, ...], rows) -> None:
-        """Append the next node: its action names and each action's (j, p) pairs."""
-        for row in rows:
-            for j, p in row:
-                self.succ.append(j)
-                self.prob.append(p)
-            self.first_edge.append(len(self.succ))
-        self.actions.append(actions)
-        self.first_row.append(len(self.first_edge) - 1)
 
     def num_states(self) -> int:
         return len(self.states)
@@ -84,12 +84,9 @@ class ExplicitProduct:
     def rows(self, i: int) -> range:
         return range(self.first_row[i], self.first_row[i + 1])
 
-    def targets(self, first: int, stop: int) -> array:
-        """Successor nodes of rows first up to stop; a node's rows are adjacent."""
-        return self.succ[self.first_edge[first]:self.first_edge[stop]]
-
     def pairs(self, r: int):
-        return zip(self.targets(r, r + 1), self.prob[self.first_edge[r]:self.first_edge[r + 1]])
+        first, stop = self.first_edge[r], self.first_edge[r + 1]
+        return zip(self.succ[first:stop], self.prob[first:stop])
 
     @cached_property
     def successors(self) -> tuple[dict[str, tuple[tuple[int, float], ...]], ...]:
@@ -108,39 +105,65 @@ def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_C
     kernel = env.enumerate_model()
     product = compile_product(env, spec)
     nq, sink = product.nq, product.nq - 1
-    delta, cell_class = product.automaton.delta, product.cell_class
+    automaton, cell_class = product.automaton, product.cell_class
     states: list[int] = []
-    index: dict[int, int] = {}
+    # index[node]: the index of product id node, -1 until first sight; SINK is the last slot
+    index = [-1] * (len(cell_class) * nq + 1)
 
     def visit(cell, q) -> int:
         """Index of the node of product state (cell, q), numbered on first sight."""
         node = SINK if q == sink else cell * nq + q
-        i = index.get(node)
-        if i is None:
-            i = index[node] = len(states)
+        if index[node] < 0:
+            index[node] = len(states)
             states.append(node)
-        return i
+        return index[node]
 
     prod = ExplicitProduct(states, visit(*divmod(product.initial, nq)))
-    # visit appends to states, so this expands every node once, in breadth-first order.
+    succ, prob, first_edge = prod.succ, prod.prob, prod.first_edge
+    # Nodes are appended as first seen, so this expands every node once, in
+    # breadth-first order. The base rows' loop is visit written out per edge.
     for i, node in enumerate(states):
         cell, q = divmod(node, nq)
         names = product.actions[q]
+        prod.actions.append(names)
         if q == sink:
-            prod.add_node(names, [((i, 1.0),)] * len(names))
-            continue
-        after = delta[q]
-        rows = []
-        for action, epsilon_class in zip(names, product.epsilon[q]):
-            if epsilon_class is not None:
-                rows.append(((visit(cell, after[epsilon_class]), 1.0),))
-                continue
-            mass: dict[int, float] = {}
-            for j_cell, p in kernel[cell][action]:
-                j = visit(j_cell, after[cell_class[j_cell]])
-                mass[j] = mass.get(j, 0.0) + p
-            rows.append(sorted(mass.items()))
-        prod.add_node(names, rows)
+            edges = [(i, 1.0)] * len(names)
+            ends = range(len(succ) + 1, len(succ) + len(names) + 1)
+        else:
+            edges, ends = [], []
+            after = automaton.delta[q]
+            for outcomes in kernel[cell].values():  # the base actions, in order
+                row, hits = [], 0
+                for j_cell, p in outcomes:
+                    t = after[cell_class[j_cell]]
+                    if t == sink:
+                        hits += 1
+                        j_node = SINK
+                    else:
+                        j_node = j_cell * nq + t
+                    j = index[j_node]
+                    if j < 0:
+                        j = index[j_node] = len(states)
+                        states.append(j_node)
+                    row.append((j, p))
+                if hits > 1:  # distinct cells are distinct nodes, but for the sink
+                    j_sink, mass = index[SINK], 0.0
+                    for j, p in row:
+                        if j == j_sink:
+                            mass += p
+                    row = [pair for pair in row if pair[0] != j_sink]
+                    row.append((j_sink, mass))
+                row.sort()
+                edges += row
+                ends.append(len(succ) + len(edges))
+            for column in automaton.epsilon[q]:
+                edges.append((visit(cell, after[column]), 1.0))
+                ends.append(len(succ) + len(edges))
+        targets, probs = zip(*edges)
+        succ.extend(targets)
+        prob.extend(probs)
+        first_edge.extend(ends)
+        prod.first_row.append(len(first_edge) - 1)
 
     accmask = product.automaton.accmask
     prod.accepting_sets = tuple(
@@ -154,52 +177,56 @@ def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_C
 # ---------------------------------------------------------------------------
 
 
-def _strongly_connected_components(nodes, successors) -> list[list[int]]:
-    """Iterative Tarjan SCC over nodes; successors(node) must stay among them."""
-    indexof: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+def _strongly_connected_components(nodes, successors, number=None) -> list[list[int]]:
+    """Iterative Tarjan SCC over nodes; successors(node) must stay among them.
+
+    ``number[v]`` is node v's DFS number while its component is open, and
+    ``closed``, above every DFS number, once it is emitted: one comparison then
+    tells an open successor, so no on-stack set is kept. number is a list of
+    zeros indexed by node id, at least max(nodes) + 1 long, made here when None;
+    it is handed back zeroed, so one list serves many calls.
+    """
+    if number is None:
+        number = [0] * (max(nodes, default=-1) + 1)
+    closed = len(number) + 1
     stack: list[int] = []
     components: list[list[int]] = []
+    frames = []  # (node, successor iterator, low, height) of each open ancestor
     counter = 0
-
     for root in nodes:
-        if root in indexof:
+        if number[root]:
             continue
-        work = [(root, iter(successors(root)))]
-        indexof[root] = low[root] = counter
         counter += 1
+        number[root] = low = counter
+        node, it, height = root, iter(successors(root)), len(stack)
         stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in indexof:
-                    indexof[succ] = low[succ] = counter
+        while True:
+            for j in it:
+                x = number[j]
+                if not x:
+                    frames.append((node, it, low, height))
                     counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(successors(succ))))
-                    advanced = True
+                    number[j] = low = counter
+                    node, it, height = j, iter(successors(j)), len(stack)
+                    stack.append(j)
                     break
-                if succ in on_stack and indexof[succ] < low[node]:
-                    low[node] = indexof[succ]
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == indexof[node]:
-                comp = []
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    comp.append(top)
-                    if top == node:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+                if x < low:
+                    low = x
+            else:  # node is finished
+                if low == number[node]:
+                    comp = stack[height:]
+                    del stack[height:]
+                    for v in comp:
+                        number[v] = closed
+                    components.append(comp)
+                if not frames:
+                    break
+                child_low = low
+                node, it, low, height = frames.pop()
+                if child_low < low:
+                    low = child_low
+    for v in nodes:
+        number[v] = 0
     return components
 
 
@@ -216,38 +243,43 @@ def mec_decompose(prod: ExplicitProduct) -> list[Mec]:
     leaves the candidate are dropped, states left without actions are
     dropped, and the remainder is re-partitioned into SCCs until stable.
     """
-    targets = prod.targets
+    succ, first_edge, actions = prod.succ, prod.first_edge, prod.actions
     # a candidate maps each of its nodes to the action rows that may stay inside it
-    candidates: list[dict] = [{i: prod.rows(i) for i in range(prod.num_states())}]
+    whole = {i: prod.rows(i) for i in range(prod.num_states())}
+    candidates: list[dict] = [whole]
+    number = [0] * prod.num_states()  # scratch of every SCC search
     mecs: list[Mec] = []
 
     def successors(i):
         rows = kept[i]
         if rows[-1] - rows[0] < len(rows):  # adjacent rows: one slice
-            return set(targets(rows[0], rows[-1] + 1))
-        return set().union(*[targets(r, r + 1) for r in rows])
+            return succ[first_edge[rows[0]]:first_edge[rows[-1] + 1]]
+        return chain.from_iterable(succ[first_edge[r]:first_edge[r + 1]] for r in rows)
 
     while candidates:
         kept = candidates.pop()
-        cand = set(kept)
-        removed = True
+        cand, removed = set(kept), kept is not whole  # no row can leave the whole product
         while removed:  # a pass that removes nothing saw every row against the final cand
             removed = False
             for i, rows in list(kept.items()):
                 # the span also covers rows dropped between: if it stays inside, all rows do
-                if rows and cand.issuperset(targets(rows[0], rows[-1] + 1)):
+                if rows and cand.issuperset(succ[first_edge[rows[0]]:first_edge[rows[-1] + 1]]):
                     continue
-                kept[i] = rows = [r for r in rows if cand.issuperset(targets(r, r + 1))]
+                kept[i] = rows = [r for r in rows
+                                  if cand.issuperset(succ[first_edge[r]:first_edge[r + 1]])]
                 if not rows:
                     del kept[i]
                     cand.discard(i)
                     removed = True
         if not kept:
             continue
-        comps = _strongly_connected_components(kept, successors)
+        # one node left keeps only its self-loops: one component
+        comps = [kept] if len(kept) == 1 else _strongly_connected_components(
+            kept, successors, number)
         if len(comps) == 1:
-            mecs.append(Mec(frozenset(cand), {
-                i: tuple(prod.actions[i][r - prod.first_row[i]] for r in rows)
+            mecs.append(Mec(frozenset(kept), {
+                i: actions[i] if len(rows) == len(actions[i])
+                else tuple(actions[i][r - prod.first_row[i]] for r in rows)
                 for i, rows in kept.items()}))
         else:
             candidates.extend({i: kept[i] for i in comp} for comp in comps)
@@ -354,15 +386,18 @@ def max_sat_probability(prod: ExplicitProduct, max_sweeps: int = 10**6,
         del index, pre, owner  # held while the rows are built, it would raise the peak
         work = []
         for k, i in enumerate(undecided):
-            rows, long = [], []
+            block, more = [], []  # block: the (j, p) terms of four rows, four slots each
             for r in prod.rows(i):
                 terms = [(ids[j], floats.setdefault(p, p)) for j, p in prod.pairs(r)
                          if j not in never]
-                if len(terms) > 4:
-                    long.append(tuple(terms))
-                elif terms:  # a row into never alone is worth 0.0 and cannot raise best
-                    rows.append(tuple(chain.from_iterable(terms + [(0, 0.0)] * (4 - len(terms)))))
-            work.append((k, i, tuple(rows), tuple(long), readers[k]))
+                if not terms:  # a row into never alone is worth 0.0 and cannot raise best
+                    continue
+                if len(terms) > 4 or len(block) == 16:
+                    more.append(tuple(terms))
+                else:
+                    block += terms + [(0, 0.0)] * (4 - len(terms))
+            block += [(0, 0.0)] * (16 - len(block))
+            work.append((k, i, tuple(chain.from_iterable(block)), tuple(more), readers[k]))
         stale = bytearray([1]) * len(work)
         while True:
             sweeps += 1
@@ -371,19 +406,29 @@ def max_sat_probability(prod: ExplicitProduct, max_sweeps: int = 10**6,
                     "value iteration did not converge within the sweep guard; "
                     "this signals a modeling bug")
             delta = 0.0
-            for k, i, rows, long, to_flag in compress(work, stale):
+            for (k, i, (j0, p0, j1, p1, j2, p2, j3, p3,
+                       j4, p4, j5, p5, j6, p6, j7, p7,
+                       j8, p8, j9, p9, j10, p10, j11, p11,
+                       j12, p12, j13, p13, j14, p14, j15, p15),
+                 more, to_flag) in compress(work, stale):
                 stale[k] = 0
-                best = 0.0
-                for j0, p0, j1, p1, j2, p2, j3, p3 in rows:
-                    acc = p0 * values[j0] + p1 * values[j1] + p2 * values[j2] + p3 * values[j3]
-                    if acc > best:
-                        best = acc
-                for succ in long:
-                    acc = 0.0
-                    for j, p in succ:
-                        acc += p * values[j]
-                    if acc > best:
-                        best = acc
+                best = p0 * values[j0] + p1 * values[j1] + p2 * values[j2] + p3 * values[j3]
+                acc = p4 * values[j4] + p5 * values[j5] + p6 * values[j6] + p7 * values[j7]
+                if acc > best:
+                    best = acc
+                acc = p8 * values[j8] + p9 * values[j9] + p10 * values[j10] + p11 * values[j11]
+                if acc > best:
+                    best = acc
+                acc = p12 * values[j12] + p13 * values[j13] + p14 * values[j14] + p15 * values[j15]
+                if acc > best:
+                    best = acc
+                if more:  # grid products rarely have any
+                    for succ in more:
+                        acc = 0.0
+                        for j, p in succ:
+                            acc += p * values[j]
+                        if acc > best:
+                            best = acc
                 diff = best - values[i]
                 if diff:
                     if diff > delta:

@@ -18,6 +18,7 @@ from hypothesis import settings
 
 from ldba_synth import GridEnv, LabelRegion, LdbaSpec, parse_ldba_spec
 from ldba_synth.automaton import LdbaRuntime
+from ldba_synth.envs import ACTION_DELTAS, PERPENDICULAR
 from ldba_synth.oracle import ExplicitProduct
 
 
@@ -116,6 +117,36 @@ def random_env(rng: random.Random, max_side: int = 4,
         initial_state=(rng.randrange(height), rng.randrange(width)),
         label_regions=regions,
     )
+
+
+def reference_kernel(env: GridEnv) -> list[dict[str, tuple[tuple[int, float], ...]]]:
+    """env.enumerate_model() the long way: each outcome of a move, clamped at the
+    walls, is added into one dict per move in the order intended move, the two
+    perpendicular slips, staying put; 'stay' and a slip of 0 have one outcome."""
+    slip = env.slip_probability
+
+    def landing(r, c, direction) -> int:
+        dr, dc = ACTION_DELTAS[direction]
+        if 0 <= r + dr < env.height and 0 <= c + dc < env.width:
+            r, c = r + dr, c + dc
+        return r * env.width + c
+
+    kernel = []
+    for r in range(env.height):
+        for c in range(env.width):
+            row = {}
+            for action in env.actions:
+                outcomes = [(action, 1.0)]
+                if slip > 0.0 and PERPENDICULAR[action]:
+                    outcomes = [(action, 1.0 - slip)] + [
+                        (direction, slip / 3.0) for direction in PERPENDICULAR[action] + ("stay",)]
+                mass: dict[int, float] = {}
+                for direction, p in outcomes:
+                    j = landing(r, c, direction)
+                    mass[j] = mass.get(j, 0.0) + p
+                row[action] = tuple(sorted(mass.items()))
+            kernel.append(row)
+    return kernel
 
 
 def gated_lake(size: int = 8, slip: float = 0.45) -> GridEnv:

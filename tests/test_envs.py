@@ -21,7 +21,7 @@ from ldba_synth.envs import (
     resolve_spec_path,
 )
 
-from conftest import gated_lake, make_rng, random_env
+from conftest import gated_lake, make_rng, random_env, reference_kernel
 
 
 def grid(height=5, width=5, slip=0.0, actions=("up", "down", "left", "right", "stay"),
@@ -168,6 +168,21 @@ def test_cells_are_numbered_row_major_and_the_kernel_reads_the_move_table():
                 assert len(outcomes) == (1 if action == "stay" else 4)
                 support = set(outcomes) if env.slip_probability else {outcomes[0]}
                 assert {j for j, _ in row[action]} == support
+
+
+@pytest.mark.parametrize("slip", [0.0, 0.15, 1.0 / 3.0, 0.45, 1.0])
+def test_kernel_matches_a_dict_merge_reference(slip):
+    # lines and single cells clamp on both sides, wider grids have corners and
+    # interior cells, whose four outcomes are all distinct
+    rng = make_rng(31)
+    shapes = [(1, 1), (1, 4), (4, 1), (2, 2), (3, 3)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(5)]
+    for height, width in shapes:
+        for actions in (["up", "down", "left", "right"], ["up", "down", "left", "right", "stay"]):
+            rng.shuffle(actions)
+            env = GridEnv(height=height, width=width, actions=actions, slip_probability=slip,
+                          initial_state=(0, 0), label_regions=[])
+            assert env.enumerate_model() == reference_kernel(env)
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,16 @@ def test_scc_matches_networkx_on_random_digraphs():
         g.add_edges_from((i, j) for i, js in edges.items() for j in js)
         theirs = {frozenset(c) for c in nx.strongly_connected_components(g)}
         assert mine == theirs
+        # a subset of node ids with gaps, successors restricted to it, as
+        # mec_decompose passes a candidate, with one scratch list for every call
+        nodes = sorted(rng.sample(range(n), rng.randint(1, n)))
+        number = [0] * n
+        for _ in range(2):
+            mine = {frozenset(c) for c in _strongly_connected_components(
+                nodes, lambda i: [j for j in edges[i] if j in nodes], number)}
+            assert mine == {frozenset(c) for c in
+                            nx.strongly_connected_components(g.subgraph(nodes))}
+            assert number == [0] * n
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +356,25 @@ def test_mec_properties_on_random_products():
         for i in range(prod.num_states()):
             if all(succ == ((i, 1.0),) for succ in prod.successors[i].values()):
                 assert i in seen
+
+
+def test_mec_reuses_the_action_tuple_of_a_node_that_keeps_every_row():
+    prod = alternation_mdp()
+    (mec,) = mec_decompose(prod)
+    assert all(mec.actions[i] is prod.actions[i] for i in range(3))
+    rng = make_rng(59)
+    kept_all = kept_some = 0
+    for _ in range(40):
+        prod = random_explicit_product(rng, max_states=10, max_actions=3)
+        for mec in mec_decompose(prod):
+            for i, acts in mec.actions.items():
+                if len(acts) == len(prod.actions[i]):
+                    assert acts is prod.actions[i]
+                    kept_all += 1
+                else:
+                    assert set(acts) < set(prod.actions[i])
+                    kept_some += 1
+    assert kept_all and kept_some
 
 
 def test_mecs_sorted_by_smallest_member():
@@ -629,7 +658,8 @@ def test_value_iteration_matches_reference_on_gated_lakes(size, slip):
     assert assert_value_iteration_matches_reference(prod) >= 100
 
 
-@pytest.mark.parametrize("env_name,ldba_name", BUNDLED_PAIRS)
+@pytest.mark.parametrize("env_name,ldba_name",
+                         BUNDLED_PAIRS + [("gridworld-1", "goal1-or-goal2")])
 def test_value_iteration_matches_reference_on_bundled_benchmarks(env_name, ldba_name):
     env = load_env_file(resolve_spec_path(env_name, "envs"))
     spec = load_ldba_file(resolve_spec_path(ldba_name, "ldba"))
@@ -674,6 +704,27 @@ def test_value_iteration_matches_reference_on_rows_of_one_to_seven_terms():
             break
     assert solved >= 10
     assert lengths >= set(range(1, 8))
+
+
+def test_value_iteration_matches_reference_on_rows_beyond_the_four_row_block():
+    # A node's first four rows of at most four terms are one padded block; any
+    # further row is summed term by term. Nodes of up to seven actions make
+    # undecided states with more than four rows of positive worth.
+    rng = make_rng(79)
+    solved = 0
+    for _ in range(300):
+        rows = list(random_explicit_product(rng, max_states=10, max_actions=7,
+                                            max_support=3).successors)
+        rows[0], rows[1] = {"win": ((0, 1.0),)}, {"lose": ((1, 1.0),)}
+        prod = ExplicitProduct.from_successors(list(range(len(rows))), len(rows) - 1, rows,
+                                               (frozenset({0}),))
+        if assert_value_iteration_matches_reference(prod) >= 10:
+            values = max_sat_probability(prod).values
+            solved += any(sum(any(values[j] > 0 for j, _ in succ) for succ in row.values()) > 4
+                          for i, row in enumerate(rows) if 0 < values[i] < 1)
+        if solved >= 10:
+            break
+    assert solved >= 10
 
 
 def test_first_sweep_peak_memory_stays_low():
