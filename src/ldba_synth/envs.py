@@ -174,7 +174,9 @@ class GridEnv:
         return list(zip(*(zip(*(to[d] for d in ds)) for ds in outcomes)))
 
     def enumerate_model(self) -> list[dict[str, tuple[tuple[int, float], ...]]]:
-        """``kernel[i][a]``: the (j, P(j|i,a)) pairs over cell ids, sorted; they sum to 1."""
+        """``kernel[i][a]``: the (j, P(j|i,a)) pairs over cell ids, sorted; they sum to 1.
+
+        Every P(j|i,a) is positive: an outcome of mass 0.0 is no edge."""
         slip = self.slip_probability
         keep, third = 1.0 - slip, slip / 3.0
         kernel = []
@@ -192,6 +194,8 @@ class GridEnv:
                     for j in outcomes[1:]:
                         mass[j] = mass.get(j, 0.0) + third
                     row[action] = tuple(sorted(mass.items()))
+            if keep == 0.0 < slip:  # slip 1: the intended cell has mass only if a slip lands there
+                row = {a: tuple(pair for pair in pairs if pair[1]) for a, pairs in row.items()}
             kernel.append(row)
         return kernel
 

@@ -8,24 +8,38 @@ Principles of Model Checking, 10.6.3), sorting nothing; Tarjan's search runs
 on int lists indexed by node. A MEC is accepting when its states intersect
 every accepting set, matching the frontier semantics that all sets must be
 visited infinitely often. The maximal probability of reaching the union of
-accepting MECs is then the Buchi value. Reachability is solved by
-Gauss-Seidel value iteration after the standard qualitative precomputations
-(prob0 by backward search, prob1 by the Pmax=1 fixed point of 10.6), so
-almost-sure states report exactly 1. prob1, prob0 and the readers below
-read one predecessor index, built once per solve (timed in oracle.vi_s).
-A sweep recomputes only the undecided states flagged stale: a state whose
-value changes flags its readers (the undecided states it is a successor of,
-itself on a self-loop); itertools.compress skips the others, reading the
-flags lazily. An update whose inputs did not move gives the same float
-again, and a successor of value 0 adds exactly +0.0, so its term is left
-out. A state's first four rows of at most four terms are one flat 32-slot
-tuple, each row padded with (0, 0.0) to four terms and missing rows all
-pads, evaluated as four fixed expressions summed left to right as the loop
-does; 0.0 + x == x for x >= +0.0 and a pad adds exactly +0.0 (values are
-finite, non-negative), so values, sweep snapshots and sweep count are bit
-for bit those of full sweeps. Further rows and longer rows keep the loop;
-a grid move has at most four outcomes, and a state rarely keeps more than
-four rows that can reach the target.
+accepting MECs is then the Buchi value. The standard qualitative
+precomputations come first (prob0 by backward search, prob1 by the Pmax=1
+fixed point of 10.6), so almost-sure states report exactly 1. prob1, prob0
+and the readers below read one predecessor index, built once per solve
+(timed in oracle.vi_s).
+
+The undecided states are solved in two phases. At most WARM_SWEEPS
+Gauss-Seidel sweeps of value iteration come first, stopping early once no
+value moves by VI_RESIDUAL. Then policy iteration (Puterman, Markov Decision
+Processes, 1994) starts from the rows that are greedy for those values; a
+state whose greedy chain cannot leave the undecided set takes an attractor
+row instead, found by backward search from the sure states. Each iteration
+solves the policy's Markov chain by sparse elimination (_solve_chain) and
+switches a state to its best row only when that beats the state's value by
+more than PI_GAIN, relative. The reported value of an undecided state is
+therefore the exact chain value, up to float rounding, of a policy that no
+row improves by more than 1e-12; the residual rule of value iteration gives
+no such bound and stopped up to 3.4e-10 low on the hazard lakes.
+
+A warm sweep recomputes only the undecided states flagged stale: a state
+whose value changes flags its readers (the undecided states it is a
+successor of, itself on a self-loop); itertools.compress skips the others,
+reading the flags lazily. An update whose inputs did not move gives the
+same float again, and a successor of value 0 adds exactly +0.0, so its term
+is left out. A state's first four rows of at most four terms are one flat
+32-slot tuple, each row padded with (0, 0.0) to four terms and missing rows
+all pads, evaluated as four fixed expressions summed left to right as the
+loop does; 0.0 + x == x for x >= +0.0 and a pad adds exactly +0.0 (values
+are finite, non-negative), so each warm sweep's values and the sweep count
+are bit for bit those of full sweeps. Further rows and longer rows keep the
+loop; a grid move has at most four outcomes, and a state rarely keeps more
+than four rows that can reach the target.
 """
 
 from __future__ import annotations
@@ -34,13 +48,17 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from heapq import heapify, heappop, heappush
+from itertools import chain, compress, count, repeat
 
 from .automaton import LdbaSpec
 from .product import SINK, compile_product
 
 DEFAULT_STATE_CAP = 10**6
 VI_RESIDUAL = 1e-10  # value iteration stops once no value moves by this much
+WARM_SWEEPS = 100  # at most this many Gauss-Seidel sweeps warm-start policy iteration
+PI_GAIN = 1e-12  # policy iteration switches a state to a row better by this much, relative
+MAX_ITERATIONS = 1000  # policy iteration guard; it converges in a few iterations
 
 
 class ProductSizeError(RuntimeError):
@@ -55,6 +73,8 @@ class ExplicitProduct:
     ``actions[i]``, in the product's order, own rows ``first_row[i]`` up to
     ``first_row[i + 1]``; row r owns edges ``first_edge[r]`` up to
     ``first_edge[r + 1]`` of ``succ`` (64-bit successor ids) and ``prob``.
+    Every edge has a positive probability: MECs, prob0/prob1 and the
+    attractor rows of policy iteration read an edge as support.
     """
 
     def __init__(self, states: list[int], initial: int, accepting_sets=()):
@@ -66,13 +86,14 @@ class ExplicitProduct:
 
     @classmethod
     def from_successors(cls, states, initial, successors, accepting_sets) -> ExplicitProduct:
-        """A product from one ``{action: ((j, p), ...)}`` dict per node."""
+        """A product from one ``{action: ((j, p), ...)}`` dict per node; a p of 0.0 is no edge."""
         prod = cls(states, initial, accepting_sets)
         for row in successors:
             for pairs in row.values():
                 for j, p in pairs:
-                    prod.succ.append(j)
-                    prod.prob.append(p)
+                    if p:
+                        prod.succ.append(j)
+                        prod.prob.append(p)
                 prod.first_edge.append(len(prod.succ))
             prod.actions.append(tuple(row))
             prod.first_row.append(len(prod.first_edge) - 1)
@@ -294,17 +315,20 @@ def mec_decompose(prod: ExplicitProduct) -> list[Mec]:
 
 
 def _predecessor_index(prod: ExplicitProduct, target) -> tuple[list[list[int]], list[int]]:
-    """Rows of non-target nodes by successor: pre[j] lists the rows into j, row k is owner[k]'s."""
+    """Rows of non-target nodes by successor: pre[j] lists the rows r into j, owner[r] owns r.
+
+    Rows are the product's own row ids; owner is filled only at the rows pre lists.
+    """
     pre: list[list[int]] = [[] for _ in range(prod.num_states())]
-    owner: list[int] = []
     first_row, first_edge, succ = prod.first_row, prod.first_edge, prod.succ
+    owner = [0] * (len(first_edge) - 1)
     for i in range(len(pre)):
         if i not in target:
-            for r in range(first_row[i], first_row[i + 1]):
-                k = len(owner)
+            rows = range(first_row[i], first_row[i + 1])
+            owner[rows.start:rows.stop] = repeat(i, len(rows))
+            for r in rows:
                 for j in succ[first_edge[r]:first_edge[r + 1]]:
-                    pre[j].append(k)
-                owner.append(i)
+                    pre[j].append(r)
     return pre, owner
 
 
@@ -354,7 +378,177 @@ class OracleResult:
     initial_value: float
     accepting_target: frozenset[int]
     mecs: list[Mec]
-    sweeps: int
+    sweeps: int  # warm Gauss-Seidel sweeps
+    iterations: int = 0  # policy iterations, each one chain solve
+
+
+def _attractor_rows(index, sure: set[int], position: dict[int, int]) -> list[int]:
+    """attract[k]: a row of undecided state k with an edge one backward-BFS layer nearer sure."""
+    pre, owner = index
+    attract = [-1] * len(position)
+    queue = sorted(sure)
+    for j in queue:  # grows while it is read: a breadth-first search
+        for r in pre[j]:
+            i = owner[r]
+            k = position.get(i)
+            if k is not None and attract[k] < 0:
+                attract[k] = r
+                queue.append(i)
+    return attract
+
+
+def _solve_chain(out: list[dict[int, float]], leave: list[float],
+                 gain: list[float]) -> list[float]:
+    """Reach probabilities x = gain + P x of a chain that leaves from every state.
+
+    out[k] maps each other state m to P(k, m); leave[k] is the probability of
+    leaving the chain from k, and gain[k] the part of it that is worth 1.
+    Self-loops are left out: the pivot 1 - P(k, k) is leave[k] plus k's out
+    row, summed, as in the GTH elimination (Grassmann, Taksar & Heyman, 1985),
+    so no difference of near-equal numbers is taken. States are eliminated
+    lowest degree first (minimum degree, moves in plus moves out, kept
+    lazily); out, leave and gain are consumed.
+    """
+    n = len(out)
+    into: list[set[int]] = [set() for _ in range(n)]  # into[m]: the states with a move to m
+    for k, row in enumerate(out):
+        for m in row:
+            into[m].add(k)
+    # one entry per state; its degree is read again when popped, and pushed back if it grew
+    heap = [(len(into[k]) + len(row), k) for k, row in enumerate(out)]
+    heapify(heap)
+    order = []  # (k, g, row) of each eliminated state, g and row scaled by its pivot
+    while heap:
+        degree, k = heappop(heap)
+        row, before = out[k], into[k]
+        if degree < len(before) + len(row):
+            heappush(heap, (len(before) + len(row), k))
+            continue
+        pivot = leave[k]
+        for p in row.values():
+            pivot += p
+        for m, p in row.items():
+            row[m] = p / pivot
+            into[m].discard(k)
+        g, e = gain[k] / pivot, leave[k] / pivot
+        for i in before:  # route i's move to k through k's row
+            ri = out[i]
+            f = ri.pop(k)
+            gain[i] += f * g
+            leave[i] += f * e
+            for m, p in row.items():
+                if m == i:  # a new self-loop of i: its pivot leaves it out
+                    continue
+                if m in ri:
+                    ri[m] += f * p
+                else:
+                    ri[m] = f * p
+                    into[m].add(i)
+        order.append((k, g, row))
+        out[k] = into[k] = None
+    x = [0.0] * n
+    for k, g, row in reversed(order):
+        for m, p in row.items():
+            g += p * x[m]
+        x[k] = g
+    return x
+
+
+def _leaving(choice: list[tuple]) -> list[bool]:
+    """Per state, whether its chain under the flat rows choice can leave the undecided set."""
+    readers: list[list[int]] = [[] for _ in choice]
+    for k, row in enumerate(choice):
+        for m in row[::2]:
+            if m >= 0:
+                readers[m].append(k)
+    leaves = [min(row[::2]) < 0 for row in choice]
+    queue = [k for k, flag in enumerate(leaves) if flag]
+    for m in queue:  # grows while it is read: a breadth-first search backward
+        for k in readers[m]:
+            if not leaves[k]:
+                leaves[k] = True
+                queue.append(k)
+    return leaves
+
+
+def _policy_iteration(prod: ExplicitProduct, undecided: list[int], sure: set[int],
+                      values: list[float], attract: list[int]) -> int:
+    """Improve the greedy policy of values until no row beats its state by PI_GAIN.
+
+    Writes the chain value of the final policy into values and returns the
+    number of chain solves. A state whose greedy chain cannot leave the
+    undecided set takes its attractor row. From then on a state switches only
+    to a row strictly better than its value, and every chain still leaves: on
+    a recurrent class R inside the undecided set, the new rows would be worth
+    at least the old values, more at a switched state, yet exactly the old
+    values on average over R's stationary distribution; so R holds no switched
+    state, and the old chain, which left, could not have been closed on R.
+    """
+    first_edge, succ, prob = prod.first_edge, prod.succ, prod.prob
+    # code[j]: j's position if undecided, else -1 (sure) or -2 (never), so that
+    # xs = [value by position] + [0.0, 1.0] gives every code its value
+    code = [-2] * prod.num_states()
+    for i in sure:
+        code[i] = -1
+    for k, i in enumerate(undecided):
+        code[i] = k
+    floats = {}  # one float object per probability keeps the rows small
+
+    def terms(r):
+        """Row r as one flat tuple (m0, p0, m1, p1, ...) of codes and probabilities."""
+        a, b = first_edge[r], first_edge[r + 1]
+        return tuple(chain.from_iterable(zip(map(code.__getitem__, succ[a:b]),
+                                             map(floats.setdefault, prob[a:b], prob[a:b]))))
+
+    # options[k]: k's rows worth more than 0.0, those with a successor outside never
+    options = [[row for row in map(terms, prod.rows(i)) if max(row[::2]) > -2]
+               for i in undecided]
+
+    def improve(xs, choice, bar):
+        """Move each state k to its first best row if that is worth more than xs[k] * bar."""
+        switched = False
+        for k, rows in enumerate(options):
+            best = xs[k] * bar
+            for row in rows:
+                acc, it = 0.0, iter(row)
+                for m, p in zip(it, it):
+                    acc += p * xs[m]
+                if acc > best:
+                    best, choice[k], switched = acc, row, True
+        return switched
+
+    choice = [rows[0] for rows in options]
+    # greedy for the warm values: each state's first best row, rows[0] if all are 0.0
+    improve([values[i] for i in undecided] + [0.0, 1.0], choice, 0.0)
+    for k, leaves in enumerate(_leaving(choice)):
+        if not leaves:
+            choice[k] = terms(attract[k])
+
+    for iterations in count(1):
+        if iterations > MAX_ITERATIONS:
+            raise RuntimeError(
+                "policy iteration did not converge within the iteration guard; "
+                "this signals a modeling bug")
+        out, leave, gain = [], [], []
+        for k, row in enumerate(choice):
+            moves, e, g, it = {}, 0.0, 0.0, iter(row)
+            for m, p in zip(it, it):
+                if m >= 0:
+                    if m != k:
+                        moves[m] = moves.get(m, 0.0) + p
+                else:
+                    e += p
+                    if m == -1:
+                        g += p
+            out.append(moves)
+            leave.append(e)
+            gain.append(g)
+        x = _solve_chain(out, leave, gain)
+        if not improve(x + [0.0, 1.0], choice, 1.0 + PI_GAIN):
+            break
+    for i, v in zip(undecided, x):
+        values[i] = v
+    return iterations
 
 
 def max_sat_probability(prod: ExplicitProduct, max_sweeps: int = 10**6,
@@ -376,10 +570,11 @@ def max_sat_probability(prod: ExplicitProduct, max_sweeps: int = 10**6,
         values[i] = 1.0
     undecided = [i for i in range(n) if i not in sure and i not in never]
 
-    sweeps = 0
+    sweeps = iterations = 0
     if undecided:
         ids, floats = list(range(n)), {}  # shared ints and floats keep the loop's data small
         position = {i: k for k, i in enumerate(undecided)}
+        attract = _attractor_rows(index, sure, position)
         # a reader of j owns a row into j; a node's rows are adjacent, so dedupe in order
         readers = [list(dict.fromkeys(position[i] for i in map(owner.__getitem__, pre[j])
                                       if i in position)) for j in undecided]
@@ -438,8 +633,10 @@ def max_sat_probability(prod: ExplicitProduct, max_sweeps: int = 10**6,
                         stale[r] = 1
             if on_sweep is not None:
                 on_sweep(list(values))
-            if delta < VI_RESIDUAL:
+            if delta < VI_RESIDUAL or sweeps == WARM_SWEEPS:
                 break
+        del work, readers, stale, position, ids, floats
+        iterations = _policy_iteration(prod, undecided, sure, values, attract)
 
-    return OracleResult(values, values[prod.initial], frozenset(target), mecs, sweeps)
-
+    return OracleResult(values, values[prod.initial], frozenset(target), mecs, sweeps,
+                        iterations)

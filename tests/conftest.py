@@ -122,7 +122,9 @@ def random_env(rng: random.Random, max_side: int = 4,
 def reference_kernel(env: GridEnv) -> list[dict[str, tuple[tuple[int, float], ...]]]:
     """env.enumerate_model() the long way: each outcome of a move, clamped at the
     walls, is added into one dict per move in the order intended move, the two
-    perpendicular slips, staying put; 'stay' and a slip of 0 have one outcome."""
+    perpendicular slips, staying put; 'stay' and a slip of 0 have one outcome, and
+    a cell of mass 0.0 (the intended one at slip 1, unless a slip lands there too)
+    is no outcome."""
     slip = env.slip_probability
 
     def landing(r, c, direction) -> int:
@@ -144,7 +146,7 @@ def reference_kernel(env: GridEnv) -> list[dict[str, tuple[tuple[int, float], ..
                 for direction, p in outcomes:
                     j = landing(r, c, direction)
                     mass[j] = mass.get(j, 0.0) + p
-                row[action] = tuple(sorted(mass.items()))
+                row[action] = tuple(sorted((j, p) for j, p in mass.items() if p))
             kernel.append(row)
     return kernel
 

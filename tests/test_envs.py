@@ -182,7 +182,10 @@ def test_kernel_matches_a_dict_merge_reference(slip):
             rng.shuffle(actions)
             env = GridEnv(height=height, width=width, actions=actions, slip_probability=slip,
                           initial_state=(0, 0), label_regions=[])
-            assert env.enumerate_model() == reference_kernel(env)
+            kernel = env.enumerate_model()
+            assert kernel == reference_kernel(env)
+            # at slip 1 the intended cell is dropped, not kept with mass 0.0
+            assert all(p > 0.0 for row in kernel for pairs in row.values() for _, p in pairs)
 
 
 # ---------------------------------------------------------------------------

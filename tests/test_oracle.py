@@ -2,22 +2,28 @@
 
 from __future__ import annotations
 
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import networkx as nx
+import numpy as np
 import pytest
 
+from ldba_synth import oracle
 from ldba_synth.automaton import SINK_STATE, load_ldba_file, parse_ldba_spec
 from ldba_synth.envs import (GridEnv, LabelRegion, bundled_data_dir, load_env_file,
-                             resolve_spec_path)
+                             parse_env_spec, resolve_spec_path)
 from ldba_synth.oracle import (
     DEFAULT_STATE_CAP,
     VI_RESIDUAL,
+    WARM_SWEEPS,
     ExplicitProduct,
     ProductSizeError,
     _predecessor_index,
     _prob0_max,
     _prob1_max,
+    _solve_chain,
     _strongly_connected_components,
     build_explicit_product,
     max_sat_probability,
@@ -531,7 +537,7 @@ def test_value_slippery_crossing_matches_hand_computation():
     assert result.initial_value == pytest.approx(9.0 / 16.0, abs=1e-8)
 
 
-def test_value_iteration_sweeps_are_monotone():
+def test_value_iteration_sweeps_are_monotone(monkeypatch):
     env = GridEnv(height=3, width=3, actions=["right", "left", "up", "down"],
                   slip_probability=1.0 / 3.0, initial_state=(1, 0),
                   label_regions=[
@@ -557,9 +563,13 @@ def test_value_iteration_sweeps_are_monotone():
     assert len(snapshots) == result.sweeps >= 1
     for earlier, later in zip(snapshots, snapshots[1:]):
         assert all(a <= b + 1e-15 for a, b in zip(earlier, later))
-    assert snapshots[-1] == result.values
+    # policy iteration starts from the last warm sweep and only raises values
+    assert all(a <= b + 1e-15 for a, b in zip(snapshots[-1], result.values))
     with pytest.raises(RuntimeError, match="sweep guard"):
         max_sat_probability(prod, max_sweeps=0)
+    monkeypatch.setattr(oracle, "MAX_ITERATIONS", 0)
+    with pytest.raises(RuntimeError, match="iteration guard"):
+        max_sat_probability(prod)
 
 
 def test_value_agrees_with_policy_enumeration_on_random_products():
@@ -588,22 +598,26 @@ def test_values_are_probabilities():
 # ---------------------------------------------------------------------------
 
 
-def reference_value_iteration(prod: ExplicitProduct, on_sweep=None) -> tuple[list[float], int]:
-    """Gauss-Seidel that recomputes every undecided state on every sweep."""
+def reference_value_iteration(prod: ExplicitProduct, on_sweep=None,
+                              residual: float = VI_RESIDUAL) -> tuple[list[float], list[float]]:
+    """Gauss-Seidel that recomputes every undecided state on every sweep.
+
+    It stops once no value moves by residual, or at its float fixed point when
+    residual is 0.0, and returns the values and each sweep's largest move.
+    """
     mecs = mec_decompose(prod)
     target = set().union(*(m.states for m in mecs
                            if all(m.states & acc for acc in prod.accepting_sets)))
     values = [0.0] * prod.num_states()
     if not target:
-        return values, 0
+        return values, []
     index = _predecessor_index(prod, target)
     sure, never = _prob1_max(prod, target, index), _prob0_max(prod, target, index)
     for i in sure:
         values[i] = 1.0
     undecided = [i for i in range(prod.num_states()) if i not in sure and i not in never]
-    sweeps = 0
+    deltas = []
     while undecided:
-        sweeps += 1
         delta = 0.0
         for i in undecided:
             best = 0.0
@@ -617,21 +631,26 @@ def reference_value_iteration(prod: ExplicitProduct, on_sweep=None) -> tuple[lis
             if diff > delta:
                 delta = diff
             values[i] = best
+        deltas.append(delta)
         if on_sweep is not None:
             on_sweep(list(values))
-        if delta < VI_RESIDUAL:
+        if delta < residual or delta == 0.0:
             break
-    return values, sweeps
+    return values, deltas
 
 
 def assert_value_iteration_matches_reference(prod) -> int:
-    """Values, sweep count and every sweep's snapshot equal the reference's."""
+    """The warm sweeps are the reference's first sweeps, snapshot for snapshot, and
+    the values are within 1e-12 of the reference run to its float fixed point.
+    Returns the sweeps that the residual rule alone would take."""
     snapshots, expected = [], []
     result = max_sat_probability(prod, on_sweep=snapshots.append)
-    values, sweeps = reference_value_iteration(prod, on_sweep=expected.append)
-    assert result.values == values
-    assert result.sweeps == sweeps
-    assert snapshots == expected
+    values, deltas = reference_value_iteration(prod, on_sweep=expected.append, residual=0.0)
+    sweeps = next((t for t, delta in enumerate(deltas, 1) if delta < VI_RESIDUAL), 0)
+    assert max(abs(a - b) for a, b in zip(result.values, values)) <= 1e-12
+    assert result.sweeps == min(sweeps, WARM_SWEEPS)
+    assert snapshots == expected[:len(snapshots)]
+    assert len(snapshots) == result.sweeps
     return sweeps
 
 
@@ -744,6 +763,169 @@ def test_first_sweep_peak_memory_stays_low():
         tracemalloc.stop()
     assert len(peaks) == 1
     assert peaks[0] < 1.58 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# policy iteration: chain solve, attractor rows, exact values
+# ---------------------------------------------------------------------------
+
+
+CERTIFIED_LAKE_VALUE = 0.2709139018929371  # exact optimum, solved in fractions
+
+
+def load_hazard_lake(seed: int) -> GridEnv:
+    """The benchmark's seeded hazard lake, from perfbench/hazard.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "hazard.py"
+    module_spec = importlib.util.spec_from_file_location("hazard", path)
+    hazard = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(hazard)
+    return parse_env_spec(hazard.hazard_lake(seed))
+
+
+def test_lake_values_are_the_certified_optimum():
+    # value iteration's residual rule stopped 1.4e-10 (gated lake) and 3.4e-10
+    # (hazard lake 0) below this value
+    spec = load_ldba_file(resolve_spec_path("frozen-lake-reach", "ldba"))
+    for env in (gated_lake(), load_hazard_lake(0)):
+        result = max_sat_probability(build_explicit_product(env, spec))
+        assert result.sweeps == WARM_SWEEPS and result.iterations >= 1
+        assert abs(result.initial_value - CERTIFIED_LAKE_VALUE) <= 1e-12
+
+
+def test_policy_iteration_peak_memory_stays_low():
+    # tracemalloc peak of policy iteration on hazard lake 2 (3 iterations), traced
+    # from the last warm sweep, Python 3.10.13-3.12.1: 1.91-2.10 MiB, on top of
+    # 1.70 MiB still held then. The bound sits midway to 5.15 MiB, at which the
+    # build and solve together would pass the 6.85 MiB of frozen-lake-lrg x
+    # frozen-lake-seq, the largest bundled product.
+    spec = load_ldba_file(resolve_spec_path("frozen-lake-reach", "ldba"))
+    prod = build_explicit_product(load_hazard_lake(2), spec)
+    sweeps = []
+
+    def on_sweep(values):
+        sweeps.append(1)
+        if len(sweeps) == WARM_SWEEPS:
+            tracemalloc.start()
+
+    try:
+        result = max_sat_probability(prod, on_sweep=on_sweep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.sweeps == WARM_SWEEPS and result.iterations >= 1
+    assert peak < 3.6 * 2**20
+
+
+def test_chain_solve_matches_a_dense_solve():
+    rng = make_rng(83)
+    for _ in range(40):
+        n = rng.randint(1, 30)
+        out, leave, gain, dense, rhs = [], [], [], np.eye(n), np.zeros(n)
+        for k in range(n):
+            moves = rng.sample(range(n), rng.randint(0, min(n, 5)))
+            weights = [rng.random() for _ in moves] + [rng.random() * 0.2 + 1e-3,
+                                                       rng.random() * 0.2]
+            total = sum(weights)
+            row = {}
+            for m, w in zip(moves, weights):
+                dense[k, m] -= w / total
+                if m != k:
+                    row[m] = w / total
+            out.append(row)
+            leave.append((weights[-2] + weights[-1]) / total)
+            gain.append(weights[-2] / total)
+            rhs[k] = gain[-1]
+        x = _solve_chain(out, leave, gain)
+        assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=0, atol=1e-12)
+
+
+def absorbing_rows(rows) -> ExplicitProduct:
+    """Node 0 wins for ever and node 1 loses for ever; rows[k] is node k + 2's; starts at 2."""
+    rows = [{"win": ((0, 1.0),)}, {"lose": ((1, 1.0),)}] + rows
+    return ExplicitProduct.from_successors(list(range(len(rows))), 2, rows,
+                                           (frozenset({0}),))
+
+
+def test_policy_iteration_agrees_with_policy_enumeration_on_random_products():
+    rng = make_rng(89)
+    solved = 0
+    while solved < 12:
+        rows = list(random_explicit_product(rng, max_states=8).successors)[2:]
+        if not rows:
+            continue
+        prod = absorbing_rows(rows)
+        result = max_sat_probability(prod)
+        if result.iterations:
+            solved += 1
+            assert abs(result.initial_value - brute_force_value(prod)) <= 1e-12
+
+
+def test_wall_self_loop_that_ties_the_best_row_gets_an_attractor_row():
+    # Each corridor node's first row bumps into a wall and stays. At the fixed
+    # point it ties the row that moves on, so the greedy policy would never
+    # leave; the attractor row moves on.
+    rows = [{"wall": ((k, 1.0),), "on": ((k + 1, 0.9), (1, 0.1))} for k in range(2, 6)]
+    rows.append({"wall": ((6, 1.0),), "on": ((0, 0.5), (1, 0.5))})
+    prod = absorbing_rows(rows)
+    snapshots = []
+    result = max_sat_probability(prod, on_sweep=snapshots.append)
+    assert result.sweeps < WARM_SWEEPS                    # the warm sweeps settled
+    warm = snapshots[-1]
+    assert all(warm[k] == 0.9 * warm[k + 1] + 0.1 * warm[1] for k in range(2, 6))
+    assert abs(result.initial_value - 0.5 * 0.9 ** 4) <= 1e-12
+    assert abs(result.initial_value - brute_force_value(prod)) <= 1e-12
+
+
+def test_states_still_zero_after_the_warm_sweeps_get_attractor_rows():
+    # The chain runs against the sweep order, so each sweep moves the value one
+    # node back; the first nodes are still 0.0 when the warm sweeps end, and
+    # their first row, a self-loop, ties their row that moves on.
+    length = WARM_SWEEPS + 30
+    rows = [{"on": ((k + 1, 0.99), (1, 0.01))} for k in range(2, length + 1)]
+    rows[-1] = {"on": ((0, 0.99), (1, 0.01))}
+    for k in (0, 1, 5):
+        rows[k] = {"wait": ((k + 2, 1.0),), **rows[k]}
+    prod = absorbing_rows(rows)
+    snapshots = []
+    result = max_sat_probability(prod, on_sweep=snapshots.append)
+    assert result.sweeps == WARM_SWEEPS
+    assert snapshots[-1][2] == snapshots[-1][3] == snapshots[-1][7] == 0.0
+    assert abs(result.initial_value - 0.99 ** (length - 1)) <= 1e-12
+    assert abs(result.initial_value - brute_force_value(prod)) <= 1e-12
+
+
+def test_slip_one_corridor_cannot_alternate_through_a_hazard():
+    # Cells a, b, bad in a row; the automaton records the last of a and b and
+    # needs both infinitely often, and bad is fatal. At slip 1 every move slips:
+    # from b the only way to a also reaches bad with the same probability, so
+    # no policy alternates for ever. A kept edge of mass 0.0 made a MEC of the
+    # a- and b-nodes and the value 1.0.
+    env = GridEnv(height=1, width=3, actions=["up", "down", "left", "right"],
+                  slip_probability=1.0, initial_state=(0, 1),
+                  label_regions=[LabelRegion((0, 1), (c, c + 1), frozenset({label}))
+                                 for c, label in enumerate(("a", "b", "bad"))])
+    spec = parse_ldba_spec({
+        "states": [0, 1],
+        "initial_state": 1,
+        "alphabet": ["a", "b", "bad"],
+        "accepting_sets": [[0], [1]],
+        "transitions": {
+            str(q): [{"guard": "bad", "to": -1}, {"guard": "a", "to": 0},
+                     {"guard": "b", "to": 1}, {"guard": "true", "to": q}]
+            for q in (0, 1)},
+    })
+    prod = build_explicit_product(env, spec)
+    assert all(p > 0.0 for p in prod.prob)
+    result = max_sat_probability(prod)
+    assert result.initial_value == 0.0
+    assert result.accepting_target == frozenset()
+
+
+def test_a_pair_of_mass_zero_is_no_edge():
+    rows = [{"a": ((0, 0.0), (2, 1.0))}, {"a": ((1, 1.0),)}, {"a": ((1, 0.5), (2, 0.5))}]
+    prod = ExplicitProduct.from_successors([0, 1, 2], 0, rows, (frozenset({1}),))
+    assert list(prod.succ) == [2, 1, 1, 2]
+    assert max_sat_probability(prod).initial_value == 1.0
 
 
 # ---------------------------------------------------------------------------
