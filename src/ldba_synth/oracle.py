@@ -1,45 +1,44 @@
 """Exact model-based oracle: maximal satisfaction probability of a task.
 
-The environment kernel and automaton are composed into an explicit
-product MDP (reachable part only, all sink slots collapsed into one
-absorbing node) held in flat arrays, see ExplicitProduct. Maximal end
-components are found by iterative SCC refinement on them (Baier & Katoen,
-Principles of Model Checking, 10.6.3), sorting nothing; Tarjan's search runs
-on int lists indexed by node. A MEC is accepting when its states intersect
-every accepting set, matching the frontier semantics that all sets must be
-visited infinitely often. The maximal probability of reaching the union of
-accepting MECs is then the Buchi value. The standard qualitative
-precomputations come first (prob0 by backward search, prob1 by the Pmax=1
-fixed point of 10.6), so almost-sure states report exactly 1. prob1, prob0
-and the readers below read one predecessor index, built once per solve
-(timed in oracle.vi_s).
+The environment kernel and automaton are composed into an explicit product MDP
+(reachable part only, all sink slots collapsed into one absorbing node) held
+in flat arrays, see ExplicitProduct. Maximal end components are found by
+iterative SCC refinement on them (Baier & Katoen, Principles of Model
+Checking, 10.6.3), sorting nothing; Tarjan's search runs on int lists indexed
+by node, and a worklist over a candidate's rows into each node it loses drops
+the rows that leave it. A MEC is accepting when its states intersect every
+accepting set, matching the frontier semantics that all sets must be visited
+infinitely often. The maximal probability of reaching the union of accepting
+MECs is then the Buchi value. The standard qualitative precomputations come
+first (prob0 by backward search, prob1 by the Pmax=1 fixed point of 10.6), so
+almost-sure states report exactly 1. prob1, prob0 and the attractor rows read
+one predecessor index, built once per solve.
 
-The undecided states are solved in two phases. At most WARM_SWEEPS
-Gauss-Seidel sweeps of value iteration come first, stopping early once no
-value moves by VI_RESIDUAL. Then policy iteration (Puterman, Markov Decision
-Processes, 1994) starts from the rows that are greedy for those values; a
-state whose greedy chain cannot leave the undecided set takes an attractor
-row instead, found by backward search from the sure states. Each iteration
-solves the policy's Markov chain by sparse elimination (_solve_chain) and
-switches a state to its best row only when that beats the state's value by
-more than PI_GAIN, relative. The reported value of an undecided state is
-therefore the exact chain value, up to float rounding, of a policy that no
-row improves by more than 1e-12; the residual rule of value iteration gives
-no such bound and stopped up to 3.4e-10 low on the hazard lakes.
+The undecided states are solved one strongly connected component at a
+time, in the order Tarjan's search emits them: downstream first, so every
+state outside the component (sure, never, or solved before) is a constant.
+A one-state component takes its best row's gain over pivot. A larger one runs
+at most WARM_SWEEPS Gauss-Seidel sweeps of value iteration, fewer once no
+value moves by VI_RESIDUAL, then policy iteration (Puterman, Markov Decision
+Processes, 1994) from the rows greedy for those values; a state whose greedy
+chain cannot leave the component takes an attractor row, found by backward
+search from the sure states. Each iteration solves the policy's chain on the
+component by sparse elimination (_solve_chain) and switches a state to its
+best row only when that beats its value by more than PI_GAIN, relative. The
+combined chain is block-triangular, so every undecided value is the exact
+chain value, up to float rounding, of a policy that no row improves by more
+than 1e-12; the residual rule of value iteration gives no such bound and
+stopped up to 3.4e-10 low on the hazard lakes.
 
-A warm sweep recomputes only the undecided states flagged stale: a state
-whose value changes flags its readers (the undecided states it is a
-successor of, itself on a self-loop); itertools.compress skips the others,
-reading the flags lazily. An update whose inputs did not move gives the
-same float again, and a successor of value 0 adds exactly +0.0, so its term
-is left out. A state's first four rows of at most four terms are one flat
-32-slot tuple, each row padded with (0, 0.0) to four terms and missing rows
-all pads, evaluated as four fixed expressions summed left to right as the
-loop does; 0.0 + x == x for x >= +0.0 and a pad adds exactly +0.0 (values
-are finite, non-negative), so each warm sweep's values and the sweep count
-are bit for bit those of full sweeps. Further rows and longer rows keep the
-loop; a grid move has at most four outcomes, and a state rarely keeps more
-than four rows that can reach the target.
+A component's rows are one table, read by the warm sweeps, the improvement
+passes (sweeps that keep the argmax) and the chain assembly. A state's first
+four rows of at most four terms are one flat 32-slot tuple, each row padded
+with (0, 0.0) to four terms and missing rows all pads, evaluated as four
+fixed expressions; 0.0 + x == x for x >= +0.0 and a pad adds exactly +0.0
+(values are finite, non-negative), so each warm sweep is bit for bit a full
+term-by-term sweep. Further and longer rows keep the loop. A warm sweep
+recomputes only the states flagged stale by a moved successor in the
+component, skipping the others with itertools.compress.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from .product import SINK, compile_product
 
 DEFAULT_STATE_CAP = 10**6
 VI_RESIDUAL = 1e-10  # value iteration stops once no value moves by this much
-WARM_SWEEPS = 100  # at most this many Gauss-Seidel sweeps warm-start policy iteration
+WARM_SWEEPS = 50  # at most this many Gauss-Seidel sweeps per component warm-start policy iteration
 PI_GAIN = 1e-12  # policy iteration switches a state to a row better by this much, relative
 MAX_ITERATIONS = 1000  # policy iteration guard; it converges in a few iterations
 
@@ -279,19 +278,27 @@ def mec_decompose(prod: ExplicitProduct) -> list[Mec]:
 
     while candidates:
         kept = candidates.pop()
-        cand, removed = set(kept), kept is not whole  # no row can leave the whole product
-        while removed:  # a pass that removes nothing saw every row against the final cand
-            removed = False
-            for i, rows in list(kept.items()):
-                # the span also covers rows dropped between: if it stays inside, all rows do
-                if rows and cand.issuperset(succ[first_edge[rows[0]]:first_edge[rows[-1] + 1]]):
-                    continue
-                kept[i] = rows = [r for r in rows
-                                  if cand.issuperset(succ[first_edge[r]:first_edge[r + 1]])]
-                if not rows:
-                    del kept[i]
-                    cand.discard(i)
-                    removed = True
+        cand, gone = set(kept), []  # gone: nodes left without rows, a worklist
+        for i, rows in list(kept.items()) if kept is not whole else ():  # whole: none leaves
+            # the span also covers rows dropped between: if it stays inside, all rows do
+            if not cand.issuperset(succ[first_edge[rows[0]]:first_edge[rows[-1] + 1]]):
+                kept[i] = [r for r in rows
+                           if cand.issuperset(succ[first_edge[r]:first_edge[r + 1]])]
+                if not kept[i]:
+                    gone.append(i)
+        into = {}  # into[j]: the kept (node, row) pairs with an edge into j
+        for i, rows in kept.items() if gone else ():
+            for r in rows:
+                for j in succ[first_edge[r]:first_edge[r + 1]]:
+                    into.setdefault(j, []).append((i, r))
+        for x in gone:  # grows while it is read: drop x, then every row into it
+            del kept[x]
+            for i, r in into.get(x, ()):
+                rows = kept.get(i)
+                if rows and r in rows:
+                    kept[i] = rows = [q for q in rows if q != r]
+                    if not rows:
+                        gone.append(i)
         if not kept:
             continue
         # one node left keeps only its self-loops: one component
@@ -378,21 +385,21 @@ class OracleResult:
     initial_value: float
     accepting_target: frozenset[int]
     mecs: list[Mec]
-    sweeps: int  # warm Gauss-Seidel sweeps
-    iterations: int = 0  # policy iterations, each one chain solve
+    sweeps: int  # warm Gauss-Seidel sweeps, summed over components
+    iterations: int = 0  # policy iterations, each one chain solve, summed over components
+    components: int = 0  # strongly connected components of the undecided states
 
 
-def _attractor_rows(index, sure: set[int], position: dict[int, int]) -> list[int]:
-    """attract[k]: a row of undecided state k with an edge one backward-BFS layer nearer sure."""
+def _attractor_rows(index, sure: set[int], n: int) -> list[int]:
+    """attract[i]: a row of undecided node i with an edge one backward-BFS layer nearer sure."""
     pre, owner = index
-    attract = [-1] * len(position)
+    attract = [-1] * n
     queue = sorted(sure)
     for j in queue:  # grows while it is read: a breadth-first search
         for r in pre[j]:
             i = owner[r]
-            k = position.get(i)
-            if k is not None and attract[k] < 0:
-                attract[k] = r
+            if attract[i] < 0 and i not in sure:
+                attract[i] = r
                 queue.append(i)
     return attract
 
@@ -402,7 +409,7 @@ def _solve_chain(out: list[dict[int, float]], leave: list[float],
     """Reach probabilities x = gain + P x of a chain that leaves from every state.
 
     out[k] maps each other state m to P(k, m); leave[k] is the probability of
-    leaving the chain from k, and gain[k] the part of it that is worth 1.
+    leaving the chain from k, and gain[k] what that is worth: sum p * value.
     Self-loops are left out: the pivot 1 - P(k, k) is leave[k] plus k's out
     row, summed, as in the GTH elimination (Grassmann, Taksar & Heyman, 1985),
     so no difference of near-equal numbers is taken. States are eliminated
@@ -454,101 +461,144 @@ def _solve_chain(out: list[dict[int, float]], leave: list[float],
     return x
 
 
-def _leaving(choice: list[tuple]) -> list[bool]:
-    """Per state, whether its chain under the flat rows choice can leave the undecided set."""
-    readers: list[list[int]] = [[] for _ in choice]
-    for k, row in enumerate(choice):
-        for m in row[::2]:
-            if m >= 0:
-                readers[m].append(k)
-    leaves = [min(row[::2]) < 0 for row in choice]
+def _component_rows(prod: ExplicitProduct, where: dict[int, int], never: set[int],
+                    attract: list[int]) -> tuple[list[tuple], list[int]]:
+    """The row table of the component where[node] = k, and each state's attractor row index.
+
+    Entry k is (k, node, block, more, readers): block is the node's first four
+    rows of at most four terms, flat (j, p) slots padded to four a row; longer
+    and further rows are (j, p) tuples in more, indexed from 4. A row into never
+    alone is worth 0.0 and is left out. readers: the states with a row into node.
+    """
+    first_edge, succ, prob = prod.first_edge, prod.succ, prod.prob
+    ids, floats = list(range(prod.num_states())), {}  # shared ints and floats: a small table
+    work, first, readers = [], [], [[] for _ in where]
+    for k, i in enumerate(where):
+        block, more, reads = [], [], set()
+        for r in prod.rows(i):
+            a, b = first_edge[r], first_edge[r + 1]
+            js, ps = succ[a:b], prob[a:b]
+            if never.issuperset(js):
+                continue
+            long = b - a > 4 or len(block) == 32
+            if r == attract[i]:
+                first.append(4 + len(more) if long else len(block) // 8)
+            terms = zip(map(ids.__getitem__, js), map(floats.setdefault, ps, ps))
+            if long:
+                more.append(tuple(terms))
+            else:
+                block += chain.from_iterable(terms)
+                block += (0, 0.0) * (4 - b + a)
+            reads.update(js)
+        for m in {where[j] for j in reads if j in where}:
+            readers[m].append(k)
+        block += (0, 0.0) * (16 - len(block) // 2)
+        work.append((k, i, tuple(block), tuple(more), readers[k]))
+    return work, first
+
+
+def _sweep(work: list[tuple], values: list[float], stale: bytearray,
+           choice: list[int] | None = None, bar: float = 0.0) -> float:
+    """One Gauss-Seidel sweep over the stale states of a row table.
+
+    Returns the most a state's first best row, if worth more than its value
+    times bar, beats that value. Without choice the row's worth is written to
+    values and a moved state flags its readers stale; with choice the sweep is
+    an improvement pass: values stay, and the state moves to that row.
+    """
+    delta = 0.0
+    for (k, i, (j0, p0, j1, p1, j2, p2, j3, p3, j4, p4, j5, p5, j6, p6, j7, p7,
+                j8, p8, j9, p9, j10, p10, j11, p11, j12, p12, j13, p13, j14, p14, j15, p15),
+         more, to_flag) in compress(work, stale):
+        stale[k] = 0
+        best, b = values[i] * bar, -1
+        acc = p0 * values[j0] + p1 * values[j1] + p2 * values[j2] + p3 * values[j3]
+        if acc > best:
+            best, b = acc, 0
+        acc = p4 * values[j4] + p5 * values[j5] + p6 * values[j6] + p7 * values[j7]
+        if acc > best:
+            best, b = acc, 1
+        acc = p8 * values[j8] + p9 * values[j9] + p10 * values[j10] + p11 * values[j11]
+        if acc > best:
+            best, b = acc, 2
+        acc = p12 * values[j12] + p13 * values[j13] + p14 * values[j14] + p15 * values[j15]
+        if acc > best:
+            best, b = acc, 3
+        if more:  # grid products rarely have any
+            for m, row in enumerate(more, 4):
+                acc = 0.0
+                for j, p in row:
+                    acc += p * values[j]
+                if acc > best:
+                    best, b = acc, m
+        if b >= 0:
+            diff = best - values[i]
+            if diff > delta:
+                delta = diff
+            if choice is not None:
+                choice[k] = b
+            elif diff:
+                values[i] = best
+                for r in to_flag:
+                    stale[r] = 1
+    return delta
+
+
+def _chain(work: list[tuple], choice: list[int], where: dict[int, int], values: list[float]):
+    """The out, leave and gain of _solve_chain for the chosen rows; values outside are constants."""
+    out, leave, gain = [], [], []
+    for (k, i, block, more, _), b in zip(work, choice):
+        moves, e, g = {}, 0.0, 0.0
+        for j, p in zip(block[8 * b:8 * b + 8:2], block[8 * b + 1:8 * b + 8:2]) if b < 4 \
+                else more[b - 4]:
+            m = where.get(j)
+            if m is None:  # a pad adds exactly +0.0
+                e += p
+                g += p * values[j]
+            elif m != k and p:
+                moves[m] = moves.get(m, 0.0) + p
+        out.append(moves)
+        leave.append(e)
+        gain.append(g)
+    return out, leave, gain
+
+
+def _policy_iteration(work: list[tuple], where: dict[int, int], values: list[float],
+                      attract: list[int]) -> int:
+    """Improve the greedy policy of one component until no row beats its state by PI_GAIN.
+
+    Writes the chain value of the final policy into values and returns the
+    number of chain solves. A state whose greedy chain cannot leave the
+    component takes its attractor row. From then on a state switches only
+    to a row strictly better than its value, and every chain still leaves: on
+    a recurrent class R inside the component, the new rows would be worth
+    at least the old values, more at a switched state, yet exactly the old
+    values on average over R's stationary distribution; so R holds no switched
+    state, and the old chain, which left, could not have been closed on R.
+    """
+    choice = [0 if block[1] else 4 for _, _, block, _, _ in work]  # the first real row
+    _sweep(work, values, bytearray([1]) * len(work), choice)  # greedy for the warm values
+    out, leave, _ = _chain(work, choice, where, values)
+    readers: list[list[int]] = [[] for _ in out]
+    for k, row in enumerate(out):
+        for m in row:
+            readers[m].append(k)
+    leaves = [e > 0.0 for e in leave]  # leaves[k]: k's chain can leave the component
     queue = [k for k, flag in enumerate(leaves) if flag]
     for m in queue:  # grows while it is read: a breadth-first search backward
         for k in readers[m]:
             if not leaves[k]:
                 leaves[k] = True
                 queue.append(k)
-    return leaves
-
-
-def _policy_iteration(prod: ExplicitProduct, undecided: list[int], sure: set[int],
-                      values: list[float], attract: list[int]) -> int:
-    """Improve the greedy policy of values until no row beats its state by PI_GAIN.
-
-    Writes the chain value of the final policy into values and returns the
-    number of chain solves. A state whose greedy chain cannot leave the
-    undecided set takes its attractor row. From then on a state switches only
-    to a row strictly better than its value, and every chain still leaves: on
-    a recurrent class R inside the undecided set, the new rows would be worth
-    at least the old values, more at a switched state, yet exactly the old
-    values on average over R's stationary distribution; so R holds no switched
-    state, and the old chain, which left, could not have been closed on R.
-    """
-    first_edge, succ, prob = prod.first_edge, prod.succ, prod.prob
-    # code[j]: j's position if undecided, else -1 (sure) or -2 (never), so that
-    # xs = [value by position] + [0.0, 1.0] gives every code its value
-    code = [-2] * prod.num_states()
-    for i in sure:
-        code[i] = -1
-    for k, i in enumerate(undecided):
-        code[i] = k
-    floats = {}  # one float object per probability keeps the rows small
-
-    def terms(r):
-        """Row r as one flat tuple (m0, p0, m1, p1, ...) of codes and probabilities."""
-        a, b = first_edge[r], first_edge[r + 1]
-        return tuple(chain.from_iterable(zip(map(code.__getitem__, succ[a:b]),
-                                             map(floats.setdefault, prob[a:b], prob[a:b]))))
-
-    # options[k]: k's rows worth more than 0.0, those with a successor outside never
-    options = [[row for row in map(terms, prod.rows(i)) if max(row[::2]) > -2]
-               for i in undecided]
-
-    def improve(xs, choice, bar):
-        """Move each state k to its first best row if that is worth more than xs[k] * bar."""
-        switched = False
-        for k, rows in enumerate(options):
-            best = xs[k] * bar
-            for row in rows:
-                acc, it = 0.0, iter(row)
-                for m, p in zip(it, it):
-                    acc += p * xs[m]
-                if acc > best:
-                    best, choice[k], switched = acc, row, True
-        return switched
-
-    choice = [rows[0] for rows in options]
-    # greedy for the warm values: each state's first best row, rows[0] if all are 0.0
-    improve([values[i] for i in undecided] + [0.0, 1.0], choice, 0.0)
-    for k, leaves in enumerate(_leaving(choice)):
-        if not leaves:
-            choice[k] = terms(attract[k])
-
+    choice = [c if flag else a for c, flag, a in zip(choice, leaves, attract)]
     for iterations in count(1):
         if iterations > MAX_ITERATIONS:
-            raise RuntimeError(
-                "policy iteration did not converge within the iteration guard; "
-                "this signals a modeling bug")
-        out, leave, gain = [], [], []
-        for k, row in enumerate(choice):
-            moves, e, g, it = {}, 0.0, 0.0, iter(row)
-            for m, p in zip(it, it):
-                if m >= 0:
-                    if m != k:
-                        moves[m] = moves.get(m, 0.0) + p
-                else:
-                    e += p
-                    if m == -1:
-                        g += p
-            out.append(moves)
-            leave.append(e)
-            gain.append(g)
-        x = _solve_chain(out, leave, gain)
-        if not improve(x + [0.0, 1.0], choice, 1.0 + PI_GAIN):
-            break
-    for i, v in zip(undecided, x):
-        values[i] = v
-    return iterations
+            raise RuntimeError("policy iteration did not converge within the iteration "
+                               "guard; this signals a modeling bug")
+        for (_, i, *_), v in zip(work, _solve_chain(*_chain(work, choice, where, values))):
+            values[i] = v
+        if not _sweep(work, values, bytearray([1]) * len(work), choice, 1.0 + PI_GAIN):
+            return iterations
 
 
 def max_sat_probability(prod: ExplicitProduct, max_sweeps: int = 10**6,
@@ -563,7 +613,7 @@ def max_sat_probability(prod: ExplicitProduct, max_sweeps: int = 10**6,
     if not target:
         return OracleResult(values, 0.0, frozenset(), mecs, 0)
 
-    pre, owner = index = _predecessor_index(prod, target)
+    index = _predecessor_index(prod, target)
     sure = _prob1_max(prod, target, index)
     never = _prob0_max(prod, target, index)
     for i in sure:
@@ -571,72 +621,42 @@ def max_sat_probability(prod: ExplicitProduct, max_sweeps: int = 10**6,
     undecided = [i for i in range(n) if i not in sure and i not in never]
 
     sweeps = iterations = 0
+    components = []
     if undecided:
-        ids, floats = list(range(n)), {}  # shared ints and floats keep the loop's data small
-        position = {i: k for k, i in enumerate(undecided)}
-        attract = _attractor_rows(index, sure, position)
-        # a reader of j owns a row into j; a node's rows are adjacent, so dedupe in order
-        readers = [list(dict.fromkeys(position[i] for i in map(owner.__getitem__, pre[j])
-                                      if i in position)) for j in undecided]
-        del index, pre, owner  # held while the rows are built, it would raise the peak
-        work = []
-        for k, i in enumerate(undecided):
-            block, more = [], []  # block: the (j, p) terms of four rows, four slots each
+        attract = _attractor_rows(index, sure, n)
+        del index  # held while the rows are built, it would raise the peak
+        first_row, first_edge, succ = prod.first_row, prod.first_edge, prod.succ
+        inside = set(undecided)
+        # emitted downstream first: a component reads only those emitted before it
+        components = _strongly_connected_components(undecided, lambda i: [
+            j for j in succ[first_edge[first_row[i]]:first_edge[first_row[i + 1]]] if j in inside])
+    for comp in components:
+        comp.sort()
+        if len(comp) == 1:  # one chain step per row: gain over pivot, summed in row order
+            i = comp[0]
             for r in prod.rows(i):
-                terms = [(ids[j], floats.setdefault(p, p)) for j, p in prod.pairs(r)
-                         if j not in never]
-                if not terms:  # a row into never alone is worth 0.0 and cannot raise best
-                    continue
-                if len(terms) > 4 or len(block) == 16:
-                    more.append(tuple(terms))
-                else:
-                    block += terms + [(0, 0.0)] * (4 - len(terms))
-            block += [(0, 0.0)] * (16 - len(block))
-            work.append((k, i, tuple(chain.from_iterable(block)), tuple(more), readers[k]))
+                g = e = 0.0
+                for j, p in prod.pairs(r):
+                    if j != i:
+                        g += p * values[j]
+                        e += p
+                if e and g / e > values[i]:
+                    values[i] = g / e
+            continue
+        where = {i: k for k, i in enumerate(comp)}  # a node's position in the component
+        work, first = _component_rows(prod, where, never, attract)
         stale = bytearray([1]) * len(work)
-        while True:
+        for _ in range(WARM_SWEEPS):
             sweeps += 1
             if sweeps > max_sweeps:
-                raise RuntimeError(
-                    "value iteration did not converge within the sweep guard; "
-                    "this signals a modeling bug")
-            delta = 0.0
-            for (k, i, (j0, p0, j1, p1, j2, p2, j3, p3,
-                       j4, p4, j5, p5, j6, p6, j7, p7,
-                       j8, p8, j9, p9, j10, p10, j11, p11,
-                       j12, p12, j13, p13, j14, p14, j15, p15),
-                 more, to_flag) in compress(work, stale):
-                stale[k] = 0
-                best = p0 * values[j0] + p1 * values[j1] + p2 * values[j2] + p3 * values[j3]
-                acc = p4 * values[j4] + p5 * values[j5] + p6 * values[j6] + p7 * values[j7]
-                if acc > best:
-                    best = acc
-                acc = p8 * values[j8] + p9 * values[j9] + p10 * values[j10] + p11 * values[j11]
-                if acc > best:
-                    best = acc
-                acc = p12 * values[j12] + p13 * values[j13] + p14 * values[j14] + p15 * values[j15]
-                if acc > best:
-                    best = acc
-                if more:  # grid products rarely have any
-                    for succ in more:
-                        acc = 0.0
-                        for j, p in succ:
-                            acc += p * values[j]
-                        if acc > best:
-                            best = acc
-                diff = best - values[i]
-                if diff:
-                    if diff > delta:
-                        delta = diff
-                    values[i] = best
-                    for r in to_flag:
-                        stale[r] = 1
+                raise RuntimeError("value iteration did not converge within the sweep "
+                                   "guard; this signals a modeling bug")
+            delta = _sweep(work, values, stale)
             if on_sweep is not None:
                 on_sweep(list(values))
-            if delta < VI_RESIDUAL or sweeps == WARM_SWEEPS:
+            if delta < VI_RESIDUAL:
                 break
-        del work, readers, stale, position, ids, floats
-        iterations = _policy_iteration(prod, undecided, sure, values, attract)
+        iterations += _policy_iteration(work, where, values, first)
 
     return OracleResult(values, values[prod.initial], frozenset(target), mecs, sweeps,
-                        iterations)
+                        iterations, len(components))

@@ -51,7 +51,7 @@ GOLDEN_SOLVES = {
     }),
     "gated-lake-frozen-lake-reach": (gated_lake, "frozen-lake-reach", {
         "values":
-            "d13c6f41aaa4a25305396ce3f3c38691387bb0c7c2fa615e3f066a330c304800",
+            "e4c168dbc90eb6d60de4b672e01ddfbdb38bf1a3b8d651cdb5062c672b56c330",
         "sure":
             "af4fb03762d1b9f3a570586d05b9d6a3f89488623017eea74cd9f40872eaf06a",
         "never":

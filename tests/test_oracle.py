@@ -383,6 +383,44 @@ def test_mec_reuses_the_action_tuple_of_a_node_that_keeps_every_row():
     assert kept_all and kept_some
 
 
+def reference_mecs(prod: ExplicitProduct) -> set:
+    """MECs by the textbook refinement on networkx SCCs, as (states, (node, action) pairs).
+
+    Drop the actions that leave a candidate and the states left without any
+    until stable, then split the candidate into SCCs and refine each again."""
+    mecs, candidates = set(), [set(range(prod.num_states()))]
+    while candidates:
+        cand = candidates.pop()
+        while True:
+            acts = {i: [a for a, succ in prod.successors[i].items()
+                        if all(j in cand for j, _ in succ)] for i in cand}
+            if all(acts.values()):
+                break
+            cand = {i for i in cand if acts[i]}
+        if not cand:
+            continue
+        g = nx.DiGraph()
+        g.add_nodes_from(cand)
+        g.add_edges_from((i, j) for i in cand for a in acts[i] for j, _ in prod.successors[i][a])
+        comps = list(nx.strongly_connected_components(g))
+        if len(comps) == 1:
+            mecs.add((frozenset(cand), frozenset((i, a) for i in cand for a in acts[i])))
+        else:
+            candidates.extend(map(set, comps))
+    return mecs
+
+
+def test_mecs_match_the_textbook_refinement_on_random_products():
+    # The refinement drops a candidate's rows into each node it loses by a
+    # worklist; the textbook loop re-scans the candidate until nothing leaves.
+    rng = make_rng(101)
+    for _ in range(150):
+        prod = random_explicit_product(rng, max_states=12, max_actions=3)
+        mine = {(m.states, frozenset((i, a) for i, acts in m.actions.items() for a in acts))
+                for m in mec_decompose(prod)}
+        assert mine == reference_mecs(prod)
+
+
 def test_mecs_sorted_by_smallest_member():
     rng = make_rng(53)
     for _ in range(15):
@@ -599,11 +637,15 @@ def test_values_are_probabilities():
 
 
 def reference_value_iteration(prod: ExplicitProduct, on_sweep=None,
-                              residual: float = VI_RESIDUAL) -> tuple[list[float], list[float]]:
-    """Gauss-Seidel that recomputes every undecided state on every sweep.
+                              residual: float = VI_RESIDUAL, solved=None):
+    """Gauss-Seidel that recomputes every state of a component on every sweep.
 
-    It stops once no value moves by residual, or at its float fixed point when
-    residual is 0.0, and returns the values and each sweep's largest move.
+    The undecided states are swept one strongly connected component at a time,
+    in the order Tarjan's search emits them (downstream first), each in node
+    order. A component stops once no value moves by residual, or at its float
+    fixed point when residual is 0.0; with solved given, its values are then
+    set to solved's, as the oracle's policy iteration sets them. Returns the
+    values and, per component, its states and each sweep's largest move.
     """
     mecs = mec_decompose(prod)
     target = set().union(*(m.states for m in mecs
@@ -616,42 +658,61 @@ def reference_value_iteration(prod: ExplicitProduct, on_sweep=None,
     for i in sure:
         values[i] = 1.0
     undecided = [i for i in range(prod.num_states()) if i not in sure and i not in never]
-    deltas = []
-    while undecided:
-        delta = 0.0
-        for i in undecided:
-            best = 0.0
-            for succ in prod.successors[i].values():
-                acc = 0.0
-                for j, p in succ:
-                    acc += p * values[j]
-                if acc > best:
-                    best = acc
-            diff = best - values[i]
-            if diff > delta:
-                delta = diff
-            values[i] = best
-        deltas.append(delta)
-        if on_sweep is not None:
-            on_sweep(list(values))
-        if delta < residual or delta == 0.0:
-            break
-    return values, deltas
+    inside = set(undecided)
+    components = _strongly_connected_components(undecided, lambda i: [
+        j for row in prod.successors[i].values() for j, _ in row if j in inside])
+    report = []
+    for comp in map(sorted, components):
+        deltas = []
+        while True:
+            delta = 0.0
+            for i in comp:
+                best = 0.0
+                for succ in prod.successors[i].values():
+                    acc = 0.0
+                    for j, p in succ:
+                        acc += p * values[j]
+                    if acc > best:
+                        best = acc
+                diff = best - values[i]
+                if diff > delta:
+                    delta = diff
+                values[i] = best
+            deltas.append(delta)
+            if on_sweep is not None:
+                on_sweep(list(values))
+            if delta < residual or delta == 0.0:
+                break
+        report.append((comp, deltas))
+        if solved is not None:
+            for i in comp:
+                values[i] = solved[i]
+    return values, report
 
 
 def assert_value_iteration_matches_reference(prod) -> int:
-    """The warm sweeps are the reference's first sweeps, snapshot for snapshot, and
-    the values are within 1e-12 of the reference run to its float fixed point.
-    Returns the sweeps that the residual rule alone would take."""
+    """The warm sweeps of each component of two or more states are the reference's
+    first sweeps of it, snapshot for snapshot, and the values are within 1e-12 of
+    the reference run to its float fixed point. Returns the sweeps that the
+    residual rule alone would take, summed over components."""
     snapshots, expected = [], []
     result = max_sat_probability(prod, on_sweep=snapshots.append)
-    values, deltas = reference_value_iteration(prod, on_sweep=expected.append, residual=0.0)
-    sweeps = next((t for t, delta in enumerate(deltas, 1) if delta < VI_RESIDUAL), 0)
+    values, report = reference_value_iteration(prod, residual=0.0)
     assert max(abs(a - b) for a, b in zip(result.values, values)) <= 1e-12
-    assert result.sweeps == min(sweeps, WARM_SWEEPS)
-    assert snapshots == expected[:len(snapshots)]
-    assert len(snapshots) == result.sweeps
-    return sweeps
+    _, report = reference_value_iteration(prod, on_sweep=expected.append, residual=0.0,
+                                          solved=result.values)
+    total = warm = at = 0
+    for comp, deltas in report:
+        sweeps = next((t for t, delta in enumerate(deltas, 1) if delta < VI_RESIDUAL), 0)
+        total += sweeps
+        if len(comp) > 1:  # a one-state component is solved without sweeps
+            count = min(sweeps, WARM_SWEEPS)
+            assert snapshots[warm:warm + count] == expected[at:at + count]
+            warm += count
+        at += len(deltas)
+    assert result.sweeps == warm == len(snapshots)
+    assert result.components == len(report)
+    return total
 
 
 def random_lake(rng, max_side: int = 5) -> GridEnv:
@@ -788,16 +849,18 @@ def test_lake_values_are_the_certified_optimum():
     spec = load_ldba_file(resolve_spec_path("frozen-lake-reach", "ldba"))
     for env in (gated_lake(), load_hazard_lake(0)):
         result = max_sat_probability(build_explicit_product(env, spec))
-        assert result.sweeps == WARM_SWEEPS and result.iterations >= 1
+        assert result.components == 2  # one per automaton layer
+        assert result.sweeps == 2 * WARM_SWEEPS and result.iterations >= 2
         assert abs(result.initial_value - CERTIFIED_LAKE_VALUE) <= 1e-12
 
 
 def test_policy_iteration_peak_memory_stays_low():
-    # tracemalloc peak of policy iteration on hazard lake 2 (3 iterations), traced
-    # from the last warm sweep, Python 3.10.13-3.12.1: 1.91-2.10 MiB, on top of
-    # 1.70 MiB still held then. The bound sits midway to 5.15 MiB, at which the
-    # build and solve together would pass the 6.85 MiB of frozen-lake-lrg x
-    # frozen-lake-seq, the largest bundled product.
+    # tracemalloc peak of policy iteration on hazard lake 2, traced from the last
+    # warm sweep of its first component to the end of the solve, Python 3.11.7:
+    # 1.04 MiB. Solving both components as one chain took 1.91-2.10 MiB on Python
+    # 3.10.13-3.12.1, on top of 1.70 MiB then held. The bound sits midway to
+    # 5.15 MiB, at which the build and solve together would pass the 6.85 MiB of
+    # frozen-lake-lrg x frozen-lake-seq, the largest bundled product.
     spec = load_ldba_file(resolve_spec_path("frozen-lake-reach", "ldba"))
     prod = build_explicit_product(load_hazard_lake(2), spec)
     sweeps = []
@@ -812,7 +875,8 @@ def test_policy_iteration_peak_memory_stays_low():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.sweeps == WARM_SWEEPS and result.iterations >= 1
+    assert result.components == 2
+    assert result.sweeps == 2 * WARM_SWEEPS and result.iterations >= 2
     assert peak < 3.6 * 2**20
 
 
@@ -839,10 +903,10 @@ def test_chain_solve_matches_a_dense_solve():
         assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=0, atol=1e-12)
 
 
-def absorbing_rows(rows) -> ExplicitProduct:
-    """Node 0 wins for ever and node 1 loses for ever; rows[k] is node k + 2's; starts at 2."""
+def absorbing_rows(rows, initial: int = 2) -> ExplicitProduct:
+    """Node 0 wins for ever and node 1 loses for ever; rows[k] is node k + 2's."""
     rows = [{"win": ((0, 1.0),)}, {"lose": ((1, 1.0),)}] + rows
-    return ExplicitProduct.from_successors(list(range(len(rows))), 2, rows,
+    return ExplicitProduct.from_successors(list(range(len(rows))), initial, rows,
                                            (frozenset({0}),))
 
 
@@ -860,15 +924,84 @@ def test_policy_iteration_agrees_with_policy_enumeration_on_random_products():
             assert abs(result.initial_value - brute_force_value(prod)) <= 1e-12
 
 
+def layered_rows(rng, sizes: list[int]) -> list[dict]:
+    """Rows for absorbing_rows: one layer of states per size, upstream first.
+
+    Each layer is a ring, so it is one component. A state's second row moves at
+    random inside its layer and always on past it: into win and lose from the
+    last layer, whose values then lie strictly inside (0, 1), and into a later
+    layer from the others, so their exits carry such values.
+    """
+    rows, start, end = [], 2, 2 + sum(sizes)
+    for size in sizes:
+        layer = range(start, start + size)
+        later = list(range(start + size, end))
+        for k in layer:
+            support = set(rng.sample(list(layer) + later + [0, 1], rng.randint(1, 3)))
+            support |= {rng.choice(later)} if later else {0, 1}
+            weights = {j: rng.random() + 0.05 for j in sorted(support)}
+            total = sum(weights.values())
+            rows.append({"ring": ((start + (k - start + 1) % size, 1.0),),
+                         "mix": tuple((j, w / total) for j, w in weights.items())})
+        start += size
+    return rows
+
+
+def test_components_read_solved_downstream_values_as_constants():
+    # Each later layer is solved first and then read as constants in (0, 1) by
+    # the chain of the layer before it.
+    rng = make_rng(97)
+    for _ in range(10):
+        sizes = [rng.randint(2, 3) for _ in range(rng.randint(2, 3))]
+        rows = layered_rows(rng, sizes)
+        prod = absorbing_rows(rows)
+        result = max_sat_probability(prod)
+        assert result.components == len(sizes)
+        assert result.iterations >= len(sizes)
+        assert all(0.0 < v < 1.0 for v in result.values[2:])
+        assert abs(result.initial_value - brute_force_value(prod)) <= 1e-12
+        for node in (2 + sizes[0], len(rows) + 1):  # the second layer's first, the last
+            assert abs(result.values[node]
+                       - brute_force_value(absorbing_rows(rows, node))) <= 1e-12
+
+
+def test_one_state_components_take_their_best_rows_gain_over_pivot():
+    # A chain of single states, each with a self-loop on some rows: every
+    # component is one state, solved without sweeps or policy iteration.
+    rng = make_rng(103)
+    solved = 0
+    for _ in range(10):
+        length = rng.randint(2, 5)
+        rows = []
+        for k in range(2, length + 2):
+            on = [k + 1] if k < length + 1 else [0]
+            row = {}
+            for a in range(rng.randint(1, 3)):
+                support = sorted({k, 1, *on} if a else set(rng.sample([k, 0, 1, *on], 2)))
+                weights = [rng.random() + 0.05 for _ in support]
+                row[f"a{a}"] = tuple((j, w / sum(weights)) for j, w in zip(support, weights))
+            rows.append(row)
+        prod = absorbing_rows(rows)
+        result = max_sat_probability(prod)
+        assert result.sweeps == result.iterations == 0
+        assert result.components == sum(0.0 < v < 1.0 for v in result.values)
+        assert abs(result.initial_value - brute_force_value(prod)) <= 1e-12
+        solved += result.components
+    assert solved >= 10
+
+
 def test_wall_self_loop_that_ties_the_best_row_gets_an_attractor_row():
     # Each corridor node's first row bumps into a wall and stays. At the fixed
     # point it ties the row that moves on, so the greedy policy would never
-    # leave; the attractor row moves on.
+    # leave; the attractor row moves on. The last node's worse row back to the
+    # start makes the corridor one component, so it is swept and not solved
+    # state by state.
     rows = [{"wall": ((k, 1.0),), "on": ((k + 1, 0.9), (1, 0.1))} for k in range(2, 6)]
-    rows.append({"wall": ((6, 1.0),), "on": ((0, 0.5), (1, 0.5))})
+    rows.append({"wall": ((6, 1.0),), "on": ((0, 0.5), (1, 0.5)), "back": ((2, 1.0),)})
     prod = absorbing_rows(rows)
     snapshots = []
     result = max_sat_probability(prod, on_sweep=snapshots.append)
+    assert result.components == 1
     assert result.sweeps < WARM_SWEEPS                    # the warm sweeps settled
     warm = snapshots[-1]
     assert all(warm[k] == 0.9 * warm[k + 1] + 0.1 * warm[1] for k in range(2, 6))
@@ -879,15 +1012,17 @@ def test_wall_self_loop_that_ties_the_best_row_gets_an_attractor_row():
 def test_states_still_zero_after_the_warm_sweeps_get_attractor_rows():
     # The chain runs against the sweep order, so each sweep moves the value one
     # node back; the first nodes are still 0.0 when the warm sweeps end, and
-    # their first row, a self-loop, ties their row that moves on.
+    # their first row, a self-loop, ties their row that moves on. The last
+    # node's worse row back to the start makes the chain one component.
     length = WARM_SWEEPS + 30
     rows = [{"on": ((k + 1, 0.99), (1, 0.01))} for k in range(2, length + 1)]
-    rows[-1] = {"on": ((0, 0.99), (1, 0.01))}
+    rows[-1] = {"on": ((0, 0.99), (1, 0.01)), "back": ((2, 1.0),)}
     for k in (0, 1, 5):
         rows[k] = {"wait": ((k + 2, 1.0),), **rows[k]}
     prod = absorbing_rows(rows)
     snapshots = []
     result = max_sat_probability(prod, on_sweep=snapshots.append)
+    assert result.components == 1
     assert result.sweeps == WARM_SWEEPS
     assert snapshots[-1][2] == snapshots[-1][3] == snapshots[-1][7] == 0.0
     assert abs(result.initial_value - 0.99 ** (length - 1)) <= 1e-12
