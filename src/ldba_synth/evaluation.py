@@ -34,6 +34,8 @@ class TestConfig:
         require_field_types(self)
         require_positive(rollouts=self.rollouts, horizon=self.horizon,
                          required_sweeps=self.required_sweeps)
+        if self.seed < 0:  # Random(-s) seeds as Random(s) does
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -125,6 +127,8 @@ def robustness_sweep(env, ldba_spec, base_hp: Hyperparams, eta_grid, mu_grid,
     """Train and test over the (eta, mu) grid; the only home of each sweep default."""
     require_positive(trainings=trainings, tests=tests, required_sweeps=required_sweeps,
                      workers=workers)
+    if seed < 0:  # checked before any job; Random(-s) seeds as Random(s) does
+        raise ValueError("seed must be >= 0")
     for name, values in (("eta_grid", eta_grid), ("mu_grid", mu_grid)):
         if not len(values):
             raise ValueError(f"{name} must name at least one value")

@@ -50,6 +50,8 @@ class Hyperparams:
             raise ValueError("learning_rate must lie in (0, 1]")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
+        if self.seed < 0:  # Random(-s) seeds as Random(s) does
+            raise ValueError("seed must be >= 0")
         self.reward_spec()  # RewardSpec checks positive_reward
         if self.learning_rate_decay < 0.0:
             raise ValueError("learning_rate_decay must be >= 0")

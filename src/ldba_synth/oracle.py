@@ -18,27 +18,19 @@ The undecided states are solved one strongly connected component at a
 time, in the order Tarjan's search emits them: downstream first, so every
 state outside the component (sure, never, or solved before) is a constant.
 A one-state component takes its best row's gain over pivot. A larger one runs
-at most WARM_SWEEPS Gauss-Seidel sweeps of value iteration, fewer once no
-value moves by VI_RESIDUAL, then policy iteration (Puterman, Markov Decision
-Processes, 1994) from the rows greedy for those values; a state whose greedy
-chain cannot leave the component takes an attractor row, found by backward
-search from the sure states. Each iteration solves the policy's chain on the
-component by sparse elimination (_solve_chain) and switches a state to its
-best row only when that beats its value by more than PI_GAIN, relative. The
-combined chain is block-triangular, so every undecided value is the exact
-chain value, up to float rounding, of a policy that no row improves by more
-than 1e-12; the residual rule of value iteration gives no such bound and
-stopped up to 3.4e-10 low on the hazard lakes.
+exactly WARM_SWEEPS Gauss-Seidel sweeps of value iteration, then policy
+iteration (Puterman, Markov Decision Processes, 1994) from the rows greedy
+for those values; a state whose greedy chain cannot leave the component
+takes an attractor row, found by backward search from the sure states. Each
+iteration solves the policy's chain on the component by sparse elimination
+(_solve_chain) and switches a state to its best row only when that beats its
+value by more than PI_GAIN, relative. The combined chain is block-triangular,
+so every undecided value is the exact chain value, up to float rounding, of
+a policy that no row improves by more than 1e-12; value iteration alone
+bounds no distance to the optimum.
 
-A component's rows are one table, read by the warm sweeps, the improvement
-passes (sweeps that keep the argmax) and the chain assembly. A state's first
-four rows of at most four terms are one flat 32-slot tuple, each row padded
-with (0, 0.0) to four terms and missing rows all pads, evaluated as four
-fixed expressions; 0.0 + x == x for x >= +0.0 and a pad adds exactly +0.0
-(values are finite, non-negative), so each warm sweep is bit for bit a full
-term-by-term sweep. Further and longer rows keep the loop. A warm sweep
-recomputes only the states flagged stale by a moved successor in the
-component, skipping the others with itertools.compress.
+A component's rows are one table (_component_rows), read by the warm sweeps,
+the improvement passes (_sweep with a choice list) and the chain assembly.
 """
 
 from __future__ import annotations
@@ -54,8 +46,7 @@ from .automaton import LdbaSpec
 from .product import SINK, compile_product
 
 DEFAULT_STATE_CAP = 10**6
-VI_RESIDUAL = 1e-10  # value iteration stops once no value moves by this much
-WARM_SWEEPS = 50  # at most this many Gauss-Seidel sweeps per component warm-start policy iteration
+WARM_SWEEPS = 50  # Gauss-Seidel sweeps per component that warm-start policy iteration
 PI_GAIN = 1e-12  # policy iteration switches a state to a row better by this much, relative
 MAX_ITERATIONS = 1000  # policy iteration guard; it converges in a few iterations
 
@@ -466,9 +457,10 @@ def _component_rows(prod: ExplicitProduct, where: dict[int, int], never: set[int
     """The row table of the component where[node] = k, and each state's attractor row index.
 
     Entry k is (k, node, block, more, readers): block is the node's first four
-    rows of at most four terms, flat (j, p) slots padded to four a row; longer
-    and further rows are (j, p) tuples in more, indexed from 4. A row into never
-    alone is worth 0.0 and is left out. readers: the states with a row into node.
+    rows of at most four terms as 32 flat (j, p) slots, each row padded with
+    (0, 0.0) to four terms and a missing row all pads; longer and further rows
+    are (j, p) tuples in more, indexed from 4. A row into never alone is worth
+    0.0 and is left out. readers: the states with a row into node.
     """
     first_edge, succ, prob = prod.first_edge, prod.succ, prod.prob
     ids, floats = list(range(prod.num_states())), {}  # shared ints and floats: a small table
@@ -498,15 +490,25 @@ def _component_rows(prod: ExplicitProduct, where: dict[int, int], never: set[int
 
 
 def _sweep(work: list[tuple], values: list[float], stale: bytearray,
-           choice: list[int] | None = None, bar: float = 0.0) -> float:
+           choice: list[int] | None = None, bar: float = 0.0) -> bool:
     """One Gauss-Seidel sweep over the stale states of a row table.
 
-    Returns the most a state's first best row, if worth more than its value
-    times bar, beats that value. Without choice the row's worth is written to
-    values and a moved state flags its readers stale; with choice the sweep is
-    an improvement pass: values stay, and the state moves to that row.
+    A state's first best row counts only if worth more than its value times
+    bar. Without choice its worth is written to values, and a state that
+    moves flags its readers stale; with choice the sweep is an improvement
+    pass: values stay, the state switches to that row, and the return tells
+    whether any did.
+
+    A state's first four rows are four fixed expressions over its padded
+    block, bit for bit the term-by-term loop kept for the rows in more:
+    Python sums left to right and never fuses a multiply with an add, the
+    loop's 0.0 + x equals x for every x >= +0.0, and a pad, like a left-out
+    successor that cannot reach the target, adds exactly +0.0, since values
+    are finite and non-negative. A state not flagged stale would recompute
+    its value unchanged, so skipping it with itertools.compress changes
+    nothing, and each warm sweep is bit for bit a full sweep.
     """
-    delta = 0.0
+    switched = False
     for (k, i, (j0, p0, j1, p1, j2, p2, j3, p3, j4, p4, j5, p5, j6, p6, j7, p7,
                 j8, p8, j9, p9, j10, p10, j11, p11, j12, p12, j13, p13, j14, p14, j15, p15),
          more, to_flag) in compress(work, stale):
@@ -531,17 +533,16 @@ def _sweep(work: list[tuple], values: list[float], stale: bytearray,
                     acc += p * values[j]
                 if acc > best:
                     best, b = acc, m
-        if b >= 0:
-            diff = best - values[i]
-            if diff > delta:
-                delta = diff
-            if choice is not None:
-                choice[k] = b
-            elif diff:
-                values[i] = best
-                for r in to_flag:
-                    stale[r] = 1
-    return delta
+        if b < 0:
+            continue
+        if choice is not None:
+            choice[k] = b
+            switched = True
+        elif best != values[i]:
+            values[i] = best
+            for r in to_flag:
+                stale[r] = 1
+    return switched
 
 
 def _chain(work: list[tuple], choice: list[int], where: dict[int, int], values: list[float]):
@@ -601,8 +602,7 @@ def _policy_iteration(work: list[tuple], where: dict[int, int], values: list[flo
             return iterations
 
 
-def max_sat_probability(prod: ExplicitProduct, max_sweeps: int = 10**6,
-                        on_sweep=None) -> OracleResult:
+def max_sat_probability(prod: ExplicitProduct) -> OracleResult:
     """Maximal probability of satisfying the Buchi condition from each state."""
     mecs = mec_decompose(prod)
     target = set().union(*(m.states for m in mecs
@@ -647,15 +647,8 @@ def max_sat_probability(prod: ExplicitProduct, max_sweeps: int = 10**6,
         work, first = _component_rows(prod, where, never, attract)
         stale = bytearray([1]) * len(work)
         for _ in range(WARM_SWEEPS):
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise RuntimeError("value iteration did not converge within the sweep "
-                                   "guard; this signals a modeling bug")
-            delta = _sweep(work, values, stale)
-            if on_sweep is not None:
-                on_sweep(list(values))
-            if delta < VI_RESIDUAL:
-                break
+            _sweep(work, values, stale)
+        sweeps += WARM_SWEEPS
         iterations += _policy_iteration(work, where, values, first)
 
     return OracleResult(values, values[prod.initial], frozenset(target), mecs, sweeps,

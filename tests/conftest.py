@@ -8,8 +8,10 @@ wall-clock or ordering.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -18,7 +20,7 @@ from hypothesis import settings
 
 from ldba_synth import GridEnv, LabelRegion, LdbaSpec, parse_ldba_spec
 from ldba_synth.automaton import LdbaRuntime
-from ldba_synth.envs import ACTION_DELTAS, PERPENDICULAR
+from ldba_synth.envs import ACTION_DELTAS, PERPENDICULAR, parse_env_spec
 from ldba_synth.oracle import ExplicitProduct
 
 
@@ -163,6 +165,15 @@ def gated_lake(size: int = 8, slip: float = 0.45) -> GridEnv:
     return GridEnv(height=n, width=n, actions=["down", "right", "up", "left"],
                    slip_probability=slip, initial_state=(0, 0),
                    label_regions=regions)
+
+
+def load_hazard_lake(seed: int) -> GridEnv:
+    """The benchmark's seeded hazard lake, from perfbench/hazard.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "hazard.py"
+    module_spec = importlib.util.spec_from_file_location("hazard", path)
+    hazard = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(hazard)
+    return parse_env_spec(hazard.hazard_lake(seed))
 
 
 # ---------------------------------------------------------------------------

@@ -494,6 +494,30 @@ def test_no_test_still_checks_test_flags_before_save_dir(spec_files, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "test", "sweep"])
+def test_negative_seed_exits_config_before_save_dir(spec_files, tmp_path, capsys,
+                                                     monkeypatch, command):
+    # Random(-s) seeds as Random(s) does: --seed -1 would silently repeat --seed 1
+    env_path, ldba_path = spec_files
+    model = []
+    if command == "test":
+        assert main(train_args(spec_files, tmp_path / "model", "--no-test")) == EXIT_OK
+        capsys.readouterr()
+        model = ["--model", str(tmp_path / "model" / "learned_model.json")]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the seed was checked")
+
+    for name in ("train", "run_test", "robustness_sweep"):
+        monkeypatch.setattr(f"ldba_synth.cli.{name}", no_work)
+    out = tmp_path / "results"
+    rc = main([command, "--env", str(env_path), "--ldba", str(ldba_path),
+               "--save_dir", str(out), *model, "--seed", "-1"])
+    assert rc == EXIT_CONFIG
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, unreadable", [
     ("--model", "directory"),
     ("--model", "latin-1"),

@@ -40,7 +40,7 @@ def test_test_config_defaults_and_validation():
     assert (cfg.rollouts, cfg.horizon, cfg.required_sweeps, cfg.seed) == (100, 4000, 1, 0)
     for bad in (TestConfig(rollouts=0), TestConfig(horizon=0),
                 TestConfig(required_sweeps=0), TestConfig(rollouts=2.5),
-                TestConfig(horizon=True), TestConfig(seed=None)):
+                TestConfig(horizon=True), TestConfig(seed=None), TestConfig(seed=-1)):
         with pytest.raises(ValueError):
             bad.validate()
 
@@ -270,6 +270,17 @@ def test_sweep_rejects_nonpositive_trainings():
     env, spec, base = sweep_args()
     with pytest.raises(ValueError, match="trainings"):
         robustness_sweep(env, spec, base, [0.5], [0.5], trainings=0)
+
+
+def test_sweep_rejects_a_negative_seed_before_any_job(monkeypatch, pool_sizes):
+    def fail(job):
+        raise AssertionError("no job may start")
+
+    monkeypatch.setattr("ldba_synth.evaluation._sweep_job", fail)
+    env, spec, base = sweep_args()
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        robustness_sweep(env, spec, base, [0.5], [0.5], trainings=1, tests=1, seed=-1)
+    assert pool_sizes == []
 
 
 @pytest.mark.parametrize("workers", [0, -3])

@@ -5,8 +5,10 @@ to the product construction, the MEC decomposition, the prob0/prob1
 precomputations, the order of the undecided states, the Gauss-Seidel
 arithmetic or the policy iteration after it that alters a single value or
 set shows up here. One case exercises epsilon-moves and 151 MECs; the other
-is a slippery lake where the quantitative solve, not the qualitative phase,
-decides the initial value.
+two are slippery lakes where the quantitative solve, not the qualitative
+phase, decides the initial value. The second lake is the benchmark's hazard
+lake 0 (perfbench/hazard.py, seed 0), whose two components of 716 undecided
+states are the largest undecided solve the benchmark runs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from ldba_synth.oracle import (
     max_sat_probability,
 )
 
-from conftest import gated_lake
+from conftest import gated_lake, load_hazard_lake
 
 
 def _sha256(text: str) -> str:
@@ -58,6 +60,16 @@ GOLDEN_SOLVES = {
             "3bcf2afdb32ea342100e69fd054bb7052791450672fdfa8a269e36a5fa7d5b7a",
         "mecs":
             "a065b94829acf183c95b836ed848a5ba6c119451f6fc6b5424bb2b08d3d8c70b",
+    }),
+    "hazard-lake-0-frozen-lake-reach": (lambda: load_hazard_lake(0), "frozen-lake-reach", {
+        "values":
+            "f7d38fd87aeb2b955fe9957f9e586f96dc8a381ea2dd92f03831885d9bc3819b",
+        "sure":
+            "4abc5b1bc11a5a4457c1b1bf4c748a0e4a8ab757dfb78aff57c153ba19c0fd69",
+        "never":
+            "9cab0519f56f13acec86572516e8ebe7b99aa40011ec3171c9c8af90c08cae7a",
+        "mecs":
+            "7468dc61a5ae475fa3a7627c1f8fd9b77b02ed1483920d21d944635a839d1073",
     }),
 }
 

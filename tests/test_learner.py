@@ -76,6 +76,7 @@ def test_hyperparams_explicit_reward_wins():
     ("epsilon", None),
     ("episode_num", 2.5),
     ("seed", True),
+    ("seed", -1),
     ("q_init", None),
     ("discount_factor", "0.9"),
 ])

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import importlib.util
 import tracemalloc
-from pathlib import Path
+from contextlib import contextmanager
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -13,10 +13,9 @@ import pytest
 from ldba_synth import oracle
 from ldba_synth.automaton import SINK_STATE, load_ldba_file, parse_ldba_spec
 from ldba_synth.envs import (GridEnv, LabelRegion, bundled_data_dir, load_env_file,
-                             parse_env_spec, resolve_spec_path)
+                             resolve_spec_path)
 from ldba_synth.oracle import (
     DEFAULT_STATE_CAP,
-    VI_RESIDUAL,
     WARM_SWEEPS,
     ExplicitProduct,
     ProductSizeError,
@@ -37,6 +36,7 @@ from conftest import (
     corridor_env,
     gated_lake,
     greedy_product_policy,
+    load_hazard_lake,
     make_rng,
     product_rollout_sweeps,
     random_automaton,
@@ -597,14 +597,13 @@ def test_value_iteration_sweeps_are_monotone(monkeypatch):
     })
     prod = build_explicit_product(env, spec)
     snapshots = []
-    result = max_sat_probability(prod, on_sweep=snapshots.append)
+    with warm_sweeps(snapshots.append):
+        result = max_sat_probability(prod)
     assert len(snapshots) == result.sweeps >= 1
     for earlier, later in zip(snapshots, snapshots[1:]):
         assert all(a <= b + 1e-15 for a, b in zip(earlier, later))
     # policy iteration starts from the last warm sweep and only raises values
     assert all(a <= b + 1e-15 for a, b in zip(snapshots[-1], result.values))
-    with pytest.raises(RuntimeError, match="sweep guard"):
-        max_sat_probability(prod, max_sweeps=0)
     monkeypatch.setattr(oracle, "MAX_ITERATIONS", 0)
     with pytest.raises(RuntimeError, match="iteration guard"):
         max_sat_probability(prod)
@@ -636,16 +635,34 @@ def test_values_are_probabilities():
 # ---------------------------------------------------------------------------
 
 
-def reference_value_iteration(prod: ExplicitProduct, on_sweep=None,
-                              residual: float = VI_RESIDUAL, solved=None):
+SETTLED = 1e-10  # tests pick products by the sweeps until no value moves by this much
+
+
+@contextmanager
+def warm_sweeps(on_sweep):
+    """Within it, max_sat_probability calls on_sweep with a copy of the values
+    after each warm sweep; improvement passes are not reported."""
+    sweep = oracle._sweep
+
+    def traced(work, values, stale, choice=None, bar=0.0):
+        switched = sweep(work, values, stale, choice, bar)
+        if choice is None:
+            on_sweep(list(values))
+        return switched
+
+    with mock.patch.object(oracle, "_sweep", traced):
+        yield
+
+
+def reference_value_iteration(prod: ExplicitProduct, on_sweep=None, solved=None):
     """Gauss-Seidel that recomputes every state of a component on every sweep.
 
     The undecided states are swept one strongly connected component at a time,
     in the order Tarjan's search emits them (downstream first), each in node
-    order. A component stops once no value moves by residual, or at its float
-    fixed point when residual is 0.0; with solved given, its values are then
-    set to solved's, as the oracle's policy iteration sets them. Returns the
-    values and, per component, its states and each sweep's largest move.
+    order. A component stops at its float fixed point, the first sweep that
+    moves no value; with solved given, its values are then set to solved's, as
+    the oracle's policy iteration sets them. Returns the values and, per
+    component, its states and each sweep's largest move.
     """
     mecs = mec_decompose(prod)
     target = set().union(*(m.states for m in mecs
@@ -681,7 +698,7 @@ def reference_value_iteration(prod: ExplicitProduct, on_sweep=None,
             deltas.append(delta)
             if on_sweep is not None:
                 on_sweep(list(values))
-            if delta < residual or delta == 0.0:
+            if delta == 0.0:
                 break
         report.append((comp, deltas))
         if solved is not None:
@@ -691,24 +708,27 @@ def reference_value_iteration(prod: ExplicitProduct, on_sweep=None,
 
 
 def assert_value_iteration_matches_reference(prod) -> int:
-    """The warm sweeps of each component of two or more states are the reference's
-    first sweeps of it, snapshot for snapshot, and the values are within 1e-12 of
-    the reference run to its float fixed point. Returns the sweeps that the
-    residual rule alone would take, summed over components."""
+    """The WARM_SWEEPS warm sweeps of each component of two or more states are the
+    reference's first sweeps of it, snapshot for snapshot; a reference that reaches
+    its float fixed point sooner is padded with its last snapshot, as a sweep with
+    nothing stale moves nothing. The values are within 1e-12 of the reference run
+    to its float fixed point. Returns the sweeps after which no value moves by
+    SETTLED, summed over components."""
     snapshots, expected = [], []
-    result = max_sat_probability(prod, on_sweep=snapshots.append)
-    values, report = reference_value_iteration(prod, residual=0.0)
+    with warm_sweeps(snapshots.append):
+        result = max_sat_probability(prod)
+    values, report = reference_value_iteration(prod)
     assert max(abs(a - b) for a, b in zip(result.values, values)) <= 1e-12
-    _, report = reference_value_iteration(prod, on_sweep=expected.append, residual=0.0,
+    _, report = reference_value_iteration(prod, on_sweep=expected.append,
                                           solved=result.values)
     total = warm = at = 0
     for comp, deltas in report:
-        sweeps = next((t for t, delta in enumerate(deltas, 1) if delta < VI_RESIDUAL), 0)
-        total += sweeps
+        total += next(t for t, delta in enumerate(deltas, 1) if delta < SETTLED)
         if len(comp) > 1:  # a one-state component is solved without sweeps
-            count = min(sweeps, WARM_SWEEPS)
-            assert snapshots[warm:warm + count] == expected[at:at + count]
-            warm += count
+            sweeps = expected[at:at + min(len(deltas), WARM_SWEEPS)]
+            sweeps += sweeps[-1:] * (WARM_SWEEPS - len(sweeps))
+            assert snapshots[warm:warm + WARM_SWEEPS] == sweeps
+            warm += WARM_SWEEPS
         at += len(deltas)
     assert result.sweeps == warm == len(snapshots)
     assert result.components == len(report)
@@ -815,13 +835,21 @@ def test_first_sweep_peak_memory_stays_low():
     spec = load_ldba_file(resolve_spec_path("frozen-lake-reach", "ldba"))
     prod = build_explicit_product(gated_lake(24), spec)
     peaks = []
-    tracemalloc.start()
-    try:
-        with pytest.raises(RuntimeError, match="sweep guard"):
-            max_sat_probability(prod, max_sweeps=1, on_sweep=lambda values: peaks.append(
-                tracemalloc.get_traced_memory()[1]))
-    finally:
-        tracemalloc.stop()
+
+    class FirstSweepDone(Exception):
+        pass
+
+    def first_sweep(values):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        raise FirstSweepDone
+
+    with warm_sweeps(first_sweep):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstSweepDone):
+                max_sat_probability(prod)
+        finally:
+            tracemalloc.stop()
     assert len(peaks) == 1
     assert peaks[0] < 1.58 * 2**20
 
@@ -834,18 +862,9 @@ def test_first_sweep_peak_memory_stays_low():
 CERTIFIED_LAKE_VALUE = 0.2709139018929371  # exact optimum, solved in fractions
 
 
-def load_hazard_lake(seed: int) -> GridEnv:
-    """The benchmark's seeded hazard lake, from perfbench/hazard.py."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "hazard.py"
-    module_spec = importlib.util.spec_from_file_location("hazard", path)
-    hazard = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(hazard)
-    return parse_env_spec(hazard.hazard_lake(seed))
-
-
 def test_lake_values_are_the_certified_optimum():
-    # value iteration's residual rule stopped 1.4e-10 (gated lake) and 3.4e-10
-    # (hazard lake 0) below this value
+    # value iteration alone, stopped once no value moved by 1e-10, was 1.4e-10
+    # (gated lake) and 3.4e-10 (hazard lake 0) below this value
     spec = load_ldba_file(resolve_spec_path("frozen-lake-reach", "ldba"))
     for env in (gated_lake(), load_hazard_lake(0)):
         result = max_sat_probability(build_explicit_product(env, spec))
@@ -871,7 +890,8 @@ def test_policy_iteration_peak_memory_stays_low():
             tracemalloc.start()
 
     try:
-        result = max_sat_probability(prod, on_sweep=on_sweep)
+        with warm_sweeps(on_sweep):
+            result = max_sat_probability(prod)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1000,10 +1020,12 @@ def test_wall_self_loop_that_ties_the_best_row_gets_an_attractor_row():
     rows.append({"wall": ((6, 1.0),), "on": ((0, 0.5), (1, 0.5)), "back": ((2, 1.0),)})
     prod = absorbing_rows(rows)
     snapshots = []
-    result = max_sat_probability(prod, on_sweep=snapshots.append)
+    with warm_sweeps(snapshots.append):
+        result = max_sat_probability(prod)
     assert result.components == 1
-    assert result.sweeps < WARM_SWEEPS                    # the warm sweeps settled
+    assert result.sweeps == WARM_SWEEPS
     warm = snapshots[-1]
+    assert snapshots[-2] == warm                          # the warm sweeps settled
     assert all(warm[k] == 0.9 * warm[k + 1] + 0.1 * warm[1] for k in range(2, 6))
     assert abs(result.initial_value - 0.5 * 0.9 ** 4) <= 1e-12
     assert abs(result.initial_value - brute_force_value(prod)) <= 1e-12
@@ -1021,7 +1043,8 @@ def test_states_still_zero_after_the_warm_sweeps_get_attractor_rows():
         rows[k] = {"wait": ((k + 2, 1.0),), **rows[k]}
     prod = absorbing_rows(rows)
     snapshots = []
-    result = max_sat_probability(prod, on_sweep=snapshots.append)
+    with warm_sweeps(snapshots.append):
+        result = max_sat_probability(prod)
     assert result.components == 1
     assert result.sweeps == WARM_SWEEPS
     assert snapshots[-1][2] == snapshots[-1][3] == snapshots[-1][7] == 0.0
