@@ -107,12 +107,17 @@ def _model_problem(payload: dict) -> str | None:
     entries = payload.get("entries")
     if not isinstance(entries, list):
         return "'entries' must be a list"
+    seen = set()  # (row, col, q, action) of each entry so far
     for k, entry in enumerate(entries):
         cell = entry.get("s") if isinstance(entry, dict) else None
         if not (isinstance(cell, list) and len(cell) == 2 and all(map(is_int, cell))
                 and is_int(entry.get("q")) and isinstance(entry.get("action"), str)
                 and is_number(entry.get("value")) and math.isfinite(entry["value"])):
             return f"entry {k} needs s: [int, int], q: int, a string action, a finite value"
+        key = (*cell, entry["q"], entry["action"])
+        if key in seen:
+            return f"entry {k} repeats s {cell}, q {entry['q']}, action {entry['action']!r}"
+        seen.add(key)
     return None
 
 

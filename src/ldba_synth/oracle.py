@@ -40,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress, count, repeat
+from itertools import chain, count, repeat
 
 from .automaton import LdbaSpec
 from .product import SINK, compile_product
@@ -56,7 +56,7 @@ class ProductSizeError(RuntimeError):
 
 
 class ExplicitProduct:
-    """Reachable product MDP in one CSR (compressed sparse row) layout.
+    """Reachable product MDP in one sparse-row (CSR) layout.
 
     ``states[i]`` is node i's product id (see ``CompiledProduct``); every
     sink slot collapses into the one node ``SINK``. Node i's actions
@@ -73,21 +73,6 @@ class ExplicitProduct:
         self.actions: list[tuple[str, ...]] = []
         self.first_row, self.first_edge = array("q", [0]), array("q", [0])
         self.succ, self.prob = array("q"), array("d")
-
-    @classmethod
-    def from_successors(cls, states, initial, successors, accepting_sets) -> ExplicitProduct:
-        """A product from one ``{action: ((j, p), ...)}`` dict per node; a p of 0.0 is no edge."""
-        prod = cls(states, initial, accepting_sets)
-        for row in successors:
-            for pairs in row.values():
-                for j, p in pairs:
-                    if p:
-                        prod.succ.append(j)
-                        prod.prob.append(p)
-                prod.first_edge.append(len(prod.succ))
-            prod.actions.append(tuple(row))
-            prod.first_row.append(len(prod.first_edge) - 1)
-        return prod
 
     def num_states(self) -> int:
         return len(self.states)
@@ -456,17 +441,17 @@ def _component_rows(prod: ExplicitProduct, where: dict[int, int], never: set[int
                     attract: list[int]) -> tuple[list[tuple], list[int]]:
     """The row table of the component where[node] = k, and each state's attractor row index.
 
-    Entry k is (k, node, block, more, readers): block is the node's first four
-    rows of at most four terms as 32 flat (j, p) slots, each row padded with
-    (0, 0.0) to four terms and a missing row all pads; longer and further rows
-    are (j, p) tuples in more, indexed from 4. A row into never alone is worth
-    0.0 and is left out. readers: the states with a row into node.
+    Entry k is (k, node, block, more): block is the node's first four rows of
+    at most four terms as 32 flat (j, p) slots, each row padded with (0, 0.0)
+    to four terms and a missing row all pads; longer and further rows are
+    (j, p) tuples in more, indexed from 4. A row into never alone is worth
+    0.0 and is left out.
     """
     first_edge, succ, prob = prod.first_edge, prod.succ, prod.prob
     ids, floats = list(range(prod.num_states())), {}  # shared ints and floats: a small table
-    work, first, readers = [], [], [[] for _ in where]
+    work, first = [], []
     for k, i in enumerate(where):
-        block, more, reads = [], [], set()
+        block, more = [], []
         for r in prod.rows(i):
             a, b = first_edge[r], first_edge[r + 1]
             js, ps = succ[a:b], prob[a:b]
@@ -481,38 +466,31 @@ def _component_rows(prod: ExplicitProduct, where: dict[int, int], never: set[int
             else:
                 block += chain.from_iterable(terms)
                 block += (0, 0.0) * (4 - b + a)
-            reads.update(js)
-        for m in {where[j] for j in reads if j in where}:
-            readers[m].append(k)
         block += (0, 0.0) * (16 - len(block) // 2)
-        work.append((k, i, tuple(block), tuple(more), readers[k]))
+        work.append((k, i, tuple(block), tuple(more)))
     return work, first
 
 
-def _sweep(work: list[tuple], values: list[float], stale: bytearray,
-           choice: list[int] | None = None, bar: float = 0.0) -> bool:
-    """One Gauss-Seidel sweep over the stale states of a row table.
+def _sweep(work: list[tuple], values: list[float], choice: list[int] | None = None,
+           bar: float = 0.0) -> bool:
+    """One Gauss-Seidel sweep over every state of a row table, in order.
 
     A state's first best row counts only if worth more than its value times
-    bar. Without choice its worth is written to values, and a state that
-    moves flags its readers stale; with choice the sweep is an improvement
-    pass: values stay, the state switches to that row, and the return tells
-    whether any did.
+    bar. Without choice its worth is written to values; with choice the
+    sweep is an improvement pass: values stay, the state switches to that
+    row, and the return tells whether any did.
 
     A state's first four rows are four fixed expressions over its padded
     block, bit for bit the term-by-term loop kept for the rows in more:
     Python sums left to right and never fuses a multiply with an add, the
     loop's 0.0 + x equals x for every x >= +0.0, and a pad, like a left-out
     successor that cannot reach the target, adds exactly +0.0, since values
-    are finite and non-negative. A state not flagged stale would recompute
-    its value unchanged, so skipping it with itertools.compress changes
-    nothing, and each warm sweep is bit for bit a full sweep.
+    are finite and non-negative.
     """
     switched = False
     for (k, i, (j0, p0, j1, p1, j2, p2, j3, p3, j4, p4, j5, p5, j6, p6, j7, p7,
                 j8, p8, j9, p9, j10, p10, j11, p11, j12, p12, j13, p13, j14, p14, j15, p15),
-         more, to_flag) in compress(work, stale):
-        stale[k] = 0
+         more) in work:
         best, b = values[i] * bar, -1
         acc = p0 * values[j0] + p1 * values[j1] + p2 * values[j2] + p3 * values[j3]
         if acc > best:
@@ -538,17 +516,15 @@ def _sweep(work: list[tuple], values: list[float], stale: bytearray,
         if choice is not None:
             choice[k] = b
             switched = True
-        elif best != values[i]:
+        else:
             values[i] = best
-            for r in to_flag:
-                stale[r] = 1
     return switched
 
 
 def _chain(work: list[tuple], choice: list[int], where: dict[int, int], values: list[float]):
     """The out, leave and gain of _solve_chain for the chosen rows; values outside are constants."""
     out, leave, gain = [], [], []
-    for (k, i, block, more, _), b in zip(work, choice):
+    for (k, i, block, more), b in zip(work, choice):
         moves, e, g = {}, 0.0, 0.0
         for j, p in zip(block[8 * b:8 * b + 8:2], block[8 * b + 1:8 * b + 8:2]) if b < 4 \
                 else more[b - 4]:
@@ -577,17 +553,17 @@ def _policy_iteration(work: list[tuple], where: dict[int, int], values: list[flo
     values on average over R's stationary distribution; so R holds no switched
     state, and the old chain, which left, could not have been closed on R.
     """
-    choice = [0 if block[1] else 4 for _, _, block, _, _ in work]  # the first real row
-    _sweep(work, values, bytearray([1]) * len(work), choice)  # greedy for the warm values
+    choice = [0 if block[1] else 4 for _, _, block, _ in work]  # the first real row
+    _sweep(work, values, choice)  # greedy for the warm values
     out, leave, _ = _chain(work, choice, where, values)
-    readers: list[list[int]] = [[] for _ in out]
+    into: list[list[int]] = [[] for _ in out]  # into[m]: the states whose chain moves to m
     for k, row in enumerate(out):
         for m in row:
-            readers[m].append(k)
+            into[m].append(k)
     leaves = [e > 0.0 for e in leave]  # leaves[k]: k's chain can leave the component
     queue = [k for k, flag in enumerate(leaves) if flag]
     for m in queue:  # grows while it is read: a breadth-first search backward
-        for k in readers[m]:
+        for k in into[m]:
             if not leaves[k]:
                 leaves[k] = True
                 queue.append(k)
@@ -598,7 +574,7 @@ def _policy_iteration(work: list[tuple], where: dict[int, int], values: list[flo
                                "guard; this signals a modeling bug")
         for (_, i, *_), v in zip(work, _solve_chain(*_chain(work, choice, where, values))):
             values[i] = v
-        if not _sweep(work, values, bytearray([1]) * len(work), choice, 1.0 + PI_GAIN):
+        if not _sweep(work, values, choice, 1.0 + PI_GAIN):
             return iterations
 
 
@@ -645,9 +621,8 @@ def max_sat_probability(prod: ExplicitProduct) -> OracleResult:
             continue
         where = {i: k for k, i in enumerate(comp)}  # a node's position in the component
         work, first = _component_rows(prod, where, never, attract)
-        stale = bytearray([1]) * len(work)
         for _ in range(WARM_SWEEPS):
-            _sweep(work, values, stale)
+            _sweep(work, values)
         sweeps += WARM_SWEEPS
         iterations += _policy_iteration(work, where, values, first)
 

@@ -224,6 +224,21 @@ def hazard_spec():
 # ---------------------------------------------------------------------------
 
 
+def product_from_successors(states, initial, successors, accepting_sets) -> ExplicitProduct:
+    """A product from one ``{action: ((j, p), ...)}`` dict per node; a p of 0.0 is no edge."""
+    prod = ExplicitProduct(states, initial, accepting_sets)
+    for row in successors:
+        for pairs in row.values():
+            for j, p in pairs:
+                if p:
+                    prod.succ.append(j)
+                    prod.prob.append(p)
+            prod.first_edge.append(len(prod.succ))
+        prod.actions.append(tuple(row))
+        prod.first_row.append(len(prod.first_edge) - 1)
+    return prod
+
+
 def random_explicit_product(rng: random.Random, max_states: int = 10,
                             max_actions: int = 2,
                             n_accepting_sets: int = 1,
@@ -248,8 +263,7 @@ def random_explicit_product(rng: random.Random, max_states: int = 10,
         frozenset(rng.sample(range(n), rng.randint(1, max(1, n // 2))))
         for _ in range(n_accepting_sets)
     )
-    return ExplicitProduct.from_successors(list(range(n)), rng.randrange(n), successors,
-                                           accepting)
+    return product_from_successors(list(range(n)), rng.randrange(n), successors, accepting)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from ldba_synth import automaton, cli, envs, learner, oracle, product
 from ldba_synth.cli import EXIT_OK, main
 from ldba_synth.oracle import ExplicitProduct, max_sat_probability
 
+from conftest import product_from_successors
+
 # (owner, attribute) pairs wrapped by name, as perfbench/probes.py does
 WRAPPED = {
     "product.step": (product.ProductRun, "step"),
@@ -109,7 +111,7 @@ def test_oracle_phases_called_once_each_on_the_built_product(monkeypatch):
 def two_node_product(accepting: int) -> ExplicitProduct:
     """Node 0 moves to node 1, which loops; only the loop of node 1 is an end
     component, so the product has an accepting MEC exactly when accepting is 1."""
-    return ExplicitProduct.from_successors(
+    return product_from_successors(
         states=[0, 1], initial=0,
         successors=[{"go": ((1, 1.0),)}, {"stay": ((1, 1.0),)}],
         accepting_sets=(frozenset({accepting}),))

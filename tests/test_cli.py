@@ -161,6 +161,7 @@ MALFORMED_MODELS = {
     "nan-value": model_payload(entries=[dict(GOOD_ENTRY, value=float("nan"))]),
     "infinite-value": model_payload(entries=[dict(GOOD_ENTRY, value=float("inf"))]),
     "minus-infinite-value": model_payload(entries=[dict(GOOD_ENTRY, value=float("-inf"))]),
+    "duplicate-entry": model_payload(entries=[GOOD_ENTRY, dict(GOOD_ENTRY, value=0.25)]),
     "hyperparams-list": model_payload(hyperparams=[]),
     "bad-discount": model_payload(hyperparams={"discount_factor": 1.5}),
     "bad-horizon": model_payload(hyperparams={"iteration_num_max": "20"}),
@@ -179,7 +180,7 @@ def test_load_model_rejects_malformed_payloads(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", ["format-only", "entry-not-object", "bad-discount",
-                                  "nan-q-init", "nan-value"])
+                                  "nan-q-init", "nan-value", "duplicate-entry"])
 def test_test_with_malformed_model_exits_config(spec_files, tmp_path, capsys, name):
     env_path, ldba_path = spec_files
     path = tmp_path / "model.json"

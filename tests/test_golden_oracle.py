@@ -5,10 +5,11 @@ to the product construction, the MEC decomposition, the prob0/prob1
 precomputations, the order of the undecided states, the Gauss-Seidel
 arithmetic or the policy iteration after it that alters a single value or
 set shows up here. One case exercises epsilon-moves and 151 MECs; the other
-two are slippery lakes where the quantitative solve, not the qualitative
-phase, decides the initial value. The second lake is the benchmark's hazard
-lake 0 (perfbench/hazard.py, seed 0), whose two components of 716 undecided
-states are the largest undecided solve the benchmark runs.
+three are slippery lakes where the quantitative solve, not the qualitative
+phase, decides the initial value. Two are the benchmark's hazard lakes
+(perfbench/hazard.py): lake 0, whose two components of 716 undecided states
+are the largest undecided solve the benchmark runs, and lake 6, whose
+initial value stops 3.6e-12 below the certified optimum of the others.
 """
 
 from __future__ import annotations
@@ -70,6 +71,16 @@ GOLDEN_SOLVES = {
             "9cab0519f56f13acec86572516e8ebe7b99aa40011ec3171c9c8af90c08cae7a",
         "mecs":
             "7468dc61a5ae475fa3a7627c1f8fd9b77b02ed1483920d21d944635a839d1073",
+    }),
+    "hazard-lake-6-frozen-lake-reach": (lambda: load_hazard_lake(6), "frozen-lake-reach", {
+        "values":
+            "95a7b49e31f5b26d4509a416df7f9a94fee68dc8c88f54ec1de652eb4af0cc37",
+        "sure":
+            "f5a29e4d53d9dc3603cacd6983dfb8654301929b8561d4b270276444f9c89829",
+        "never":
+            "5436cc4750cf070868dc8194674f290f21aa7d184577bb0b5b694093da216ecd",
+        "mecs":
+            "a4cb32ed51b87fcf4310474f2bacae4d21521ad14aac27c3a2a19dc6b48ab5c9",
     }),
 }
 

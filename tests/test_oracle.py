@@ -38,6 +38,7 @@ from conftest import (
     greedy_product_policy,
     load_hazard_lake,
     make_rng,
+    product_from_successors,
     product_rollout_sweeps,
     random_automaton,
     random_env,
@@ -47,7 +48,7 @@ from conftest import (
 
 def hand_mdp() -> ExplicitProduct:
     """Two absorbing fates; the initial state picks 0.3 or 0.4 toward success."""
-    return ExplicitProduct.from_successors(
+    return product_from_successors(
         states=[0, 1, 2],
         initial=0,
         successors=[
@@ -61,7 +62,7 @@ def hand_mdp() -> ExplicitProduct:
 
 def alternation_mdp() -> ExplicitProduct:
     """One end component whose two accepting sets sit on opposite branches."""
-    return ExplicitProduct.from_successors(
+    return product_from_successors(
         states=[0, 1, 2],
         initial=0,
         successors=[
@@ -202,8 +203,7 @@ def test_from_successors_round_trips_random_products():
     for _ in range(30):
         prod = random_explicit_product(rng, max_states=12, max_actions=3)
         rows = list(prod.successors)
-        again = ExplicitProduct.from_successors(prod.states, prod.initial, rows,
-                                                prod.accepting_sets)
+        again = product_from_successors(prod.states, prod.initial, rows, prod.accepting_sets)
         assert list(again.successors) == rows
         assert (again.actions, again.first_row, again.first_edge, again.succ, again.prob) == (
             prod.actions, prod.first_row, prod.first_edge, prod.succ, prod.prob)
@@ -644,8 +644,8 @@ def warm_sweeps(on_sweep):
     after each warm sweep; improvement passes are not reported."""
     sweep = oracle._sweep
 
-    def traced(work, values, stale, choice=None, bar=0.0):
-        switched = sweep(work, values, stale, choice, bar)
+    def traced(work, values, choice=None, bar=0.0):
+        switched = sweep(work, values, choice, bar)
         if choice is None:
             on_sweep(list(values))
         return switched
@@ -710,8 +710,8 @@ def reference_value_iteration(prod: ExplicitProduct, on_sweep=None, solved=None)
 def assert_value_iteration_matches_reference(prod) -> int:
     """The WARM_SWEEPS warm sweeps of each component of two or more states are the
     reference's first sweeps of it, snapshot for snapshot; a reference that reaches
-    its float fixed point sooner is padded with its last snapshot, as a sweep with
-    nothing stale moves nothing. The values are within 1e-12 of the reference run
+    its float fixed point sooner is padded with its last snapshot, as a sweep from
+    the fixed point moves nothing. The values are within 1e-12 of the reference run
     to its float fixed point. Returns the sweeps after which no value moves by
     SETTLED, summed over components."""
     snapshots, expected = [], []
@@ -791,8 +791,8 @@ def test_value_iteration_matches_reference_on_rows_of_one_to_seven_terms():
         rows = list(random_explicit_product(rng, max_states=10, max_actions=3,
                                             max_support=7).successors)
         rows[0], rows[1] = {"win": ((0, 1.0),)}, {"lose": ((1, 1.0),)}
-        prod = ExplicitProduct.from_successors(list(range(len(rows))), len(rows) - 1, rows,
-                                               (frozenset({0}),))
+        prod = product_from_successors(list(range(len(rows))), len(rows) - 1, rows,
+                                       (frozenset({0}),))
         if assert_value_iteration_matches_reference(prod) >= 10:
             solved += 1
             values = max_sat_probability(prod).values
@@ -816,8 +816,8 @@ def test_value_iteration_matches_reference_on_rows_beyond_the_four_row_block():
         rows = list(random_explicit_product(rng, max_states=10, max_actions=7,
                                             max_support=3).successors)
         rows[0], rows[1] = {"win": ((0, 1.0),)}, {"lose": ((1, 1.0),)}
-        prod = ExplicitProduct.from_successors(list(range(len(rows))), len(rows) - 1, rows,
-                                               (frozenset({0}),))
+        prod = product_from_successors(list(range(len(rows))), len(rows) - 1, rows,
+                                       (frozenset({0}),))
         if assert_value_iteration_matches_reference(prod) >= 10:
             values = max_sat_probability(prod).values
             solved += any(sum(any(values[j] > 0 for j, _ in succ) for succ in row.values()) > 4
@@ -831,7 +831,7 @@ def test_first_sweep_peak_memory_stays_low():
     # tracemalloc peak from the start of the solve to the end of its first sweep
     # on a 24x24 gated lake (1703 states), Python 3.10.13-3.12.1: 1.92 MiB with
     # each row a tuple of (j, p) pairs, 1.25 MiB with flat padded rows; the bound
-    # sits midway.
+    # sits midway. Python 3.11.7 now reads 1.22 MiB, reached before the rows are built.
     spec = load_ldba_file(resolve_spec_path("frozen-lake-reach", "ldba"))
     prod = build_explicit_product(gated_lake(24), spec)
     peaks = []
@@ -876,7 +876,7 @@ def test_lake_values_are_the_certified_optimum():
 def test_policy_iteration_peak_memory_stays_low():
     # tracemalloc peak of policy iteration on hazard lake 2, traced from the last
     # warm sweep of its first component to the end of the solve, Python 3.11.7:
-    # 1.04 MiB. Solving both components as one chain took 1.91-2.10 MiB on Python
+    # 1.22 MiB. Solving both components as one chain took 1.91-2.10 MiB on Python
     # 3.10.13-3.12.1, on top of 1.70 MiB then held. The bound sits midway to
     # 5.15 MiB, at which the build and solve together would pass the 6.85 MiB of
     # frozen-lake-lrg x frozen-lake-seq, the largest bundled product.
@@ -926,8 +926,7 @@ def test_chain_solve_matches_a_dense_solve():
 def absorbing_rows(rows, initial: int = 2) -> ExplicitProduct:
     """Node 0 wins for ever and node 1 loses for ever; rows[k] is node k + 2's."""
     rows = [{"win": ((0, 1.0),)}, {"lose": ((1, 1.0),)}] + rows
-    return ExplicitProduct.from_successors(list(range(len(rows))), initial, rows,
-                                           (frozenset({0}),))
+    return product_from_successors(list(range(len(rows))), initial, rows, (frozenset({0}),))
 
 
 def test_policy_iteration_agrees_with_policy_enumeration_on_random_products():
@@ -1081,7 +1080,7 @@ def test_slip_one_corridor_cannot_alternate_through_a_hazard():
 
 def test_a_pair_of_mass_zero_is_no_edge():
     rows = [{"a": ((0, 0.0), (2, 1.0))}, {"a": ((1, 1.0),)}, {"a": ((1, 0.5), (2, 0.5))}]
-    prod = ExplicitProduct.from_successors([0, 1, 2], 0, rows, (frozenset({1}),))
+    prod = product_from_successors([0, 1, 2], 0, rows, (frozenset({1}),))
     assert list(prod.succ) == [2, 1, 1, 2]
     assert max_sat_probability(prod).initial_value == 1.0
 
@@ -1100,7 +1099,7 @@ def test_greedy_policy_picks_the_better_action():
 
 
 def test_greedy_policy_breaks_ties_toward_the_first_action():
-    prod = ExplicitProduct.from_successors(
+    prod = product_from_successors(
         states=[0, 1],
         initial=0,
         successors=[
