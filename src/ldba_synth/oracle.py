@@ -2,17 +2,20 @@
 
 The environment kernel and automaton are composed into an explicit product MDP
 (reachable part only, all sink slots collapsed into one absorbing node) held
-in flat arrays, see ExplicitProduct. Maximal end components are found by
-iterative SCC refinement on them (Baier & Katoen, Principles of Model
-Checking, 10.6.3), sorting nothing; Tarjan's search runs on int lists indexed
-by node, and a worklist over a candidate's rows into each node it loses drops
-the rows that leave it. A MEC is accepting when its states intersect every
-accepting set, matching the frontier semantics that all sets must be visited
-infinitely often. The maximal probability of reaching the union of accepting
-MECs is then the Buchi value. The standard qualitative precomputations come
-first (prob0 by backward search, prob1 by the Pmax=1 fixed point of 10.6), so
-almost-sure states report exactly 1. prob1, prob0 and the attractor rows read
-one predecessor index, built once per solve.
+in flat arrays, written from plain lists a few thousand edges at a time, see
+ExplicitProduct. Maximal end components are found by iterative SCC refinement
+on them (Baier & Katoen, Principles of Model Checking, 10.6.3), sorting
+nothing; Tarjan's search runs on int lists indexed by node, a candidate is a
+node list it returned, and one map holds the rows a node keeps once it has
+lost one. A worklist over a candidate's rows into each node it loses drops the
+rows that leave it, and a candidate that loses no row is a MEC without another
+search. A MEC is accepting when its states intersect every accepting set,
+matching the frontier semantics that all sets must be visited infinitely
+often. The maximal probability of reaching the union of accepting MECs is then
+the Buchi value. The standard qualitative precomputations come first (prob0 by
+backward search, prob1 by the Pmax=1 fixed point of 10.6), so almost-sure
+states report exactly 1. prob1, prob0 and the attractor rows read one
+predecessor index, built once per solve.
 
 The undecided states are solved one strongly connected component at a
 time, in the order Tarjan's search emits them: downstream first, so every
@@ -115,7 +118,8 @@ def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_C
         return index[node]
 
     prod = ExplicitProduct(states, visit(*divmod(product.initial, nq)))
-    succ, prob, first_edge = prod.succ, prod.prob, prod.first_edge
+    # pending edges and row ends, handed to the arrays by fromlist every few thousand edges
+    targets, probs, ends, base = [], [], [], 0
     # Nodes are appended as first seen, so this expands every node once, in
     # breadth-first order. The base rows' loop is visit written out per edge.
     for i, node in enumerate(states):
@@ -123,10 +127,10 @@ def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_C
         names = product.actions[q]
         prod.actions.append(names)
         if q == sink:
-            edges = [(i, 1.0)] * len(names)
-            ends = range(len(succ) + 1, len(succ) + len(names) + 1)
+            ends += range(base + len(targets) + 1, base + len(targets) + len(names) + 1)
+            targets += [i] * len(names)
+            probs += [1.0] * len(names)
         else:
-            edges, ends = [], []
             after = automaton.delta[q]
             for outcomes in kernel[cell].values():  # the base actions, in order
                 row, hits = [], 0
@@ -150,16 +154,21 @@ def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_C
                     row = [pair for pair in row if pair[0] != j_sink]
                     row.append((j_sink, mass))
                 row.sort()
-                edges += row
-                ends.append(len(succ) + len(edges))
+                for j, p in row:
+                    targets.append(j)
+                    probs.append(p)
+                ends.append(base + len(targets))
             for column in automaton.epsilon[q]:
-                edges.append((visit(cell, after[column]), 1.0))
-                ends.append(len(succ) + len(edges))
-        targets, probs = zip(*edges)
-        succ.extend(targets)
-        prob.extend(probs)
-        first_edge.extend(ends)
-        prod.first_row.append(len(first_edge) - 1)
+                targets.append(visit(cell, after[column]))
+                probs.append(1.0)
+                ends.append(base + len(targets))
+        prod.first_row.append(len(prod.first_edge) + len(ends) - 1)
+        if len(targets) > 4096 or i + 1 == len(states):  # or the last node is expanded
+            base += len(targets)
+            prod.succ.fromlist(targets)
+            prod.prob.fromlist(probs)
+            prod.first_edge.fromlist(ends)
+            targets, probs, ends = [], [], []
 
     accmask = product.automaton.accmask
     prod.accepting_sets = tuple(
@@ -239,54 +248,65 @@ def mec_decompose(prod: ExplicitProduct) -> list[Mec]:
     leaves the candidate are dropped, states left without actions are
     dropped, and the remainder is re-partitioned into SCCs until stable.
     """
-    succ, first_edge, actions = prod.succ, prod.first_edge, prod.actions
-    # a candidate maps each of its nodes to the action rows that may stay inside it
-    whole = {i: prod.rows(i) for i in range(prod.num_states())}
-    candidates: list[dict] = [whole]
+    succ, first_edge, first_row, actions = prod.succ, prod.first_edge, prod.first_row, prod.actions
+    # cut[i]: the rows node i keeps once it has lost one; a dropped row leaves every
+    # sub-candidate too, so one map serves all candidates. A node absent keeps all.
+    cut: dict[int, list[int]] = {}
     number = [0] * prod.num_states()  # scratch of every SCC search
     mecs: list[Mec] = []
 
     def successors(i):
-        rows = kept[i]
+        rows = cut.get(i)
+        if rows is None:
+            return succ[first_edge[first_row[i]]:first_edge[first_row[i + 1]]]
         if rows[-1] - rows[0] < len(rows):  # adjacent rows: one slice
             return succ[first_edge[rows[0]]:first_edge[rows[-1] + 1]]
         return chain.from_iterable(succ[first_edge[r]:first_edge[r + 1]] for r in rows)
 
+    # every candidate is a node list that one SCC search split off: while it
+    # loses no row, it is strongly connected under the rows it keeps
+    candidates = _strongly_connected_components(range(prod.num_states()), successors, number)
+    if len(candidates) == 1:  # no row leaves the whole product
+        return [Mec(frozenset(range(prod.num_states())), dict(enumerate(actions)))]
     while candidates:
-        kept = candidates.pop()
-        cand, gone = set(kept), []  # gone: nodes left without rows, a worklist
-        for i, rows in list(kept.items()) if kept is not whole else ():  # whole: none leaves
+        nodes = candidates.pop()
+        cand, gone, lost = set(nodes), [], False  # gone: nodes left without rows, a worklist
+        for i in nodes:
+            rows = cut.get(i, range(first_row[i], first_row[i + 1]))
             # the span also covers rows dropped between: if it stays inside, all rows do
             if not cand.issuperset(succ[first_edge[rows[0]]:first_edge[rows[-1] + 1]]):
-                kept[i] = [r for r in rows
-                           if cand.issuperset(succ[first_edge[r]:first_edge[r + 1]])]
-                if not kept[i]:
-                    gone.append(i)
-        into = {}  # into[j]: the kept (node, row) pairs with an edge into j
-        for i, rows in kept.items() if gone else ():
-            for r in rows:
-                for j in succ[first_edge[r]:first_edge[r + 1]]:
-                    into.setdefault(j, []).append((i, r))
-        for x in gone:  # grows while it is read: drop x, then every row into it
-            del kept[x]
-            for i, r in into.get(x, ()):
-                rows = kept.get(i)
-                if rows and r in rows:
-                    kept[i] = rows = [q for q in rows if q != r]
-                    if not rows:
+                kept = [r for r in rows if cand.issuperset(succ[first_edge[r]:first_edge[r + 1]])]
+                if len(kept) < len(rows):
+                    cut[i], lost = kept, True
+                    if not kept:
                         gone.append(i)
-        if not kept:
+        if len(gone) == len(nodes):
             continue
+        if gone:
+            into = {}  # into[j]: the kept (node, row) pairs with an edge into j
+            for i in nodes:
+                for r in cut.get(i, prod.rows(i)):
+                    for j in succ[first_edge[r]:first_edge[r + 1]]:
+                        into.setdefault(j, []).append((i, r))
+            for x in gone:  # grows while it is read: every row into x goes
+                for i, r in into.get(x, ()):
+                    rows = cut.setdefault(i, list(prod.rows(i)))
+                    if r in rows:
+                        rows.remove(r)
+                        if not rows:
+                            gone.append(i)
+            nodes = [i for i in nodes if cut.get(i) != []]
         # one node left keeps only its self-loops: one component
-        comps = [kept] if len(kept) == 1 else _strongly_connected_components(
-            kept, successors, number)
-        if len(comps) == 1:
-            mecs.append(Mec(frozenset(kept), {
-                i: actions[i] if len(rows) == len(actions[i])
-                else tuple(actions[i][r - prod.first_row[i]] for r in rows)
-                for i, rows in kept.items()}))
-        else:
-            candidates.extend({i: kept[i] for i in comp} for comp in comps)
+        if lost and len(nodes) > 1:
+            comps = _strongly_connected_components(nodes, successors, number)
+            if len(comps) > 1:
+                candidates += comps
+                continue
+        if nodes:
+            mecs.append(Mec(frozenset(nodes), {
+                i: actions[i] if i not in cut
+                else tuple(actions[i][r - first_row[i]] for r in cut[i])
+                for i in nodes}))
     # Deterministic order: by smallest member state index.
     mecs.sort(key=lambda m: min(m.states))
     return mecs

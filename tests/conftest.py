@@ -22,6 +22,7 @@ from ldba_synth import GridEnv, LabelRegion, LdbaSpec, parse_ldba_spec
 from ldba_synth.automaton import LdbaRuntime
 from ldba_synth.envs import ACTION_DELTAS, PERPENDICULAR, parse_env_spec
 from ldba_synth.oracle import ExplicitProduct
+from ldba_synth.product import SINK, compile_product
 
 
 settings.register_profile("reproducible", derandomize=True)
@@ -97,7 +98,7 @@ def random_automaton(rng: random.Random, **kwargs) -> LdbaSpec:
 
 
 def random_env(rng: random.Random, max_side: int = 4,
-               labels=LABEL_POOL) -> GridEnv:
+               labels=LABEL_POOL, slips=(0.0, 0.1, 1.0 / 3.0)) -> GridEnv:
     height = rng.randint(2, max_side)
     width = rng.randint(2, max_side)
     actions = (["up", "down", "left", "right", "stay"]
@@ -115,7 +116,7 @@ def random_env(rng: random.Random, max_side: int = 4,
         height=height,
         width=width,
         actions=actions,
-        slip_probability=rng.choice([0.0, 0.1, 1.0 / 3.0]),
+        slip_probability=rng.choice(slips),
         initial_state=(rng.randrange(height), rng.randrange(width)),
         label_regions=regions,
     )
@@ -236,6 +237,73 @@ def product_from_successors(states, initial, successors, accepting_sets) -> Expl
             prod.first_edge.append(len(prod.succ))
         prod.actions.append(tuple(row))
         prod.first_row.append(len(prod.first_edge) - 1)
+    return prod
+
+
+def reference_build(env, spec) -> ExplicitProduct:
+    """build_explicit_product written per edge: each node's (j, p) pairs are zipped
+    apart and written with one extend per array. The same numbering, rows and arrays."""
+    kernel = env.enumerate_model()
+    product = compile_product(env, spec)
+    nq, sink = product.nq, product.nq - 1
+    automaton, cell_class = product.automaton, product.cell_class
+    states: list[int] = []
+    index = [-1] * (len(cell_class) * nq + 1)
+
+    def visit(cell, q) -> int:
+        node = SINK if q == sink else cell * nq + q
+        if index[node] < 0:
+            index[node] = len(states)
+            states.append(node)
+        return index[node]
+
+    prod = ExplicitProduct(states, visit(*divmod(product.initial, nq)))
+    succ, prob, first_edge = prod.succ, prod.prob, prod.first_edge
+    for i, node in enumerate(states):
+        cell, q = divmod(node, nq)
+        names = product.actions[q]
+        prod.actions.append(names)
+        if q == sink:
+            edges = [(i, 1.0)] * len(names)
+            ends = range(len(succ) + 1, len(succ) + len(names) + 1)
+        else:
+            edges, ends = [], []
+            after = automaton.delta[q]
+            for outcomes in kernel[cell].values():
+                row, hits = [], 0
+                for j_cell, p in outcomes:
+                    t = after[cell_class[j_cell]]
+                    if t == sink:
+                        hits += 1
+                        j_node = SINK
+                    else:
+                        j_node = j_cell * nq + t
+                    j = index[j_node]
+                    if j < 0:
+                        j = index[j_node] = len(states)
+                        states.append(j_node)
+                    row.append((j, p))
+                if hits > 1:  # several cells fall into the sink: one edge, masses summed
+                    j_sink, mass = index[SINK], 0.0
+                    for j, p in row:
+                        if j == j_sink:
+                            mass += p
+                    row = [pair for pair in row if pair[0] != j_sink]
+                    row.append((j_sink, mass))
+                row.sort()
+                edges += row
+                ends.append(len(succ) + len(edges))
+            for column in automaton.epsilon[q]:
+                edges.append((visit(cell, after[column]), 1.0))
+                ends.append(len(succ) + len(edges))
+        targets, probs = zip(*edges)
+        succ.extend(targets)
+        prob.extend(probs)
+        first_edge.extend(ends)
+        prod.first_row.append(len(first_edge) - 1)
+    prod.accepting_sets = tuple(
+        frozenset(i for i, node in enumerate(states) if automaton.accmask[node % nq] >> k & 1)
+        for k in range(len(spec.accepting_sets)))
     return prod
 
 

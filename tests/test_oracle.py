@@ -43,6 +43,7 @@ from conftest import (
     random_automaton,
     random_env,
     random_explicit_product,
+    reference_build,
 )
 
 
@@ -196,6 +197,39 @@ def test_product_nodes_are_named_by_product_ids():
     sinks = [node for node in prod.states if decode(node)[1] == SINK_STATE]
     assert sinks == [SINK]
     assert decode(SINK) == ((-1, -1), -1)
+
+
+def test_build_matches_the_per_edge_reference_builder():
+    # Random grids (walls on every side, slip 0.0 to 1.0) under automata with
+    # epsilon moves and many sink transitions, so that some moves send several
+    # cells into the sink; the counts check that the corpus covers each case.
+    # Two bundled products and some large grids pass the arrays several batches.
+    rng = make_rng(131)
+    seen = {"slip 0": 0, "slip 1": 0, "epsilon rows": 0, "merged sink rows": 0, "batches": 0}
+    cases = [(random_env(rng, max_side=rng.choice([3, 6, 12, 30]),
+                         slips=(0.0, 0.1, 1.0 / 3.0, 0.5, 1.0)),
+              random_automaton(rng, sink_prob=0.5, epsilon_prob=0.4)) for _ in range(80)]
+    for env_name, ldba_name in [("gridworld-1", "goal1-or-goal2"),
+                                ("frozen-lake-lrg", "frozen-lake-seq")]:
+        cases.append((load_env_file(resolve_spec_path(env_name, "envs")),
+                      load_ldba_file(resolve_spec_path(ldba_name, "ldba"))))
+    for env, spec in cases:
+        prod, ref = build_explicit_product(env, spec), reference_build(env, spec)
+        assert (prod.states, prod.initial, prod.actions, prod.first_row, prod.first_edge,
+                prod.succ, prod.prob, prod.accepting_sets) == (
+                    ref.states, ref.initial, ref.actions, ref.first_row, ref.first_edge,
+                    ref.succ, ref.prob, ref.accepting_sets)
+        product = compile_product(env, spec)
+        kernel, sink = env.enumerate_model(), product.nq - 1
+        seen["slip 0"] += env.slip_probability == 0.0
+        seen["slip 1"] += env.slip_probability == 1.0
+        seen["epsilon rows"] += any(len(names) > len(env.actions) for names in prod.actions)
+        seen["merged sink rows"] += any(
+            sum(product.automaton.delta[q][product.cell_class[j]] == sink for j, _ in pairs) > 1
+            for cell, q in (divmod(node, product.nq) for node in prod.states if node != SINK)
+            for pairs in kernel[cell].values())
+        seen["batches"] += len(prod.succ) > 3 * 4096
+    assert min(seen.values()) >= 3, seen
 
 
 def test_from_successors_round_trips_random_products():
@@ -419,6 +453,88 @@ def test_mecs_match_the_textbook_refinement_on_random_products():
         mine = {(m.states, frozenset((i, a) for i, acts in m.actions.items() for a in acts))
                 for m in mec_decompose(prod)}
         assert mine == reference_mecs(prod)
+
+
+def refinement_product(rng) -> ExplicitProduct:
+    """Rings of one to four states in a random order of ids, upstream first.
+
+    A ring row moves a state to the next one of its ring, and at times also on
+    to a later ring, so that the row leaves. A back row joins the ring to an
+    earlier one and moves on to a later ring too: the first SCC search merges
+    the rings, and the part loses that row and splits again. A one-state ring
+    without its self-loop is a one-node SCC that keeps no row.
+    """
+    sizes = [rng.choice([1, 1, 1, 2, 3, 4]) for _ in range(rng.randint(2, 8))]
+    n = sum(sizes)
+    ids = rng.sample(range(n), n)
+    rows, start = [], 0
+    for size in sizes:
+        later, earlier = range(start + size, n), range(start)
+        for k in range(start, start + size):
+            row = {}
+            if size > 1 or rng.random() < 0.5:
+                ring = {start + (k - start + 1) % size}
+                if later and rng.random() < 0.3:
+                    ring.add(rng.choice(later))
+                row["ring"] = ring
+            if earlier and later and rng.random() < 0.3:
+                row["back"] = {rng.choice(earlier), rng.choice(later)}
+            if later and (not row or rng.random() < 0.5):
+                row["on"] = set(rng.sample(later, rng.randint(1, min(2, len(later)))))
+            rows.append({a: tuple(sorted((ids[j], 1.0 / len(js)) for j in js))
+                         for a, js in (row or {"stop": {k}}).items()})
+        start += size
+    successors = [None] * n
+    for k, row in enumerate(rows):
+        successors[ids[k]] = row
+    return product_from_successors(list(range(n)), ids[0], successors, (frozenset({ids[0]}),))
+
+
+def test_mec_refinement_paths_match_the_textbook_refinement():
+    # Each SCC search is recorded: a one-node SCC, a part of a split that is a
+    # MEC with no further search (it lost no row), and a search after the first
+    # that splits a part which lost a row must each occur in the corpus.
+    rng = make_rng(137)
+    seen = {"one-node SCCs": 0, "parts taken whole": 0, "split again": 0}
+    searches = []
+
+    def recorded(nodes, successors, number=None):
+        comps = _strongly_connected_components(nodes, successors, number)
+        searches.append((set(nodes), [set(c) for c in comps]))
+        return comps
+
+    for _ in range(150):
+        prod = refinement_product(rng)
+        searches.clear()
+        with mock.patch.object(oracle, "_strongly_connected_components", recorded):
+            mecs = mec_decompose(prod)
+        assert {(m.states, frozenset((i, a) for i, acts in m.actions.items() for a in acts))
+                for m in mecs} == reference_mecs(prod)
+        searched = [nodes for nodes, _ in searches[1:]]
+        seen["one-node SCCs"] += sum(len(c) == 1 for c in searches[0][1])
+        seen["parts taken whole"] += sum(
+            len(m.states) > 1 and m.states not in searched and
+            any(m.states in comps for _, comps in searches if len(comps) > 1) for m in mecs)
+        seen["split again"] += sum(len(comps) > 1 for _, comps in searches[1:])
+    assert min(seen.values()) >= 20, seen
+
+
+def test_mec_decompose_peak_memory_stays_low():
+    # tracemalloc peak of mec_decompose alone on frozen-lake-lrg x frozen-lake-seq
+    # (7783 states, 2 MECs), Python 3.11.7: 3.64 MiB with one {node: rows} dict per
+    # candidate, the first holding a range per node, and 2.26 MiB with node lists
+    # and one map of cut rows; the bound sits midway.
+    env = load_env_file(resolve_spec_path("frozen-lake-lrg", "envs"))
+    spec = load_ldba_file(resolve_spec_path("frozen-lake-seq", "ldba"))
+    prod = build_explicit_product(env, spec)
+    tracemalloc.start()
+    try:
+        mecs = mec_decompose(prod)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(mecs) == 2
+    assert peak < 2.95 * 2**20
 
 
 def test_mecs_sorted_by_smallest_member():
@@ -828,22 +944,28 @@ def test_value_iteration_matches_reference_on_rows_beyond_the_four_row_block():
 
 
 def test_first_sweep_peak_memory_stays_low():
-    # tracemalloc peak from the start of the solve to the end of its first sweep
-    # on a 24x24 gated lake (1703 states), Python 3.10.13-3.12.1: 1.92 MiB with
-    # each row a tuple of (j, p) pairs, 1.25 MiB with flat padded rows; the bound
-    # sits midway. Python 3.11.7 now reads 1.22 MiB, reached before the rows are built.
+    # tracemalloc peak from the start of _component_rows to the end of the first
+    # sweep on a 24x24 gated lake (1703 states), Python 3.11.7: 1.22 MiB with every
+    # row a tuple of (j, p) pairs, 0.71 MiB with flat padded rows; the bound sits
+    # midway. The solve peaks higher before the rows are built, so the peak is
+    # reset where they start.
     spec = load_ldba_file(resolve_spec_path("frozen-lake-reach", "ldba"))
     prod = build_explicit_product(gated_lake(24), spec)
     peaks = []
+    component_rows = oracle._component_rows
 
     class FirstSweepDone(Exception):
         pass
+
+    def rows_from_here(*args):
+        tracemalloc.reset_peak()
+        return component_rows(*args)
 
     def first_sweep(values):
         peaks.append(tracemalloc.get_traced_memory()[1])
         raise FirstSweepDone
 
-    with warm_sweeps(first_sweep):
+    with warm_sweeps(first_sweep), mock.patch.object(oracle, "_component_rows", rows_from_here):
         tracemalloc.start()
         try:
             with pytest.raises(FirstSweepDone):
@@ -851,7 +973,7 @@ def test_first_sweep_peak_memory_stays_low():
         finally:
             tracemalloc.stop()
     assert len(peaks) == 1
-    assert peaks[0] < 1.58 * 2**20
+    assert peaks[0] < 0.97 * 2**20
 
 
 # ---------------------------------------------------------------------------
