@@ -18,9 +18,11 @@ import itertools
 import json
 import math
 import os
+import shutil
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .automaton import LdbaSpecError, load_ldba_file, spec_to_document
@@ -141,10 +143,10 @@ def model_qtable(payload: dict, product) -> QTable:
     return qtable
 
 
-def _open_output(path):
+def _open_output(path, mode="w"):
     """Open an output file for writing; an unwritable path exits with code 2."""
     try:
-        return open(path, "w", newline="", encoding="utf-8")
+        return open(path, mode, newline="", encoding="utf-8")
     except OSError as err:
         raise CliError(f"cannot write {path}: {err}")
 
@@ -228,10 +230,13 @@ def _add_training_flags(parser, grid=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse makes a help formatter per argument; given a width, none asks the terminal
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="ldba-synth",
+        prog="ldba-synth", formatter_class=formatter,
         description="Policy synthesis for Buchi-automaton tasks on labeled grids")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=partial(
+        argparse.ArgumentParser, formatter_class=formatter))
 
     p_train = sub.add_parser("train", help="run tabular Q-learning and save the model")
     _add_spec_flags(p_train)
@@ -442,23 +447,30 @@ def cmd_test(args) -> int:
 def cmd_oracle(args) -> int:
     _checked(require_positive, state_cap=args.state_cap)
     env, spec = _load_specs(args)
-    # The dump file is opened before the build, so a bad path fails fast.
-    with _open_output(args.dump_values) if args.dump_values else nullcontext() as handle:
-        try:
-            prod = build_explicit_product(env, spec, args.state_cap)
-        except ProductSizeError as err:
-            raise CliError(str(err), EXIT_SIZE_CAP)
-        result = max_sat_probability(prod)
-        print(f"maximal satisfaction probability from the initial state: "
-              f"{result.initial_value:.4f}")
-        if handle:
-            writer = csv.writer(handle)
-            writer.writerow(["state", "row", "col", "q", "value"])
-            named = zip(map(compile_product(env, spec).decode, prod.states), result.values)
-            writer.writerows((i, row, col, q, repr(value))
-                             for i, (((row, col), q), value) in enumerate(named))
-    if args.dump_values:
-        print(f"[oracle] values written to {args.dump_values}")
+    dump = args.dump_values
+    if dump:  # a bad path fails before the build; the file is written after the solve
+        existed = os.path.lexists(dump)
+        _open_output(dump, "a").close()  # appending truncates nothing
+        if not existed:
+            os.remove(dump)
+    try:
+        prod = build_explicit_product(env, spec, args.state_cap)
+    except ProductSizeError as err:
+        raise CliError(str(err), EXIT_SIZE_CAP)
+    result = max_sat_probability(prod)
+    print(f"maximal satisfaction probability from the initial state: "
+          f"{result.initial_value:.4f}")
+    if dump:
+        # csv.writer's lines, as no field holds a comma, a quote or a line end; the
+        # sink node, id SINK = -1, reads the last entry of cells and of qs
+        cells = [f"{row},{col}" for row, col in env.cells] + ["-1,-1"]
+        qs = list(map(str, spec.compiled.states))
+        nq = len(qs)  # the product's ids are cell * nq + q
+        with _open_output(dump) as handle:
+            handle.write("state,row,col,q,value\r\n")
+            handle.writelines(f"{i},{cells[node // nq]},{qs[node % nq]},{value!r}\r\n"
+                              for i, (node, value) in enumerate(zip(prod.states, result.values)))
+        print(f"[oracle] values written to {dump}")
     return EXIT_OK
 
 

@@ -168,7 +168,12 @@ class GridEnv:
     def move_table(self) -> list[tuple[tuple[int, ...], ...]]:
         """``table[i][a]``: the cell ids base action a leads to from cell i; the intended
         one first, then, for a move that can slip, the two perpendicular ones and staying put."""
-        to = {d: [self.cell_id[self._move(s, d)] for s in self.cells] for d in ACTION_DELTAS}
+        w, ids = self.width, list(range(self.height * self.width))  # one int per cell id
+        left, right = [0] + ids[:-1], ids[1:] + [0]  # neighbours are i -+ 1 and i -+ w
+        for i in range(0, len(ids), w):  # the ends of a row stay put going off it
+            left[i], right[i + w - 1] = ids[i], ids[i + w - 1]
+        to = {"up": ids[:w] + ids[:-w], "down": ids[w:] + ids[-w:], "left": left,
+              "right": right, "stay": ids}
         outcomes = [(a,) + PERPENDICULAR[a] + ("stay",) * bool(PERPENDICULAR[a])
                     for a in self.actions]
         return list(zip(*(zip(*(to[d] for d in ds)) for ds in outcomes)))
@@ -179,16 +184,19 @@ class GridEnv:
         Every P(j|i,a) is positive: an outcome of mass 0.0 is no edge."""
         slip = self.slip_probability
         keep, third = 1.0 - slip, slip / 3.0
+        # (j, mass) pairs made once per cell j, shared by every row that holds one
+        kept = [(j, keep) for j in range(self.height * self.width)]
+        slipped = [(j, third) for j, _ in kept]
         kernel = []
         for moves in self.move_table():
             row = {}
             for action, outcomes in zip(self.actions, moves):
                 if slip == 0.0 or len(outcomes) == 1:
                     row[action] = ((outcomes[0], 1.0),)
-                elif len(set(outcomes)) == 4:  # no wall: nothing to merge
+                elif outcomes.count(outcomes[3]) == 1:  # no wall: four cells, nothing to merge
                     j0, j1, j2, j3 = outcomes
-                    row[action] = tuple(sorted(((j0, keep), (j1, third), (j2, third),
-                                                (j3, third))))
+                    row[action] = tuple(sorted((kept[j0], slipped[j1], slipped[j2],
+                                                slipped[j3])))
                 else:
                     mass = {outcomes[0]: keep}
                     for j in outcomes[1:]:

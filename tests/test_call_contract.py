@@ -93,6 +93,14 @@ def test_oracle_phases_called_once_each_on_the_built_product(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(cli, "build_explicit_product", build)
+    # perfbench times the kernel as envs.enumerate_model_s by wrapping this name
+    kernels = []
+
+    def enumerate_model(self, _fn=envs.GridEnv.enumerate_model):
+        kernels.append(self)
+        return _fn(self)
+
+    monkeypatch.setattr(envs.GridEnv, "enumerate_model", enumerate_model)
     for name in ("mec_decompose", "_prob1_max", "_prob0_max"):
         def phase(*args, _fn=getattr(oracle, name), _name=name, **kwargs):
             phases.append((_name, args[0], _fn(*args, **kwargs)))
@@ -101,7 +109,7 @@ def test_oracle_phases_called_once_each_on_the_built_product(monkeypatch):
     assert main(["oracle", "--env", "gridworld-1", "--ldba", "goal1-or-goal2"]) == EXIT_OK
 
     assert [name for name, _, _ in phases] == ["mec_decompose", "_prob1_max", "_prob0_max"]
-    assert len(built) == 1
+    assert len(built) == 1 and len(kernels) == 1
     assert all(prod is built[0] for _, prod, _ in phases)
     sure, never = phases[1][2], phases[2][2]
     assert isinstance(sure, set) and isinstance(never, set)

@@ -5,8 +5,10 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -30,11 +32,12 @@ from ldba_synth.cli import (
     save_model,
     spec_hash,
 )
-from ldba_synth.envs import parse_env_spec
-from ldba_synth.automaton import parse_ldba_spec
+from ldba_synth.envs import load_env_file, parse_env_spec, resolve_spec_path
+from ldba_synth.automaton import load_ldba_file, parse_ldba_spec
 from ldba_synth.evaluation import TestConfig, robustness_sweep
 from ldba_synth.learner import Hyperparams, train
-from ldba_synth.product import compile_product
+from ldba_synth.oracle import build_explicit_product, max_sat_probability
+from ldba_synth.product import SINK, compile_product
 
 ENV_DOC = {
     "height": 1,
@@ -714,6 +717,61 @@ def test_oracle_unwritable_dump_values_exits_config(spec_files, tmp_path, capsys
     captured = capsys.readouterr()
     assert "cannot write" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("env, ldba", [("gated-lake", "frozen-lake-reach"),
+                                       ("robot-surve", "goal1-or-goal2")])
+def test_oracle_dump_is_the_csv_writer_rendering_of_the_values(tmp_path, capsys, env, ldba):
+    dump = tmp_path / "values.csv"
+    assert main(["oracle", "--env", env, "--ldba", ldba, "--dump_values", str(dump)]) == EXIT_OK
+    env_spec = load_env_file(resolve_spec_path(env, "envs"))
+    spec = load_ldba_file(resolve_spec_path(ldba, "ldba"))
+    prod = build_explicit_product(env_spec, spec)
+    values = max_sat_probability(prod).values
+    decode = compile_product(env_spec, spec).decode
+    rendered = io.StringIO(newline="")
+    writer = csv.writer(rendered)
+    writer.writerow(["state", "row", "col", "q", "value"])
+    for i, (node, value) in enumerate(zip(prod.states, values)):
+        (row, col), q = decode(node)
+        writer.writerow([i, row, col, q, repr(value)])
+    expected = rendered.getvalue().encode("utf-8")
+    assert dump.read_bytes() == expected
+    assert expected.startswith(b"state,row,col,q,value\r\n") and expected.endswith(b"\r\n")
+    assert expected.count(b"\r\n") == len(prod.states) + 1
+    sink = prod.states.index(SINK)
+    assert f"\r\n{sink},-1,-1,-1,0.0\r\n".encode() in expected
+
+
+def test_failed_oracle_leaves_the_dump_path_as_it_was(tmp_path, capsys):
+    old, fresh = tmp_path / "old.csv", tmp_path / "fresh.csv"
+    old.write_bytes(b"old\r\nbytes\n")
+    for dump in (old, fresh):
+        rc = main(["oracle", "--env", "gridworld-1", "--ldba", "goal1-or-goal2",
+                   "--state_cap", "10", "--dump_values", str(dump)])
+        assert rc == EXIT_SIZE_CAP
+    assert old.read_bytes() == b"old\r\nbytes\n"
+    assert not fresh.exists()
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", [None, "train", "test", "oracle", "sweep"])
+def test_help_fits_the_terminal_width_as_argparse_renders_it(monkeypatch, capsys, command):
+    rendered = {}
+    for columns in (60, 120):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"] if command else ["--help"])
+        assert info.value.code == 0
+        rendered[columns] = capsys.readouterr().out
+        # argparse's own formatter, which asks the terminal for its width each time
+        parser = subcommand_parsers()[command] if command else build_parser()
+        parser.formatter_class = argparse.HelpFormatter
+        assert rendered[columns] == parser.format_help()
+        # a usage part of a flag and its metavar is never broken, so it may overrun
+        assert all(len(line) <= columns - 2 or re.fullmatch(r" +\[--\w+ [A-Z_]+\]", line)
+                   for line in rendered[columns].splitlines())
+    assert rendered[60] != rendered[120]
 
 
 def test_oracle_state_cap_exits_4(spec_files, capsys):

@@ -11,6 +11,7 @@ import pytest
 from ldba_synth.cli import EXIT_CONFIG, canonical_json, main
 from ldba_synth.envs import (
     ACTION_DELTAS,
+    PERPENDICULAR,
     EnvSpecError,
     GridEnv,
     LabelRegion,
@@ -168,6 +169,25 @@ def test_cells_are_numbered_row_major_and_the_kernel_reads_the_move_table():
                 assert len(outcomes) == (1 if action == "stay" else 4)
                 support = set(outcomes) if env.slip_probability else {outcomes[0]}
                 assert {j for j, _ in row[action]} == support
+
+
+def test_move_table_matches_the_clamped_moves_position_by_position():
+    # a slip draws outcomes[1 + r], so the order of the perpendicular cells counts,
+    # not only the merged masses that the kernel tests compare
+    rng = make_rng(37)
+    shapes = [(1, 1), (1, 4), (4, 1), (2, 2)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(8)]
+    for height, width in shapes:
+        for actions in (["up", "down", "left", "right"], ["up", "down", "left", "right", "stay"]):
+            rng.shuffle(actions)
+            env = GridEnv(height=height, width=width, actions=actions, slip_probability=0.2,
+                          initial_state=(0, 0), label_regions=[])
+            # as GridEnv.step draws them: the intended move, then perpendicular + ("stay",)
+            order = {a: (a, *PERPENDICULAR[a], "stay") if PERPENDICULAR[a] else (a,)
+                     for a in env.actions}
+            expected = [tuple(tuple(env.cell_id[env._move(cell, d)] for d in order[a])
+                              for a in env.actions) for cell in env.cells]
+            assert env.move_table() == expected
 
 
 @pytest.mark.parametrize("slip", [0.0, 0.15, 1.0 / 3.0, 0.45, 1.0])
