@@ -217,7 +217,6 @@ class CompiledLdba:
                 self.epsilon[i] += (len(self.delta[0]),)
                 for k, row in enumerate(self.delta):
                     row.append(index[target] if k == i else sink if k == sink else None)
-        self.products: dict = {}  # product.CompiledProduct per environment, by id
 
     def label_class(self, labels) -> int:
         """The class of a label set; a new class gets its delta column at once."""

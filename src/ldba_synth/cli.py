@@ -32,7 +32,7 @@ from .evaluation import TestConfig, robustness_sweep, run_test
 from .learner import GreedyPolicy, Hyperparams, QTable, average_window, moving_average, train
 from .oracle import (DEFAULT_STATE_CAP, ProductSizeError, build_explicit_product,
                      max_sat_probability)
-from .product import compile_product
+from .product import CompiledProduct
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -200,16 +200,16 @@ def write_sweep_csv(path, sweep) -> None:
 
 
 def _add_spec_flags(parser):
-    parser.add_argument("--env", required=True,
+    parser.add_argument("--env", required=True, metavar="SPEC",
                         help="environment spec file (or bundled benchmark name)")
-    parser.add_argument("--ldba", required=True,
+    parser.add_argument("--ldba", required=True, metavar="SPEC",
                         help="automaton spec file (or bundled benchmark name)")
 
 
 def _add_run_flags(parser):
-    parser.add_argument("--save_dir", default="./results",
+    parser.add_argument("--save_dir", default="./results", metavar="DIR",
                         help="output directory (LDBA_SYNTH_RESULTS overrides)")
-    parser.add_argument("--seed", type=int)
+    parser.add_argument("--seed", type=int, metavar="N")
 
 
 def _add_training_flags(parser, grid=False):
@@ -218,14 +218,14 @@ def _add_training_flags(parser, grid=False):
     An unset one takes that field's default. The sweep's grid sets
     discount_factor and learning_rate in every cell.
     """
-    parser.add_argument("--algorithm", default="ql")
-    parser.add_argument("--episode_num", type=int)
-    parser.add_argument("--iteration_num_max", type=int)
+    parser.add_argument("--algorithm", default="ql", metavar="NAME")
+    parser.add_argument("--episode_num", type=int, metavar="N")
+    parser.add_argument("--iteration_num_max", type=int, metavar="N")
     if not grid:
-        parser.add_argument("--discount_factor", type=float)
-        parser.add_argument("--learning_rate", type=float)
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--positive_reward", type=float,
+        parser.add_argument("--discount_factor", type=float, metavar="ETA")
+        parser.add_argument("--learning_rate", type=float, metavar="MU")
+    parser.add_argument("--epsilon", type=float, metavar="P")
+    parser.add_argument("--positive_reward", type=float, metavar="R",
                         help="frontier reward (default: 1 - discount_factor)")
 
 
@@ -242,42 +242,42 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(p_train)
     _add_run_flags(p_train)
     _add_training_flags(p_train)
-    p_train.add_argument("--average_window", type=int, default=-1,
+    p_train.add_argument("--average_window", type=int, default=-1, metavar="N",
                          help="moving-average window (default: 30%% of the episodes)")
     p_train.add_argument("--test", action=argparse.BooleanOptionalAction, default=True,
                          help="run a closed-loop test after training")
-    p_train.add_argument("--rollouts", type=int)
-    p_train.add_argument("--required_sweeps", type=int)
+    p_train.add_argument("--rollouts", type=int, metavar="N")
+    p_train.add_argument("--required_sweeps", type=int, metavar="N")
 
     p_test = sub.add_parser("test", help="test a saved model with greedy rollouts")
     _add_spec_flags(p_test)
     _add_run_flags(p_test)
-    p_test.add_argument("--model", default=None,
+    p_test.add_argument("--model", default=None, metavar="FILE",
                         help="model file (default: <save_dir>/learned_model.json)")
-    p_test.add_argument("--rollouts", type=int)
-    p_test.add_argument("--horizon", type=int, default=None,
+    p_test.add_argument("--rollouts", type=int, metavar="N")
+    p_test.add_argument("--horizon", type=int, default=None, metavar="N",
                         help="rollout length (default: the model's iteration_num_max)")
-    p_test.add_argument("--required_sweeps", type=int)
-    p_test.add_argument("--trace", default=None,
+    p_test.add_argument("--required_sweeps", type=int, metavar="N")
+    p_test.add_argument("--trace", default=None, metavar="FILE",
                         help="also dump rollout trajectories to this CSV file")
 
     p_oracle = sub.add_parser("oracle",
                               help="exact maximal satisfaction probability")
     _add_spec_flags(p_oracle)
-    p_oracle.add_argument("--state_cap", type=int, default=DEFAULT_STATE_CAP)
-    p_oracle.add_argument("--dump_values", default=None,
+    p_oracle.add_argument("--state_cap", type=int, default=DEFAULT_STATE_CAP, metavar="N")
+    p_oracle.add_argument("--dump_values", default=None, metavar="FILE",
                           help="write per-product-state values to this CSV file")
 
     p_sweep = sub.add_parser("sweep", help="robustness sweep over eta and mu")
     _add_spec_flags(p_sweep)
     _add_run_flags(p_sweep)
     _add_training_flags(p_sweep, grid=True)
-    p_sweep.add_argument("--grid_eta", default="0.2,0.4,0.6,0.8,0.99")
-    p_sweep.add_argument("--grid_mu", default="0.2,0.4,0.6,0.8,0.99")
-    p_sweep.add_argument("--trainings", type=int)
-    p_sweep.add_argument("--tests", type=int)
-    p_sweep.add_argument("--required_sweeps", type=int)
-    p_sweep.add_argument("--workers", type=int)
+    p_sweep.add_argument("--grid_eta", default="0.2,0.4,0.6,0.8,0.99", metavar="LIST")
+    p_sweep.add_argument("--grid_mu", default="0.2,0.4,0.6,0.8,0.99", metavar="LIST")
+    p_sweep.add_argument("--trainings", type=int, metavar="N")
+    p_sweep.add_argument("--tests", type=int, metavar="N")
+    p_sweep.add_argument("--required_sweeps", type=int, metavar="N")
+    p_sweep.add_argument("--workers", type=int, metavar="N")
     return parser
 
 
@@ -421,7 +421,7 @@ def cmd_test(args) -> int:
 
     stored = _stored_hyperparams(payload)
     config = _options(TestConfig, args, horizon=stored.iteration_num_max)
-    product = compile_product(env, spec)
+    product = CompiledProduct(env, spec)
     qtable = model_qtable(payload, product)
     _created(out)
 

@@ -2,9 +2,10 @@
 
 A rollout succeeds when the automaton never hits the sink and the
 accepting frontier completes at least required_sweeps full sweeps within
-the horizon. Rollouts draw from per-rollout seeded generators so results
-are reproducible and order-independent; sweep cells train fresh policies
-on distinct seeds and aggregate mean and standard error across trials.
+the horizon. One product run serves every rollout and its generator is
+reseeded per rollout, so results are reproducible and order-independent;
+sweep cells train fresh policies on distinct seeds and aggregate mean
+and standard error across trials.
 """
 
 from __future__ import annotations
@@ -61,10 +62,12 @@ def run_test(policy, env, ldba_spec, config: TestConfig,
     """
     config.validate()
     outcomes = []
+    rng = Random()  # reseeded per rollout; seed(s) leaves the state Random(s) starts in
+    run = ProductRun(env, ldba_spec, reward_spec, rng)
+    run_step = run.step
     for k in range(config.rollouts):
-        rng = Random(config.seed * _SEED_STRIDE + k)
-        run = ProductRun(env, ldba_spec, reward_spec, rng)
-        state, run_step = run.reset(), run.step
+        rng.seed(config.seed * _SEED_STRIDE + k)
+        state = run.reset()
         sink, steps = False, 0
         for step in range(config.horizon):
             tr = run_step(policy(state))

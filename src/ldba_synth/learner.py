@@ -1,9 +1,11 @@
 """Tabular Q-learning on the synchronized product.
 
 The table holds a row per visited product state over its legal action
-ids; unwritten entries read as q_init. Exploration is epsilon-greedy with
-deterministic lowest-index tie-breaking over the product's action order,
-so identical specs, hyper-parameters and seed reproduce runs bit for bit.
+ids, the ids of the training run's compiled product; unwritten entries
+read as q_init. Every update uses the one learning rate mu. Exploration
+is epsilon-greedy with deterministic lowest-index tie-breaking over the
+product's action order, so identical specs, hyper-parameters and seed
+reproduce runs bit for bit.
 
 By default training pays a frontier reward of 1 - eta. Under the
 state-dependent discount (eta exactly on steps that fire the frontier, 1
@@ -37,7 +39,6 @@ class Hyperparams:
     seed: int = 0
     q_init: float = 0.0
     positive_reward: float | None = None  # None -> 1 - discount_factor
-    learning_rate_decay: float = 0.0
 
     def validate(self):
         require_field_types(self)
@@ -53,9 +54,7 @@ class Hyperparams:
         if self.seed < 0:  # Random(-s) seeds as Random(s) does
             raise ValueError("seed must be >= 0")
         self.reward_spec()  # RewardSpec checks positive_reward
-        if self.learning_rate_decay < 0.0:
-            raise ValueError("learning_rate_decay must be >= 0")
-        for name in ("positive_reward", "q_init", "learning_rate_decay"):
+        for name in ("positive_reward", "q_init"):
             if not math.isfinite(getattr(self, name) or 0.0):  # None is the default reward
                 raise ValueError(f"{name} must be finite")
 
@@ -168,8 +167,7 @@ def train(env, ldba_spec: LdbaSpec, hp: Hyperparams, on_episode=None) -> TrainRe
     run = ProductRun(env, ldba_spec, hp.reward_spec(), rng)
     qtable = QTable(run.product, hp.q_init)
     legal, nq = run.product.legal, run.product.nq
-    visits: dict[tuple, int] = {}
-    decay, epsilon, learning_rate = hp.learning_rate_decay, hp.epsilon, hp.learning_rate
+    epsilon, mu = hp.epsilon, hp.learning_rate
     stats: list[EpisodeStats] = []
     interrupted = False
 
@@ -181,12 +179,6 @@ def train(env, ldba_spec: LdbaSpec, hp: Hyperparams, on_episode=None) -> TrainRe
             for _ in range(hp.iteration_num_max):
                 action = select_action(qtable, state, actions, epsilon, rng)
                 _, _, next_state, reward, gamma, done, _ = run.step(action)
-                mu = learning_rate
-                if decay > 0.0:
-                    key = (state, action)
-                    seen = visits.get(key, 0)
-                    visits[key] = seen + 1
-                    mu = mu / (1.0 + seen * decay)
                 actions = legal[next_state % nq]
                 # Nothing follows the sink, so a step into it earns its reward alone.
                 q_update(qtable, state, action, reward, 0.0 if done else gamma, next_state, mu)

@@ -46,7 +46,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain, count, repeat
 
 from .automaton import LdbaSpec
-from .product import SINK, compile_product
+from .product import SINK, CompiledProduct
 
 DEFAULT_STATE_CAP = 10**6
 WARM_SWEEPS = 50  # Gauss-Seidel sweeps per component that warm-start policy iteration
@@ -102,7 +102,7 @@ def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_C
             f"product needs {slots} state slots, above the cap of {state_cap}")
 
     kernel = env.enumerate_model()
-    product = compile_product(env, spec)
+    product = CompiledProduct(env, spec)
     nq, sink = product.nq, product.nq - 1
     automaton, cell_class = product.automaton, product.cell_class
     states: list[int] = []

@@ -1,18 +1,21 @@
 """On-the-fly synchronization of a grid environment with an automaton.
 
 A compiled product numbers cells, label classes, actions and product
-states, so a step is a few list lookups. Base actions move the agent and
-feed the new cell's label class to the automaton; epsilon-actions jump
-the automaton, freeze the environment and consume no randomness. A step
-that fires the accepting frontier pays positive_reward and discounts by
-eta, any other pays 0 undiscounted. Episodes end exactly when the
-automaton hits the sink, which never fires.
+states, so a step is a few list lookups. It is cheap, so each reader
+builds its own: a product run, the oracle's build, the test command's
+model loader. Label classes are numbered per automaton on first sight,
+so every product of one environment and automaton has the same ids.
+
+Base actions move the agent and feed the new cell's label class to the
+automaton; epsilon-actions jump the automaton, freeze the environment
+and consume no randomness. A step that fires the accepting frontier pays
+positive_reward and discounts by eta, any other pays 0 undiscounted.
+Episodes end exactly when the automaton hits the sink, which never fires.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .automaton import SINK_STATE, LdbaRuntime
@@ -53,13 +56,13 @@ class ProductError(ValueError):
 
 
 class CompiledProduct:
-    """One environment x automaton pair on integer ids; see compile_product.
+    """One environment x automaton pair on integer ids.
 
     Cells are numbered as ``env.cells``, automaton states as in
     ``CompiledLdba``, and product state (cell, q) is ``cell * nq + q``.
     Action ids index ``actions[q]``: the base actions, then q's epsilon
     actions, whose automaton classes ``epsilon[q]`` holds (None for base
-    actions). ``moves`` is ``env.move_table()``, built on first use.
+    actions).
     """
 
     def __init__(self, env, spec):
@@ -71,10 +74,6 @@ class CompiledProduct:
         self.legal = [range(len(names)) for names in self.actions]
         self.epsilon = [(None,) * len(env.actions) + moves for moves in automaton.epsilon]
         self.initial = self.encode(env.initial_state, spec.initial_state)
-
-    @cached_property
-    def moves(self) -> list[tuple[tuple[int, ...], ...]]:
-        return self.env.move_table()
 
     def encode(self, cell, q) -> int:
         """The id of product state (cell, q); KeyError off the grid or the automaton."""
@@ -91,25 +90,16 @@ class CompiledProduct:
         return self.actions[state % self.nq]
 
 
-def compile_product(env, spec) -> CompiledProduct:
-    """The compiled product of env and spec, built once and kept by the spec."""
-    products = spec.compiled.products
-    product = products.get(id(env))
-    if product is None or product.env is not env:
-        product = products[id(env)] = CompiledProduct(env, spec)
-    return product
-
-
 class ProductRun:
     """A live product trajectory over one environment and one automaton run."""
 
     def __init__(self, env, ldba_spec, reward: RewardSpec, rng):
-        self.product = product = compile_product(env, ldba_spec)
+        self.product = product = CompiledProduct(env, ldba_spec)
         self.runtime = LdbaRuntime(ldba_spec)
         self.reward, self.rng, self._slip = reward, rng, env.slip_probability
         self._random, self._randrange = rng.random, rng.randrange
         self._nq, self._sink, self._cell_class = product.nq, product.nq - 1, product.cell_class
-        self._legal, self._epsilon, self._moves = product.legal, product.epsilon, product.moves
+        self._legal, self._epsilon, self._moves = product.legal, product.epsilon, env.move_table()
         self.state = product.initial
         self.cell = product.initial // product.nq
 

@@ -22,7 +22,7 @@ from ldba_synth import GridEnv, LabelRegion, LdbaSpec, parse_ldba_spec
 from ldba_synth.automaton import LdbaRuntime
 from ldba_synth.envs import ACTION_DELTAS, PERPENDICULAR, parse_env_spec
 from ldba_synth.oracle import ExplicitProduct
-from ldba_synth.product import SINK, compile_product
+from ldba_synth.product import SINK, CompiledProduct
 
 
 settings.register_profile("reproducible", derandomize=True)
@@ -244,7 +244,7 @@ def reference_build(env, spec) -> ExplicitProduct:
     """build_explicit_product written per edge: each node's (j, p) pairs are zipped
     apart and written with one extend per array. The same numbering, rows and arrays."""
     kernel = env.enumerate_model()
-    product = compile_product(env, spec)
+    product = CompiledProduct(env, spec)
     nq, sink = product.nq, product.nq - 1
     automaton, cell_class = product.automaton, product.cell_class
     states: list[int] = []

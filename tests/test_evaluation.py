@@ -17,7 +17,7 @@ from ldba_synth.evaluation import (
     run_test,
 )
 from ldba_synth.learner import GreedyPolicy, Hyperparams, train
-from ldba_synth.product import ProductRun, compile_product
+from ldba_synth.product import CompiledProduct, ProductRun
 
 from conftest import chain_spec, corridor_env, hazard_spec
 
@@ -130,7 +130,7 @@ def test_trace_sees_every_transition():
         chunk = [(step, tr) for kk, step, tr in rows if kk == k]
         assert [step for step, _ in chunk] == list(range(len(chunk)))
         # reset before every rollout
-        assert compile_product(env, spec).decode(chunk[0][1].state) == ((0, 0), 0)
+        assert CompiledProduct(env, spec).decode(chunk[0][1].state) == ((0, 0), 0)
         for (_, a), (_, b) in zip(chunk, chunk[1:]):
             assert b.state == a.next_state
 
@@ -168,24 +168,33 @@ def test_run_test_matches_a_best_action_reference_loop(monkeypatch, env_name, ld
     qtable = train(env, spec, hp).q_table
     config = TestConfig(rollouts=12, horizon=600, seed=3)
 
-    generators = []   # run_test's per-rollout generators, in order
+    generators, seeds, states = [], [], []   # run_test's generators and reseeds
 
     class RecordedRandom(Random):
-        def __init__(self, seed):
-            super().__init__(seed)
-            generators.append((seed, self))
+        def __init__(self, *args):
+            super().__init__(*args)
+            generators.append(self)
+
+        def seed(self, a=None, version=2):
+            if a is not None:   # a reseed, not the entropy seeding of Random()
+                seeds.append(a)
+                states.append(self.getstate())   # where the rollout before left it
+            super().seed(a, version)
 
     monkeypatch.setattr(evaluation, "Random", RecordedRandom)
     transitions = []
     report = run_test(GreedyPolicy(qtable), env, spec, config, hp.reward_spec(),
                       trace=lambda k, step, tr: transitions.append((k, step, tr)))
+    (rng,) = generators   # one generator serves every rollout
+    assert seeds == [config.seed * evaluation._SEED_STRIDE + k for k in range(config.rollouts)]
+    finals = states[1:] + [rng.getstate()]   # each rollout's final generator state
     expected = reference_rollouts(qtable, env, spec, config, hp.reward_spec())
-    assert (report.outcomes, transitions, [g.getstate() for _, g in generators]) == expected
+    assert (report.outcomes, transitions, finals) == expected
 
     # each pair exercises what it is here for: slip draws in every rollout,
     # and greedy epsilon-moves on gridworld-1
-    assert all(g.getstate() != Random(seed).getstate() for seed, g in generators)
-    product = compile_product(env, spec)
+    assert all(final != Random(seed).getstate() for seed, final in zip(seeds, finals))
+    product = CompiledProduct(env, spec)
     epsilon_steps = sum(product.epsilon[tr.state % product.nq][tr.action] is not None
                         for _, _, tr in transitions)
     assert (epsilon_steps > 0) == (env_name == "gridworld-1")

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from ldba_synth.automaton import LdbaSpecError, parse_ldba_spec
 from ldba_synth.cli import CliError, load_model, model_qtable
 from ldba_synth.envs import EnvSpecError, parse_env_spec
-from ldba_synth.product import compile_product
+from ldba_synth.product import CompiledProduct
 
 # Small numbers only: a valid grid of height 10**9 is a memory problem,
 # not a parsing one.
@@ -70,7 +70,7 @@ MODEL_DOC = {
 }
 
 
-PRODUCT = compile_product(parse_env_spec(ENV_DOC), parse_ldba_spec(LDBA_DOC))
+PRODUCT = CompiledProduct(parse_env_spec(ENV_DOC), parse_ldba_spec(LDBA_DOC))
 
 
 def _slots(node, slots):

@@ -24,14 +24,14 @@ GOLDEN_RUNS = {
      ("--episode_num", "40", "--iteration_num_max", "600", "--epsilon", "0.05",
       "--seed", "2"),
      ("--rollouts", "12", "--seed", "3")): (
-        "b73de84c7f0b544b7cfefdb7c969393dab279c3ac023ed44d772be47aebb8793",
+        "3fd9b28b738533b10e95da707e29f855fa163391820a25fd405a50597a56c6bd",
         "4f8aeef752694885dadd042827ad6db840b4bed9400a8492b8b0a72d158e5983",
         "2aadcd2df6ea97da39463f6f3eb8f60fe4fc4c7b568c2d76c7b2965f292ae688"),
     ("slp-sml", "slp-hard",
      ("--episode_num", "30", "--iteration_num_max", "400", "--discount_factor", "0.99",
       "--epsilon", "0.2", "--seed", "5"),
      ("--rollouts", "10", "--horizon", "300", "--seed", "4")): (
-        "bcd05e6f07a85187a1695bb91c486a76dc3e9a5ec18a973b0c21a0eb1406cf87",
+        "809afc2bdac1a521ee7d6b52d6d1c489267c771047f90f71a1f9f67e7db04285",
         "d6eaa7182fb754f3a177eaf2d821be74fbb9e413393574ef7ad35f3264023995",
         "a008d88fc8e6ef8db91e765c1db13b63f0cce94e4b2f5a1ff80cb3ce4fe955f2"),
 }

@@ -16,7 +16,7 @@ from ldba_synth.learner import (
     select_action,
     train,
 )
-from ldba_synth.product import compile_product
+from ldba_synth.product import CompiledProduct
 
 from conftest import (chain_spec, corridor_env, hazard_spec, make_rng, random_automaton,
                       random_env)
@@ -64,14 +64,11 @@ def test_hyperparams_explicit_reward_wins():
     ("epsilon", -0.1),
     ("epsilon", 1.1),
     ("positive_reward", 0.0),
-    ("learning_rate_decay", -0.5),
     ("positive_reward", float("nan")),
     ("positive_reward", float("inf")),
     ("q_init", float("nan")),
     ("q_init", float("inf")),
     ("q_init", float("-inf")),
-    ("learning_rate_decay", float("nan")),
-    ("learning_rate_decay", float("inf")),
     ("iteration_num_max", "20"),
     ("epsilon", None),
     ("episode_num", 2.5),
@@ -94,7 +91,7 @@ def test_hyperparams_validation(field, value):
 def corridor_product():
     """Product ids of chain_spec on a corridor: nq = 4, state 0 is ((0, 0), 0),
     state 5 is ((0, 1), 1), and every state has the four corridor actions."""
-    return compile_product(corridor_env({}), chain_spec())
+    return CompiledProduct(corridor_env({}), chain_spec())
 
 
 def test_qtable_unseen_entries_read_q_init():
@@ -324,19 +321,6 @@ def test_keyboard_interrupt_returns_partial_result():
     assert len(result.q_table) > 0
 
 
-def test_learning_rate_decay_shrinks_updates():
-    env = corridor_env({2: {"a"}, 3: {"b"}})
-    fixed = train(env, chain_spec(),
-                  Hyperparams(episode_num=5, iteration_num_max=20, seed=0,
-                              discount_factor=0.5, learning_rate=1.0,
-                              epsilon=0.0))
-    decayed = train(env, chain_spec(),
-                    Hyperparams(episode_num=5, iteration_num_max=20, seed=0,
-                                discount_factor=0.5, learning_rate=1.0,
-                                epsilon=0.0, learning_rate_decay=1.0))
-    assert fixed.q_table != decayed.q_table
-
-
 # ---------------------------------------------------------------------------
 # greedy policy wrapper
 # ---------------------------------------------------------------------------
@@ -354,7 +338,7 @@ def test_greedy_policy_uses_product_action_order():
             "1": [{"guard": "true", "to": 1}],
         },
     })
-    product = compile_product(corridor_env({}), spec)
+    product = CompiledProduct(corridor_env({}), spec)
     table = QTable(product)
     policy = GreedyPolicy(table)
     base = ("right", "left", "up", "down")
@@ -372,7 +356,7 @@ def test_greedy_policy_matches_best_action_on_random_tables():
     rng = make_rng(83)
     seen = Counter()
     for _ in range(60):
-        product = compile_product(random_env(rng), random_automaton(rng, epsilon_prob=0.6))
+        product = CompiledProduct(random_env(rng), random_automaton(rng, epsilon_prob=0.6))
         table = QTable(product, q_init=rng.choice([0.0, 0.5, -1.0]))
         states = rng.sample(range(len(product.cell_class) * product.nq), 6)
         for state in states[:4]:

@@ -28,7 +28,7 @@ from ldba_synth.oracle import (
     max_sat_probability,
     mec_decompose,
 )
-from ldba_synth.product import SINK, SINK_CELL, compile_product
+from ldba_synth.product import SINK, SINK_CELL, CompiledProduct
 
 from conftest import (
     brute_force_value,
@@ -84,7 +84,7 @@ def test_product_keeps_only_reachable_states():
     env = corridor_env({})                       # no labels: the chain never advances
     spec = chain_spec()
     prod = build_explicit_product(env, spec)
-    product = compile_product(env, spec)
+    product = CompiledProduct(env, spec)
     assert sorted(map(product.decode, prod.states)) == [((0, c), 0) for c in range(4)]
     assert product.decode(prod.states[prod.initial]) == ((0, 0), 0)
     assert all(acc == frozenset() for acc in prod.accepting_sets)
@@ -94,7 +94,7 @@ def test_product_initial_node_and_index_are_consistent():
     env = corridor_env({2: {"a"}, 3: {"b"}})
     spec = chain_spec()
     prod = build_explicit_product(env, spec)
-    assert prod.states[prod.initial] == compile_product(env, spec).encode((0, 0), 0)
+    assert prod.states[prod.initial] == CompiledProduct(env, spec).encode((0, 0), 0)
     assert len(set(prod.states)) == prod.num_states()    # one node per product id
 
 
@@ -102,7 +102,7 @@ def test_product_accepting_sets_project_automaton_states():
     env = corridor_env({2: {"a"}, 3: {"b"}})
     spec = chain_spec()
     prod = build_explicit_product(env, spec)
-    decode = compile_product(env, spec).decode
+    decode = CompiledProduct(env, spec).decode
     (accepting,) = prod.accepting_sets
     assert accepting == frozenset(
         i for i, node in enumerate(prod.states) if decode(node)[1] == 2)
@@ -123,7 +123,7 @@ def test_product_collapses_every_sink_slot_into_one_node():
                   slip_probability=0.2, initial_state=(1, 1),
                   label_regions=[LabelRegion((1, 2), (1, 2), frozenset({"safe"}))])
     prod = build_explicit_product(env, spec)
-    decode = compile_product(env, spec).decode
+    decode = CompiledProduct(env, spec).decode
     sinks = [i for i, node in enumerate(prod.states) if decode(node)[1] == SINK_STATE]
     assert len(sinks) == 1
     (sink,) = sinks
@@ -148,7 +148,7 @@ def test_product_epsilon_rows_are_deterministic_env_freezes():
     })
     env = corridor_env({})
     prod = build_explicit_product(env, spec)
-    product = compile_product(env, spec)
+    product = CompiledProduct(env, spec)
     i = prod.states.index(product.encode((0, 0), 0))
     assert tuple(prod.successors[i]) == env.actions + ("epsilon_1",)
     j = prod.states.index(product.encode((0, 0), 1))
@@ -186,14 +186,14 @@ def test_product_nodes_are_named_by_product_ids():
     for env, spec in [gridworld] + [(random_env(rng), random_automaton(rng))
                                     for _ in range(10)]:
         prod = build_explicit_product(env, spec)
-        product = compile_product(env, spec)
+        product = CompiledProduct(env, spec)
         assert product.decode(prod.states[prod.initial]) == (env.initial_state,
                                                              spec.initial_state)
         # a node's actions are its product id's, in order; the sink's too
         for i, node in enumerate(prod.states):
             assert tuple(prod.successors[i]) == product.action_names(node)
     prod = build_explicit_product(*gridworld)
-    decode = compile_product(*gridworld).decode
+    decode = CompiledProduct(*gridworld).decode
     sinks = [node for node in prod.states if decode(node)[1] == SINK_STATE]
     assert sinks == [SINK]
     assert decode(SINK) == ((-1, -1), -1)
@@ -219,7 +219,7 @@ def test_build_matches_the_per_edge_reference_builder():
                 prod.succ, prod.prob, prod.accepting_sets) == (
                     ref.states, ref.initial, ref.actions, ref.first_row, ref.first_edge,
                     ref.succ, ref.prob, ref.accepting_sets)
-        product = compile_product(env, spec)
+        product = CompiledProduct(env, spec)
         kernel, sink = env.enumerate_model(), product.nq - 1
         seen["slip 0"] += env.slip_probability == 0.0
         seen["slip 1"] += env.slip_probability == 1.0
@@ -267,7 +267,7 @@ def test_bundled_product_layout_sizes_and_epsilon_rows(env_name, ldba_name, stat
     env = load_env_file(resolve_spec_path(env_name, "envs"))
     spec = load_ldba_file(resolve_spec_path(ldba_name, "ldba"))
     prod = build_explicit_product(env, spec)
-    product = compile_product(env, spec)
+    product = CompiledProduct(env, spec)
     rows = list(prod.successors)
     assert prod.num_states() == len(rows) == states
     assert sum(len(succ) for row in rows for succ in row.values()) == len(prod.succ) == edges

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from ldba_synth.automaton import SINK_STATE, parse_ldba_spec
-from ldba_synth.product import ProductError, ProductRun, RewardSpec
+from ldba_synth.product import CompiledProduct, ProductError, ProductRun, RewardSpec
 
 from conftest import (chain_spec, corridor_env, make_rng, random_automaton,
                       random_env)
@@ -186,6 +186,14 @@ def test_product_ids_translate_to_the_spec_numbering():
     for cell, q in (((0, 4), 2), ((1, 0), 2), ((0, 0), 0)):
         with pytest.raises(KeyError):
             product.encode(cell, q)
+    # Label classes are numbered per spec on first sight: another environment
+    # compiled in between adds classes, and the pair compiles to the same ids.
+    classes = len(spec.compiled.classes)
+    CompiledProduct(corridor_env({0: {"a", "b"}, 2: {"b"}}, width=3), spec)
+    assert len(spec.compiled.classes) == classes + 2
+    again = CompiledProduct(product.env, spec)
+    for name in ("cell_class", "actions", "legal", "epsilon", "initial"):
+        assert getattr(again, name) == getattr(product, name), name
 
 
 # ---------------------------------------------------------------------------
