@@ -350,11 +350,12 @@ def _oracle_reference(env, spec):
     return max_sat_probability(prod).initial_value
 
 
-def _test_and_report(out, env, spec, qtable, config, reward, trace=None) -> None:
-    """Roll out the greedy policy of qtable, write test_results.json, print the rate."""
-    report = run_test(GreedyPolicy(qtable), env, spec, config, reward, trace=trace)
+def _test_and_report(out, qtable, config, trace=None) -> None:
+    """Roll out qtable's greedy policy on its product, write test_results.json, print the rate."""
+    product = qtable.product
+    report = run_test(GreedyPolicy(qtable), product, config, trace=trace)
     write_test_results(out / "test_results.json", report, config,
-                       _oracle_reference(env, spec))
+                       _oracle_reference(product.env, product.spec))
     print(f"[test] success rate {report.success_rate:.4f} over "
           f"{config.rollouts} rollouts")
 
@@ -399,7 +400,7 @@ def cmd_train(args) -> int:
     print(f"[train] model saved to {model_path}")
 
     if args.test and not result.interrupted:
-        _test_and_report(out, env, spec, result.q_table, config, hp.reward_spec())
+        _test_and_report(out, result.q_table, config)
 
     print("[train] reload with: ldba-synth test "
           f"--env {args.env} --ldba {args.ldba} --model {model_path}")
@@ -432,15 +433,17 @@ def cmd_test(args) -> int:
             writer = csv.writer(handle)
             writer.writerow(["episode", "step", "row", "col", "q", "action",
                              "reward", "gamma", "done"])
+            # reward and gamma: a fired step's, as the model was trained, else 0 and 1
+            paid = {True: (repr(stored.frontier_reward()), repr(stored.discount_factor)),
+                    False: ("0.0", "1.0")}
 
             def trace(rollout, step, tr):
                 (row, col), q = product.decode(tr.state)
                 writer.writerow([rollout, step, row, col, q,
                                  product.action_names(tr.state)[tr.action],
-                                 repr(tr.reward), repr(tr.gamma), int(tr.done)])
+                                 *paid[tr.fired], int(tr.done)])
 
-        # trace rewards and discounts with the model's own shaping
-        _test_and_report(out, env, spec, qtable, config, stored.reward_spec(), trace)
+        _test_and_report(out, qtable, config, trace)
     return EXIT_OK
 
 

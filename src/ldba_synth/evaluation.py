@@ -2,10 +2,11 @@
 
 A rollout succeeds when the automaton never hits the sink and the
 accepting frontier completes at least required_sweeps full sweeps within
-the horizon. One product run serves every rollout and its generator is
-reseeded per rollout, so results are reproducible and order-independent;
-sweep cells train fresh policies on distinct seeds and aggregate mean
-and standard error across trials.
+the horizon. The rollouts run on the compiled product the caller holds,
+the one a policy's Q table was learned on; one product run serves every
+rollout and its generator is reseeded per rollout, so results are
+reproducible and order-independent. Sweep cells train fresh policies on
+distinct seeds and aggregate mean and standard error across trials.
 """
 
 from __future__ import annotations
@@ -53,9 +54,8 @@ class TestReport:
     outcomes: list[RolloutOutcome]
 
 
-def run_test(policy, env, ldba_spec, config: TestConfig,
-             reward_spec, trace=None) -> TestReport:
-    """Roll the policy out config.rollouts times and score successes.
+def run_test(policy, product, config: TestConfig, trace=None) -> TestReport:
+    """Roll the policy out config.rollouts times on product and score successes.
 
     trace, when given, is called with (rollout, step, transition) for
     every product transition, which is how trajectory dumps are made.
@@ -63,7 +63,7 @@ def run_test(policy, env, ldba_spec, config: TestConfig,
     config.validate()
     outcomes = []
     rng = Random()  # reseeded per rollout; seed(s) leaves the state Random(s) starts in
-    run = ProductRun(env, ldba_spec, reward_spec, rng)
+    run = ProductRun(product, rng)
     run_step = run.step
     for k in range(config.rollouts):
         rng.seed(config.seed * _SEED_STRIDE + k)
@@ -75,7 +75,7 @@ def run_test(policy, env, ldba_spec, config: TestConfig,
                 trace(k, step, tr)
             state = tr[2]  # next_state
             steps += 1
-            if tr[5]:      # done
+            if tr[4]:      # done
                 sink = True
                 break
         sweeps = run.runtime.sweeps_completed
@@ -108,9 +108,8 @@ class SweepResult:
 
 def _sweep_job(args) -> float:
     env, ldba_spec, hp, test_config = args
-    result = train(env, ldba_spec, hp)
-    return run_test(GreedyPolicy(result.q_table), env, ldba_spec, test_config,
-                    hp.reward_spec()).success_rate
+    qtable = train(env, ldba_spec, hp).q_table
+    return run_test(GreedyPolicy(qtable), qtable.product, test_config).success_rate
 
 
 def _mean_std(values):
@@ -141,6 +140,7 @@ def robustness_sweep(env, ldba_spec, base_hp: Hyperparams, eta_grid, mu_grid,
         for t in range(trainings):
             trial_seed = seed + cell * _SEED_STRIDE + t
             hp = replace(base_hp, discount_factor=eta, learning_rate=mu, seed=trial_seed)
+            hp.validate()  # a bad cell fails here, before any job runs
             cfg = TestConfig(tests, base_hp.iteration_num_max, required_sweeps, trial_seed)
             jobs.append((env, ldba_spec, hp, cfg))
 

@@ -7,13 +7,15 @@ is epsilon-greedy with deterministic lowest-index tie-breaking over the
 product's action order, so identical specs, hyper-parameters and seed
 reproduce runs bit for bit.
 
-By default training pays a frontier reward of 1 - eta. Under the
-state-dependent discount (eta exactly on steps that fire the frontier, 1
-elsewhere) the k-th reward of a run is worth eta^(k-1) * r regardless of
-spacing, so an endlessly satisfying run is worth r/(1-eta): scaling r to
-1 - eta puts greedy values on the satisfaction-probability scale, while
-leaving trajectories untouched (positive reward scaling does not change
-argmax decisions or the rng draw sequence when q_init is 0).
+The learner pays the frontier reward, in train alone: a product step
+reports whether it fired the accepting frontier or hit the sink; a fired
+step pays r and discounts by eta, a step into the sink pays 0 and
+discounts by 0 (nothing follows it), any other pays 0 undiscounted. The
+k-th reward of a run is then worth eta^(k-1) * r regardless of spacing,
+so an endlessly satisfying run is worth r/(1-eta). By default r is
+1 - eta, which puts greedy values on the satisfaction-probability scale
+while leaving trajectories untouched (positive reward scaling does not
+change argmax decisions or the rng draw sequence when q_init is 0).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 from .automaton import LdbaSpec
 from .envs import require_field_types, require_positive
-from .product import ProductRun, RewardSpec
+from .product import CompiledProduct, ProductRun
 
 
 @dataclass
@@ -53,16 +55,15 @@ class Hyperparams:
             raise ValueError("epsilon must lie in [0, 1]")
         if self.seed < 0:  # Random(-s) seeds as Random(s) does
             raise ValueError("seed must be >= 0")
-        self.reward_spec()  # RewardSpec checks positive_reward
+        require_positive(positive_reward=self.frontier_reward())
         for name in ("positive_reward", "q_init"):
             if not math.isfinite(getattr(self, name) or 0.0):  # None is the default reward
                 raise ValueError(f"{name} must be finite")
 
-    def reward_spec(self) -> RewardSpec:
+    def frontier_reward(self) -> float:
+        """What a step that fires the frontier pays: positive_reward, or 1 - eta."""
         rp = self.positive_reward
-        if rp is None:
-            rp = 1.0 - self.discount_factor
-        return RewardSpec(eta=self.discount_factor, positive_reward=rp)
+        return 1.0 - self.discount_factor if rp is None else rp
 
 
 class QTable:
@@ -164,10 +165,12 @@ def train(env, ldba_spec: LdbaSpec, hp: Hyperparams, on_episode=None) -> TrainRe
     """
     hp.validate()
     rng = random.Random(hp.seed)
-    run = ProductRun(env, ldba_spec, hp.reward_spec(), rng)
-    qtable = QTable(run.product, hp.q_init)
-    legal, nq = run.product.legal, run.product.nq
+    product = CompiledProduct(env, ldba_spec)
+    run = ProductRun(product, rng)
+    qtable = QTable(product, hp.q_init)
+    legal, nq = product.legal, product.nq
     epsilon, mu = hp.epsilon, hp.learning_rate
+    fired_reward, eta = hp.frontier_reward(), hp.discount_factor
     stats: list[EpisodeStats] = []
     interrupted = False
 
@@ -178,10 +181,15 @@ def train(env, ldba_spec: LdbaSpec, hp: Hyperparams, on_episode=None) -> TrainRe
             total, steps, sink = 0.0, 0, False
             for _ in range(hp.iteration_num_max):
                 action = select_action(qtable, state, actions, epsilon, rng)
-                _, _, next_state, reward, gamma, done, _ = run.step(action)
+                _, _, next_state, fired, done = run.step(action)
                 actions = legal[next_state % nq]
-                # Nothing follows the sink, so a step into it earns its reward alone.
-                q_update(qtable, state, action, reward, 0.0 if done else gamma, next_state, mu)
+                if fired:
+                    reward, gamma = fired_reward, eta
+                elif done:  # nothing follows the sink, so a step into it is worth 0
+                    reward, gamma = 0.0, 0.0
+                else:
+                    reward, gamma = 0.0, 1.0
+                q_update(qtable, state, action, reward, gamma, next_state, mu)
                 total += reward
                 steps += 1
                 state = next_state

@@ -1,51 +1,36 @@
 """On-the-fly synchronization of a grid environment with an automaton.
 
 A compiled product numbers cells, label classes, actions and product
-states, so a step is a few list lookups. It is cheap, so each reader
-builds its own: a product run, the oracle's build, the test command's
-model loader. Label classes are numbered per automaton on first sight,
-so every product of one environment and automaton has the same ids.
+states, so a step is a few list lookups. The learner compiles one per
+training run and its Q table keeps it, so the tester rolls out on the
+same ids; the oracle's build compiles its own. Label classes are
+numbered per automaton on first sight, so every product of one
+environment and automaton has the same ids.
 
 Base actions move the agent and feed the new cell's label class to the
 automaton; epsilon-actions jump the automaton, freeze the environment
-and consume no randomness. A step that fires the accepting frontier pays
-positive_reward and discounts by eta, any other pays 0 undiscounted.
-Episodes end exactly when the automaton hits the sink, which never fires.
+and consume no randomness. A step reports automaton events, not rewards:
+whether it fired the accepting frontier, and whether it hit the sink,
+which ends the episode and never fires. What a fire pays is the
+learner's to decide.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .automaton import SINK_STATE, LdbaRuntime
-from .envs import require_positive
 
 SINK = -1  # the oracle's one sink node, decoded as (SINK_CELL, -1); -1 % nq is the sink
 SINK_CELL = (-1, -1)
-
-
-@dataclass(frozen=True)
-class RewardSpec:
-    """Frontier reward shaping: fired steps pay positive_reward, discount eta."""
-
-    eta: float
-    positive_reward: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must lie strictly inside (0, 1)")
-        require_positive(positive_reward=self.positive_reward)
 
 
 class Transition(NamedTuple):
     state: int        # product ids and an action id; see CompiledProduct
     action: int
     next_state: int
-    reward: float
-    gamma: float
-    done: bool
-    fired: bool
+    fired: bool       # the step removed a set from the accepting frontier
+    done: bool        # the step hit the sink
 
 
 _new = tuple.__new__  # builds a Transition without its Python-level __new__
@@ -67,7 +52,7 @@ class CompiledProduct:
 
     def __init__(self, env, spec):
         automaton = spec.compiled
-        self.env, self.automaton = env, automaton
+        self.env, self.spec, self.automaton = env, spec, automaton
         self.nq = len(automaton.states)
         self.cell_class = [automaton.label_class(env.state_label(s)) for s in env.cells]
         self.actions = [env.actions + spec.epsilon_names(q) for q in automaton.states]
@@ -91,13 +76,12 @@ class CompiledProduct:
 
 
 class ProductRun:
-    """A live product trajectory over one environment and one automaton run."""
+    """A live trajectory on a compiled product: one agent cell, one automaton run."""
 
-    def __init__(self, env, ldba_spec, reward: RewardSpec, rng):
-        self.product = product = CompiledProduct(env, ldba_spec)
-        self.runtime = LdbaRuntime(ldba_spec)
-        self.reward, self.rng, self._slip = reward, rng, env.slip_probability
-        self._random, self._randrange = rng.random, rng.randrange
+    def __init__(self, product: CompiledProduct, rng):
+        env = product.env
+        self.product, self.rng, self.runtime = product, rng, LdbaRuntime(product.spec)
+        self._slip, self._random, self._randrange = env.slip_probability, rng.random, rng.randrange
         self._nq, self._sink, self._cell_class = product.nq, product.nq - 1, product.cell_class
         self._legal, self._epsilon, self._moves = product.legal, product.epsilon, env.move_table()
         self.state = product.initial
@@ -135,8 +119,5 @@ class ProductRun:
         q = runtime.step(cls)
         next_state = self.state = cell * self._nq + q
         if runtime.advance_frontier(q):
-            reward = self.reward
-            return _new(Transition, (state, action, next_state, reward.positive_reward,
-                                     reward.eta, False, True))
-        return _new(Transition, (state, action, next_state, 0.0, 1.0,
-                                 q == self._sink, False))
+            return _new(Transition, (state, action, next_state, True, False))
+        return _new(Transition, (state, action, next_state, False, q == self._sink))

@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ldba_synth import GridEnv, LabelRegion, LdbaSpec, parse_ldba_spec
+from ldba_synth import GridEnv, LabelRegion, LdbaSpec, learner, parse_ldba_spec
 from ldba_synth.automaton import LdbaRuntime
 from ldba_synth.envs import ACTION_DELTAS, PERPENDICULAR, parse_env_spec
 from ldba_synth.oracle import ExplicitProduct
-from ldba_synth.product import SINK, CompiledProduct
+from ldba_synth.product import SINK, CompiledProduct, ProductRun
 
 
 settings.register_profile("reproducible", derandomize=True)
@@ -218,6 +218,44 @@ def hazard_spec():
             "0": [{"guard": "bad", "to": -1}, {"guard": "true", "to": 0}],
         },
     })
+
+
+# ---------------------------------------------------------------------------
+# what training pays
+# ---------------------------------------------------------------------------
+
+
+def record_training_steps(patch):
+    """Wrap ProductRun.step and learner.q_update through patch (a MonkeyPatch).
+
+    Returns two lists that grow as training runs: the transitions the steps
+    made, and the (state, action, reward, gamma, next_state) each update
+    was fed.
+    """
+    steps, updates = [], []
+
+    def step(run, action, _fn=ProductRun.step):
+        steps.append(_fn(run, action))
+        return steps[-1]
+
+    def q_update(qtable, state, action, reward, gamma, next_state, mu, _fn=learner.q_update):
+        updates.append((state, action, reward, gamma, next_state))
+        return _fn(qtable, state, action, reward, gamma, next_state, mu)
+
+    patch.setattr(ProductRun, "step", step)
+    patch.setattr(learner, "q_update", q_update)
+    return steps, updates
+
+
+def assert_frontier_payoffs(steps, updates, hp) -> None:
+    """One update per step, paying (r, eta) exactly when the step fired, (0, 0)
+    on a step into the sink and (0, 1) otherwise."""
+    assert len(steps) == len(updates)
+    fired = hp.frontier_reward(), hp.discount_factor
+    for tr, (state, action, reward, gamma, next_state) in zip(steps, updates):
+        assert (state, action, next_state) == (tr.state, tr.action, tr.next_state)
+        expected = fired if tr.fired else (0.0, 0.0) if tr.done else (0.0, 1.0)
+        assert (reward, gamma) == expected, (tr, reward, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,15 @@ import time
 
 import pytest
 
-from conftest import (brute_force_value, make_rng, random_automaton, random_env,
-                      random_explicit_product)
+from conftest import (assert_frontier_payoffs, brute_force_value, make_rng, random_automaton,
+                      random_env, random_explicit_product, record_training_steps)
 
 from ldba_synth import (SINK_STATE, GreedyPolicy, Hyperparams, LdbaRuntime, ProductRun,
                         TestConfig, build_explicit_product, load_env_file, load_ldba_file,
                         max_sat_probability, resolve_spec_path, robustness_sweep, run_test,
                         train)
 from ldba_synth.cli import EXIT_CONFIG, main
+from ldba_synth.product import CompiledProduct
 
 pytestmark = pytest.mark.acceptance
 
@@ -124,7 +125,7 @@ def test_criterion_3_sequential_milestones_policy_succeeds():
     result = train(env, spec, hp)
     policy = GreedyPolicy(result.q_table)
     config = TestConfig(rollouts=100, horizon=1000, required_sweeps=1, seed=0)
-    report = run_test(policy, env, spec, config, hp.reward_spec())
+    report = run_test(policy, result.q_table.product, config)
     elapsed = time.monotonic() - start
     ok = report.success_rate >= 0.90 and elapsed < 600.0
     _verdict(3, "sequential milestone coverage", ok,
@@ -172,23 +173,28 @@ def test_criterion_5_invariant_suites():
     eps_checks = 0
 
     try:
-        # reward/discount coupling + sink absorption on synchronized runs
+        # sink absorption on synchronized runs, then reward/discount coupling
+        # on the same pairs, read from the updates that training feeds
         for _ in range(15):
             env = random_env(rng)
             spec = random_automaton(rng)
-            reward = Hyperparams(discount_factor=0.8).reward_spec()
-            run = ProductRun(env, spec, reward, make_rng(rng.randrange(2**32)))
+            seed = rng.randrange(2**32)
+            run = ProductRun(CompiledProduct(env, spec), make_rng(seed))
             run.reset()
             sunk = False
             for _ in range(80):
                 tr = run.step(rng.choice(run.available_actions()))
-                coupling_steps += 1
-                assert (tr.reward > 0) == tr.fired
-                assert tr.gamma == (reward.eta if tr.fired else 1.0)
                 if sunk:
                     assert run.product.decode(tr.next_state)[1] == SINK_STATE
                     assert tr.done and not tr.fired
                 sunk = sunk or tr.done
+            hp = Hyperparams(episode_num=3, iteration_num_max=80, discount_factor=0.8,
+                             epsilon=1.0, seed=seed)
+            with pytest.MonkeyPatch.context() as patch:
+                steps, updates = record_training_steps(patch)
+                train(env, spec, hp)
+            assert_frontier_payoffs(steps, updates, hp)
+            coupling_steps += len(steps)
 
         # frontier conservation and sweep counting
         for _ in range(40):
@@ -210,7 +216,7 @@ def test_criterion_5_invariant_suites():
             spec = random_automaton(rng, epsilon_prob=0.9)
             env = random_env(rng)
             wheel = make_rng(rng.randrange(2**32))
-            run = ProductRun(env, spec, Hyperparams().reward_spec(), wheel)
+            run = ProductRun(CompiledProduct(env, spec), wheel)
             run.reset()
             for _ in range(40):
                 names = run.product.action_names(run.state)
@@ -247,7 +253,7 @@ def test_criterion_5_invariant_suites():
                              discount_factor=rng.choice([0.5, 0.9, 0.99]),
                              seed=rng.randrange(10**6))
             result = train(env, spec, hp)
-            bound = hp.reward_spec().positive_reward / (1.0 - hp.discount_factor)
+            bound = hp.frontier_reward() / (1.0 - hp.discount_factor)
             for _, _, value in result.q_table.items():
                 assert -1e-12 <= value <= bound + 1e-9
     except AssertionError as exc:

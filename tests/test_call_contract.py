@@ -136,3 +136,27 @@ def test_predecessor_index_built_at_most_once_per_solve(monkeypatch, accepting, 
     monkeypatch.setattr(oracle, "_predecessor_index", index)
     assert max_sat_probability(two_node_product(accepting)).initial_value == accepting
     assert len(counted) == builds
+
+
+def test_train_and_test_roll_out_on_the_product_they_hold(tmp_path, capsys, monkeypatch):
+    # One compile for the Q table, whose product the closed-loop test reuses,
+    # and one in the oracle reference's build; nothing compiles the pair again.
+    compiled, tested = [], []
+
+    def init(self, *args, _fn=product.CompiledProduct.__init__):
+        compiled.append(self)
+        _fn(self, *args)
+
+    def run_test(policy, prod, *args, _fn=cli.run_test, **kwargs):
+        tested.append(prod)
+        return _fn(policy, prod, *args, **kwargs)
+
+    monkeypatch.setattr(product.CompiledProduct, "__init__", init)
+    monkeypatch.setattr(cli, "run_test", run_test)
+    specs = ["--env", "gridworld-1", "--ldba", "goal1-or-goal2",
+             "--save_dir", str(tmp_path / "results"), "--rollouts", "3"]
+    assert main(["train", *specs, "--episode_num", "5", "--iteration_num_max", "100"]) == EXIT_OK
+    assert len(compiled) == 2 and tested == compiled[:1]   # training's, then the reference's
+    del compiled[:], tested[:]
+    assert main(["test", *specs]) == EXIT_OK
+    assert len(compiled) == 2 and tested == compiled[:1]   # the loader's, then the reference's

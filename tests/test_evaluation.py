@@ -21,8 +21,6 @@ from ldba_synth.product import CompiledProduct, ProductRun
 
 from conftest import chain_spec, corridor_env, hazard_spec
 
-REWARD = Hyperparams().reward_spec()
-
 
 def press(action):
     """A policy that always takes the named corridor action, by its id."""
@@ -53,8 +51,8 @@ def test_test_config_defaults_and_validation():
 def test_success_requires_enough_sweeps_and_no_sink():
     env = corridor_env({2: {"a"}, 3: {"b"}})
     spec = chain_spec()
-    report = run_test(press("right"), env, spec,
-                      TestConfig(rollouts=3, horizon=20), REWARD)
+    report = run_test(press("right"), CompiledProduct(env, spec),
+                      TestConfig(rollouts=3, horizon=20))
     assert report.success_rate == 1.0
     for outcome in report.outcomes:
         assert outcome.success is True
@@ -63,16 +61,16 @@ def test_success_requires_enough_sweeps_and_no_sink():
         assert outcome.sweeps == 18              # two approach steps, then fires
 
     # same policy, but demanding more sweeps than the horizon allows
-    report = run_test(press("right"), env, spec,
-                      TestConfig(rollouts=3, horizon=20, required_sweeps=19), REWARD)
+    report = run_test(press("right"), CompiledProduct(env, spec),
+                      TestConfig(rollouts=3, horizon=20, required_sweeps=19))
     assert report.success_rate == 0.0
     assert all(o.sweeps == 18 and not o.success for o in report.outcomes)
 
 
 def test_sink_fails_the_rollout_and_stops_it_early():
     env = corridor_env({1: {"bad"}})
-    report = run_test(press("right"), env, hazard_spec(),
-                      TestConfig(rollouts=2, horizon=50), REWARD)
+    report = run_test(press("right"), CompiledProduct(env, hazard_spec()),
+                      TestConfig(rollouts=2, horizon=50))
     assert report.success_rate == 0.0
     for outcome in report.outcomes:
         assert outcome.reached_sink is True
@@ -82,16 +80,16 @@ def test_sink_fails_the_rollout_and_stops_it_early():
 
 def test_no_sweeps_without_sink_still_fails():
     env = corridor_env({})                       # nothing to satisfy
-    report = run_test(press("left"), env, chain_spec(),
-                      TestConfig(rollouts=2, horizon=10), REWARD)
+    report = run_test(press("left"), CompiledProduct(env, chain_spec()),
+                      TestConfig(rollouts=2, horizon=10))
     assert report.success_rate == 0.0
     assert all(o.steps == 10 and not o.reached_sink for o in report.outcomes)
 
 
 def test_success_rate_is_the_outcome_mean():
     env = corridor_env({2: {"a"}, 3: {"b"}}, slip=0.4)
-    report = run_test(press("right"), env, chain_spec(),
-                      TestConfig(rollouts=40, horizon=15, required_sweeps=5), REWARD)
+    report = run_test(press("right"), CompiledProduct(env, chain_spec()),
+                      TestConfig(rollouts=40, horizon=15, required_sweeps=5))
     assert 0.0 <= report.success_rate <= 1.0
     assert report.success_rate == pytest.approx(
         sum(o.success for o in report.outcomes) / 40)
@@ -103,39 +101,33 @@ def test_success_rate_is_the_outcome_mean():
 
 
 def test_rollouts_are_reproducible_and_order_independent():
-    env = corridor_env({2: {"a"}, 3: {"b"}}, slip=0.3)
-    spec = chain_spec()
-    five = run_test(press("right"), env, spec,
-                    TestConfig(rollouts=5, horizon=30, seed=4), REWARD)
-    ten = run_test(press("right"), env, spec,
-                   TestConfig(rollouts=10, horizon=30, seed=4), REWARD)
+    product = CompiledProduct(corridor_env({2: {"a"}, 3: {"b"}}, slip=0.3), chain_spec())
+    five = run_test(press("right"), product, TestConfig(rollouts=5, horizon=30, seed=4))
+    ten = run_test(press("right"), product, TestConfig(rollouts=10, horizon=30, seed=4))
     assert ten.outcomes[:5] == five.outcomes     # per-rollout seeded generators
-    again = run_test(press("right"), env, spec,
-                     TestConfig(rollouts=5, horizon=30, seed=4), REWARD)
+    again = run_test(press("right"), product, TestConfig(rollouts=5, horizon=30, seed=4))
     assert again == five
-    other_seed = run_test(press("right"), env, spec,
-                          TestConfig(rollouts=5, horizon=30, seed=5), REWARD)
+    other_seed = run_test(press("right"), product,
+                          TestConfig(rollouts=5, horizon=30, seed=5))
     assert other_seed != five
 
 
 def test_trace_sees_every_transition():
-    env = corridor_env({2: {"a"}, 3: {"b"}}, slip=0.2)
-    spec = chain_spec()
+    product = CompiledProduct(corridor_env({2: {"a"}, 3: {"b"}}, slip=0.2), chain_spec())
     rows = []
-    report = run_test(press("right"), env, spec,
-                      TestConfig(rollouts=3, horizon=12, seed=1), REWARD,
+    report = run_test(press("right"), product, TestConfig(rollouts=3, horizon=12, seed=1),
                       trace=lambda k, step, tr: rows.append((k, step, tr)))
     assert len(rows) == sum(o.steps for o in report.outcomes)
     for k in range(3):
         chunk = [(step, tr) for kk, step, tr in rows if kk == k]
         assert [step for step, _ in chunk] == list(range(len(chunk)))
         # reset before every rollout
-        assert CompiledProduct(env, spec).decode(chunk[0][1].state) == ((0, 0), 0)
+        assert product.decode(chunk[0][1].state) == ((0, 0), 0)
         for (_, a), (_, b) in zip(chunk, chunk[1:]):
             assert b.state == a.next_state
 
 
-def reference_rollouts(qtable, env, spec, config, reward):
+def reference_rollouts(qtable, config):
     """run_test spelled out, reading qtable.best_action at every step.
 
     Returns the outcomes, every (rollout, step, transition) and each
@@ -144,7 +136,7 @@ def reference_rollouts(qtable, env, spec, config, reward):
     outcomes, transitions, rng_states = [], [], []
     for k in range(config.rollouts):
         rng = Random(config.seed * evaluation._SEED_STRIDE + k)
-        run = ProductRun(env, spec, reward, rng)
+        run = ProductRun(CompiledProduct(qtable.product.env, qtable.product.spec), rng)
         state, steps, sink = run.reset(), 0, False
         while steps < config.horizon and not sink:
             tr = run.step(qtable.best_action(state))
@@ -183,18 +175,18 @@ def test_run_test_matches_a_best_action_reference_loop(monkeypatch, env_name, ld
 
     monkeypatch.setattr(evaluation, "Random", RecordedRandom)
     transitions = []
-    report = run_test(GreedyPolicy(qtable), env, spec, config, hp.reward_spec(),
+    report = run_test(GreedyPolicy(qtable), qtable.product, config,
                       trace=lambda k, step, tr: transitions.append((k, step, tr)))
     (rng,) = generators   # one generator serves every rollout
     assert seeds == [config.seed * evaluation._SEED_STRIDE + k for k in range(config.rollouts)]
     finals = states[1:] + [rng.getstate()]   # each rollout's final generator state
-    expected = reference_rollouts(qtable, env, spec, config, hp.reward_spec())
+    expected = reference_rollouts(qtable, config)
     assert (report.outcomes, transitions, finals) == expected
 
     # each pair exercises what it is here for: slip draws in every rollout,
     # and greedy epsilon-moves on gridworld-1
     assert all(final != Random(seed).getstate() for seed, final in zip(seeds, finals))
-    product = CompiledProduct(env, spec)
+    product = qtable.product
     epsilon_steps = sum(product.epsilon[tr.state % product.nq][tr.action] is not None
                         for _, _, tr in transitions)
     assert (epsilon_steps > 0) == (env_name == "gridworld-1")
@@ -316,6 +308,24 @@ def test_sweep_rejects_an_empty_grid_before_any_job(monkeypatch, pool_sizes, wor
     grids = {"eta_grid": [0.5], "mu_grid": [0.5], empty: []}
     with pytest.raises(ValueError, match=empty):
         robustness_sweep(env, spec, base, trainings=1, tests=1, workers=workers, **grids)
+    assert pool_sizes == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("eta_grid, mu_grid, match", [
+    ([0.9, 1.5], [0.9], "discount_factor"),   # the good cell comes first
+    ([0.9], [0.9, 0.0], "learning_rate"),
+])
+def test_sweep_rejects_a_bad_grid_cell_before_any_job(monkeypatch, pool_sizes, workers,
+                                                       eta_grid, mu_grid, match):
+    def fail(job):
+        raise AssertionError("no job may start")
+
+    monkeypatch.setattr("ldba_synth.evaluation._sweep_job", fail)
+    env, spec, base = sweep_args()
+    with pytest.raises(ValueError, match=match):
+        robustness_sweep(env, spec, base, eta_grid, mu_grid, trainings=2, tests=1,
+                         workers=workers)
     assert pool_sizes == []
 
 

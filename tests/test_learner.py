@@ -18,8 +18,8 @@ from ldba_synth.learner import (
 )
 from ldba_synth.product import CompiledProduct
 
-from conftest import (chain_spec, corridor_env, hazard_spec, make_rng, random_automaton,
-                      random_env)
+from conftest import (assert_frontier_payoffs, chain_spec, corridor_env, hazard_spec,
+                      make_rng, random_automaton, random_env, record_training_steps)
 
 
 def one_shot_spec():
@@ -44,14 +44,12 @@ def one_shot_spec():
 
 def test_hyperparams_defaults_give_probability_scale_rewards():
     hp = Hyperparams()
-    spec = hp.reward_spec()
-    assert spec.eta == hp.discount_factor
-    assert spec.positive_reward == pytest.approx(1.0 - hp.discount_factor)
+    assert hp.frontier_reward() == pytest.approx(1.0 - hp.discount_factor)
 
 
 def test_hyperparams_explicit_reward_wins():
     hp = Hyperparams(discount_factor=0.9, positive_reward=2.5)
-    assert hp.reward_spec().positive_reward == 2.5
+    assert hp.frontier_reward() == 2.5
 
 
 @pytest.mark.parametrize("field,value", [
@@ -201,6 +199,25 @@ def test_a_step_into_the_sink_earns_its_reward_alone():
     assert result.q_table.value(result.q_table.product.initial, 0) == 0.0  # "right"
 
 
+@pytest.mark.parametrize("positive_reward", [None, 2.5])
+def test_updates_pay_the_frontier_reward_exactly_on_fired_steps(monkeypatch,
+                                                                 positive_reward):
+    # The product reports fires and the sink; train alone turns them into
+    # (reward, gamma): (r, eta) on a fire, (0, 0) into the sink, (0, 1) otherwise.
+    rng = make_rng(61)
+    steps, updates = record_training_steps(monkeypatch)
+    seen = Counter()
+    for _ in range(15):
+        hp = Hyperparams(episode_num=6, iteration_num_max=60, epsilon=0.5,
+                         discount_factor=rng.choice([0.5, 0.8, 0.99]),
+                         positive_reward=positive_reward, seed=rng.randrange(10_000))
+        del steps[:], updates[:]
+        train(random_env(rng), random_automaton(rng), hp)
+        assert_frontier_payoffs(steps, updates, hp)
+        seen.update("fired" if tr.fired else "sink" if tr.done else "plain" for tr in steps)
+    assert min(seen[kind] for kind in ("fired", "sink", "plain")) > 0, seen
+
+
 # ---------------------------------------------------------------------------
 # training end to end on tiny deterministic products
 # ---------------------------------------------------------------------------
@@ -244,7 +261,7 @@ def test_q_values_stay_in_the_reward_bound():
                          discount_factor=0.8, learning_rate=0.9,
                          epsilon=0.4, seed=rng.randrange(10_000))
         result = train(env, spec, hp)
-        bound = hp.reward_spec().positive_reward / (1.0 - hp.discount_factor)
+        bound = hp.frontier_reward() / (1.0 - hp.discount_factor)
         for _, _, value in result.q_table.items():
             assert -1e-12 <= value <= bound + 1e-9
 

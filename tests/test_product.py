@@ -1,11 +1,11 @@
-"""Product synchronization: reward/discount coupling, epsilon moves, sink."""
+"""Product synchronization: frontier fires, epsilon moves, sink."""
 
 from __future__ import annotations
 
 import pytest
 
 from ldba_synth.automaton import SINK_STATE, parse_ldba_spec
-from ldba_synth.product import CompiledProduct, ProductError, ProductRun, RewardSpec
+from ldba_synth.product import CompiledProduct, ProductError, ProductRun
 
 from conftest import (chain_spec, corridor_env, make_rng, random_automaton,
                       random_env)
@@ -30,95 +30,74 @@ def act(run, name):
     return run.product.action_names(run.state).index(name)
 
 
-# ---------------------------------------------------------------------------
-# reward spec
-# ---------------------------------------------------------------------------
-
-
-def test_reward_spec_defaults():
-    spec = RewardSpec(eta=0.9)
-    assert spec.positive_reward == 1.0
-
-
-@pytest.mark.parametrize("eta", [0.0, 1.0, -0.2, 1.7])
-def test_reward_spec_rejects_bad_eta(eta):
-    with pytest.raises(ValueError, match="eta"):
-        RewardSpec(eta=eta)
-
-
-def test_reward_spec_rejects_nonpositive_reward():
-    with pytest.raises(ValueError, match="positive_reward"):
-        RewardSpec(eta=0.9, positive_reward=0.0)
+def product_run(env, spec, rng):
+    return ProductRun(CompiledProduct(env, spec), rng)
 
 
 # ---------------------------------------------------------------------------
-# scripted walk: exact rewards, discounts, sweeps
+# scripted walk: exact fires, sink flags, sweeps
 # ---------------------------------------------------------------------------
 
 
 def test_scripted_corridor_walk():
     env = corridor_env({2: {"a"}, 3: {"b"}})
-    run = ProductRun(env, chain_spec(), RewardSpec(eta=0.5), make_rng(0))
+    run = product_run(env, chain_spec(), make_rng(0))
     assert run.product.decode(run.reset()) == ((0, 0), 0)
 
     tr = run.step(act(run, "right"))  # to (0,1): unlabeled
     assert run.product.decode(tr.next_state) == ((0, 1), 0)
-    assert (tr.reward, tr.gamma, tr.fired, tr.done) == (0.0, 1.0, False, False)
+    assert (tr.fired, tr.done) == (False, False)
 
     tr = run.step(act(run, "right"))  # to (0,2): sees 'a'
     assert run.product.decode(tr.next_state) == ((0, 2), 1)
-    assert (tr.reward, tr.gamma, tr.fired, tr.done) == (0.0, 1.0, False, False)
+    assert (tr.fired, tr.done) == (False, False)
     assert run.runtime.sweeps_completed == 0
 
     tr = run.step(act(run, "right"))  # to (0,3): sees 'b', accepting
     assert run.product.decode(tr.next_state) == ((0, 3), 2)
-    assert (tr.reward, tr.gamma, tr.fired, tr.done) == (1.0, 0.5, True, False)
+    assert (tr.fired, tr.done) == (True, False)
     assert run.runtime.sweeps_completed == 1
 
     tr = run.step(act(run, "right"))  # clamped; accepting loop refires
     assert run.product.decode(tr.next_state) == ((0, 3), 2)
-    assert (tr.reward, tr.gamma, tr.fired, tr.done) == (1.0, 0.5, True, False)
+    assert (tr.fired, tr.done) == (True, False)
     assert run.runtime.sweeps_completed == 2
 
 
 def test_transition_records_source_state_and_action():
     env = corridor_env({})
-    run = ProductRun(env, chain_spec(), RewardSpec(eta=0.5), make_rng(0))
+    run = product_run(env, chain_spec(), make_rng(0))
     run.reset()
     tr = run.step(act(run, "right"))
+    assert tr._fields == ("state", "action", "next_state", "fired", "done")   # no reward
     assert run.product.decode(tr.state) == ((0, 0), 0)
     assert tr.action == 0
     assert run.product.action_names(tr.state)[tr.action] == "right"
 
 
 def test_custom_reward_values_flow_through():
+    # What a fire pays is the learner's; the run reports the fires it pays for.
     env = corridor_env({1: {"a"}, 2: {"b"}})
-    reward = RewardSpec(eta=0.9, positive_reward=5.0)
-    run = ProductRun(env, chain_spec(), reward, make_rng(0))
+    run = product_run(env, chain_spec(), make_rng(0))
     run.reset()
     first = run.step(act(run, "right"))  # 'a' advances but nothing fires
-    assert (first.reward, first.gamma) == (0.0, 1.0)
+    assert (first.fired, first.done) == (False, False)
     tr = run.step(act(run, "right"))  # 'b' fires the frontier
-    assert (tr.reward, tr.gamma) == (5.0, 0.9)
+    assert (tr.fired, tr.done) == (True, False)
     tr = run.step(act(run, "left"))  # q stays accepting: refires
-    assert (tr.reward, tr.gamma) == (5.0, 0.9)
+    assert (tr.fired, tr.done) == (True, False)
     assert run.runtime.sweeps_completed == 2
 
 
 def test_discount_follows_the_frontier_not_the_reward_sign():
-    # eta applies exactly on the steps that fire the frontier; the others
-    # pay 0 undiscounted.
+    # The learner discounts by eta exactly on the steps that fire the frontier.
     env = corridor_env({1: {"a"}, 2: {"b"}})
-    run = ProductRun(env, chain_spec(), RewardSpec(eta=0.9), make_rng(0))
+    run = product_run(env, chain_spec(), make_rng(0))
     run.reset()
     plan = ["right", "left", "right", "right", "left", "right"]
     fired = [run.step(act(run, action)) for action in plan]
     assert [tr.fired for tr in fired] == [False, False, False, True, True, True]
-    for tr in fired:
-        if tr.fired:
-            assert (tr.reward, tr.gamma) == (1.0, 0.9)
-        else:
-            assert (tr.reward, tr.gamma) == (0.0, 1.0)
+    assert [tr.done for tr in fired] == [False] * 6
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +108,7 @@ def test_discount_follows_the_frontier_not_the_reward_sign():
 def test_epsilon_action_freezes_env_and_consumes_no_randomness():
     env = corridor_env({0: {"a"}}, slip=1.0 / 3.0)
     rng = make_rng(5)
-    run = ProductRun(env, epsilon_spec(), RewardSpec(eta=0.9), rng)
+    run = product_run(env, epsilon_spec(), rng)
     run.reset()
     before = rng.getstate()
     tr = run.step(act(run, "epsilon_1"))
@@ -137,12 +116,11 @@ def test_epsilon_action_freezes_env_and_consumes_no_randomness():
     assert run.product.decode(tr.state) == ((0, 0), 0)
     assert run.product.decode(tr.next_state) == ((0, 0), 1)
     assert tr.fired is True                      # lands in the accepting set
-    assert tr.reward == 1.0
 
 
 def test_epsilon_actions_listed_after_base_actions():
     env = corridor_env({0: {"a"}})
-    run = ProductRun(env, epsilon_spec(), RewardSpec(eta=0.9), make_rng(0))
+    run = product_run(env, epsilon_spec(), make_rng(0))
     product = run.product
     for q, names in ((0, env.actions + ("epsilon_1",)), (1, env.actions),
                      (SINK_STATE, env.actions)):
@@ -153,7 +131,7 @@ def test_epsilon_actions_listed_after_base_actions():
 
 def test_illegal_actions_raise():
     env = corridor_env({})
-    run = ProductRun(env, epsilon_spec(), RewardSpec(eta=0.9), make_rng(0))
+    run = product_run(env, epsilon_spec(), make_rng(0))
     run.reset()
     for action in (5, -1, "up"):                 # q 0 offers ids 0-4 only
         with pytest.raises(ProductError, match="illegal action"):
@@ -174,7 +152,7 @@ def test_product_ids_translate_to_the_spec_numbering():
             "5": [{"guard": "a", "to": 5}, {"guard": "true", "to": -1}],
         },
     })
-    run = ProductRun(corridor_env({1: {"a"}}), spec, RewardSpec(eta=0.5), make_rng(0))
+    run = product_run(corridor_env({1: {"a"}}), spec, make_rng(0))
     product = run.product
     assert product.automaton.states == (5, 2, SINK_STATE)   # declaration order, sink last
     assert run.reset() == product.encode((0, 0), 2) == 1     # cell 0, automaton index 1
@@ -203,7 +181,7 @@ def test_product_ids_translate_to_the_spec_numbering():
 
 def test_done_exactly_when_sink_is_hit():
     env = corridor_env({0: {"a"}})               # at q=1, leaving 'a' sinks
-    run = ProductRun(env, epsilon_spec(), RewardSpec(eta=0.9), make_rng(0))
+    run = product_run(env, epsilon_spec(), make_rng(0))
     run.reset()
     assert run.step(act(run, "epsilon_1")).done is False   # q=1, env frozen on the a-cell
     tr = run.step(act(run, "left"))  # clamped onto 'a': still alive
@@ -224,7 +202,6 @@ def test_done_exactly_when_sink_is_hit():
 
 def test_reward_discount_coupling_randomized():
     rng = make_rng(97)
-    eta = 0.8
     for trial in range(30):
         env = random_env(rng)
         labels = sorted({lab for region in env.regions for lab in region.labels})
@@ -243,13 +220,16 @@ def test_reward_discount_coupling_randomized():
                 },
             }
             spec = parse_ldba_spec(doc)
-        run = ProductRun(env, spec, RewardSpec(eta=eta), rng)
+        run = product_run(env, spec, rng)
         run.reset()
         for _ in range(80):
             action = rng.choice(run.available_actions())
+            runtime = run.runtime
+            before = runtime.frontier, runtime.sweeps_completed
             tr = run.step(action)
-            assert (tr.reward > 0) == tr.fired
-            assert tr.gamma == (eta if tr.fired else 1.0)
+            # fired exactly when the frontier lost a set; the sink never fires
+            assert tr.fired == ((runtime.frontier, runtime.sweeps_completed) != before)
+            assert not (tr.fired and tr.done)
             assert tr.done == (run.product.decode(tr.next_state)[1] == SINK_STATE)
             if tr.done:
                 break
@@ -259,7 +239,7 @@ def test_env_and_automaton_advance_in_lockstep():
     rng = make_rng(53)
     env = corridor_env({1: {"a"}, 2: {"b"}}, slip=0.2)
     spec = chain_spec()
-    run = ProductRun(env, spec, RewardSpec(eta=0.5), rng)
+    run = product_run(env, spec, rng)
     run.reset()
     for _ in range(50):
         action = rng.choice(run.available_actions())
@@ -275,8 +255,7 @@ def test_base_moves_match_the_environment_step_and_its_rng_draws():
     rng = make_rng(71)
     for _ in range(20):
         env = random_env(rng)                    # slip 0, 0.1 or 1/3
-        run = ProductRun(env, random_automaton(rng, sink_prob=0.0), RewardSpec(eta=0.5),
-                         make_rng(5))
+        run = product_run(env, random_automaton(rng, sink_prob=0.0), make_rng(5))
         reference = make_rng(5)
         run.reset()
         cell = env.initial_state
