@@ -7,6 +7,8 @@ put, each with slip_probability/3 ('stay' has no perpendiculars, so it
 never slips). Moves off the boundary leave the agent in place. Labels
 come from an ordered region list where later regions overwrite earlier
 ones on the cells they cover; a region may carry several labels at once.
+Per-cell facts are lists over the row-major cell ids, each built on first
+read, so parsing a grid only validates it.
 
 Environments never terminate episodes on their own; the product layer
 decides termination. The module performs no I/O beyond loading spec
@@ -118,23 +120,13 @@ class GridEnv:
         self.slip_probability = float(slip_probability)
         self.initial_state = (row0, col0)
         self.regions = list(label_regions)
-
-        grid = [[frozenset() for _ in range(width)] for _ in range(height)]
         for region in self.regions:
             (rlo, rhi), (clo, chi) = region.rows, region.cols
             _require(0 <= rlo < rhi <= height, f"region rows {region.rows} out of bounds")
             _require(0 <= clo < chi <= width, f"region cols {region.cols} out of bounds")
-            for r in range(rlo, rhi):
-                for c in range(clo, chi):
-                    grid[r][c] = region.labels
-        self._labels = grid
-
-        for label in self.label_universe():
+        for label in set().union(*(region.labels for region in self.regions)):
             problem = proposition_name_problem(label)
             _require(problem is None, f"label {label!r} is not a proposition name: {problem}")
-
-    def label_universe(self) -> set[str]:
-        return set().union(*(region.labels for region in self.regions))
 
     @cached_property
     def cells(self) -> list[tuple[int, int]]:
@@ -145,28 +137,20 @@ class GridEnv:
     def cell_id(self) -> dict[tuple[int, int], int]:
         return {cell: i for i, cell in enumerate(self.cells)}
 
-    def state_label(self, state) -> frozenset[str]:
-        return self._labels[state[0]][state[1]]
+    @cached_property
+    def cell_labels(self) -> list[frozenset[str]]:
+        """``cell_labels[i]``: the labels of the last region covering cell i, or none."""
+        w = self.width
+        labels = [frozenset()] * (self.height * w)
+        for region in self.regions:
+            (rlo, rhi), (clo, chi) = region.rows, region.cols
+            for i in range(rlo * w, rhi * w, w):
+                labels[i + clo:i + chi] = [region.labels] * (chi - clo)
+        return labels
 
-    def _move(self, state, action) -> tuple[int, int]:
-        dr, dc = ACTION_DELTAS[action]
-        r, c = state[0] + dr, state[1] + dc
-        if 0 <= r < self.height and 0 <= c < self.width:
-            return (r, c)
-        return state
-
-    def step(self, cell, action, rng) -> tuple[int, int]:
-        """Sample the cell action leads to from cell; rng is drawn for slips only."""
-        if action not in self.actions:
-            raise EnvSpecError(f"action {action!r} is not available in this environment")
-        outcome = action
-        if self.slip_probability > 0.0 and rng.random() < self.slip_probability:
-            perp = PERPENDICULAR[action]
-            outcome = (perp + ("stay",))[rng.randrange(3)] if perp else "stay"
-        return self._move(cell, outcome)
-
-    def move_table(self) -> list[tuple[tuple[int, ...], ...]]:
-        """``table[i][a]``: the cell ids base action a leads to from cell i; the intended
+    @cached_property
+    def moves(self) -> list[tuple[tuple[int, ...], ...]]:
+        """``moves[i][a]``: the cell ids base action a leads to from cell i; the intended
         one first, then, for a move that can slip, the two perpendicular ones and staying put."""
         w, ids = self.width, list(range(self.height * self.width))  # one int per cell id
         left, right = [0] + ids[:-1], ids[1:] + [0]  # neighbours are i -+ 1 and i -+ w
@@ -178,6 +162,23 @@ class GridEnv:
                     for a in self.actions]
         return list(zip(*(zip(*(to[d] for d in ds)) for ds in outcomes)))
 
+    def state_label(self, cell) -> frozenset[str]:
+        """The labels of cell (row, col); KeyError off the grid."""
+        return self.cell_labels[self.cell_id[cell]]
+
+    def step(self, cell, action, rng) -> tuple[int, int]:
+        """Sample the cell action leads to from cell; rng is drawn for slips only. It
+        clamps at the walls itself, as the tests' reference sampler for ``moves``."""
+        if action not in self.actions:
+            raise EnvSpecError(f"action {action!r} is not available in this environment")
+        outcome = action
+        if self.slip_probability > 0.0 and rng.random() < self.slip_probability:
+            perp = PERPENDICULAR[action]
+            outcome = (perp + ("stay",))[rng.randrange(3)] if perp else "stay"
+        dr, dc = ACTION_DELTAS[outcome]
+        r, c = cell[0] + dr, cell[1] + dc
+        return (r, c) if 0 <= r < self.height and 0 <= c < self.width else cell
+
     def enumerate_model(self) -> list[dict[str, tuple[tuple[int, float], ...]]]:
         """``kernel[i][a]``: the (j, P(j|i,a)) pairs over cell ids, sorted; they sum to 1.
 
@@ -188,22 +189,20 @@ class GridEnv:
         kept = [(j, keep) for j in range(self.height * self.width)]
         slipped = [(j, third) for j, _ in kept]
         kernel = []
-        for moves in self.move_table():
+        for moves in self.moves:
             row = {}
             for action, outcomes in zip(self.actions, moves):
                 if slip == 0.0 or len(outcomes) == 1:
                     row[action] = ((outcomes[0], 1.0),)
-                elif outcomes.count(outcomes[3]) == 1:  # no wall: four cells, nothing to merge
+                elif keep and outcomes.count(outcomes[3]) == 1:  # no wall: four cells, no merge
                     j0, j1, j2, j3 = outcomes
                     row[action] = tuple(sorted((kept[j0], slipped[j1], slipped[j2],
                                                 slipped[j3])))
-                else:
+                else:  # a wall merges cells; at slip 1 the intended cell may have no mass
                     mass = {outcomes[0]: keep}
                     for j in outcomes[1:]:
                         mass[j] = mass.get(j, 0.0) + third
-                    row[action] = tuple(sorted(mass.items()))
-            if keep == 0.0 < slip:  # slip 1: the intended cell has mass only if a slip lands there
-                row = {a: tuple(pair for pair in pairs if pair[1]) for a, pairs in row.items()}
+                    row[action] = tuple(sorted(pair for pair in mass.items() if pair[1]))
             kernel.append(row)
         return kernel
 

@@ -43,18 +43,18 @@ class ProductError(ValueError):
 class CompiledProduct:
     """One environment x automaton pair on integer ids.
 
-    Cells are numbered as ``env.cells``, automaton states as in
-    ``CompiledLdba``, and product state (cell, q) is ``cell * nq + q``.
-    Action ids index ``actions[q]``: the base actions, then q's epsilon
-    actions, whose automaton classes ``epsilon[q]`` holds (None for base
-    actions).
+    Cells are numbered as ``env.cells`` and classed from ``env.cell_labels``,
+    automaton states as in ``CompiledLdba``, and product state (cell, q)
+    is ``cell * nq + q``. Action ids index ``actions[q]``: the base actions,
+    then q's epsilon actions, whose automaton classes ``epsilon[q]`` holds
+    (None for base actions). A run's base action reads ``env.moves``.
     """
 
     def __init__(self, env, spec):
         automaton = spec.compiled
         self.env, self.spec, self.automaton = env, spec, automaton
         self.nq = len(automaton.states)
-        self.cell_class = [automaton.label_class(env.state_label(s)) for s in env.cells]
+        self.cell_class = [automaton.label_class(labels) for labels in env.cell_labels]
         self.actions = [env.actions + spec.epsilon_names(q) for q in automaton.states]
         self.legal = [range(len(names)) for names in self.actions]
         self.epsilon = [(None,) * len(env.actions) + moves for moves in automaton.epsilon]
@@ -83,7 +83,7 @@ class ProductRun:
         self.product, self.rng, self.runtime = product, rng, LdbaRuntime(product.spec)
         self._slip, self._random, self._randrange = env.slip_probability, rng.random, rng.randrange
         self._nq, self._sink, self._cell_class = product.nq, product.nq - 1, product.cell_class
-        self._legal, self._epsilon, self._moves = product.legal, product.epsilon, env.move_table()
+        self._legal, self._epsilon, self._moves = product.legal, product.epsilon, env.moves
         self.state = product.initial
         self.cell = product.initial // product.nq
 

@@ -122,6 +122,15 @@ def random_env(rng: random.Random, max_side: int = 4,
     )
 
 
+def landing(env: GridEnv, cell, direction) -> int:
+    """The row-major id of the cell a move in direction leads to from cell,
+    which it stays in at a wall."""
+    (r, c), (dr, dc) = cell, ACTION_DELTAS[direction]
+    if 0 <= r + dr < env.height and 0 <= c + dc < env.width:
+        r, c = r + dr, c + dc
+    return r * env.width + c
+
+
 def reference_kernel(env: GridEnv) -> list[dict[str, tuple[tuple[int, float], ...]]]:
     """env.enumerate_model() the long way: each outcome of a move, clamped at the
     walls, is added into one dict per move in the order intended move, the two
@@ -129,13 +138,6 @@ def reference_kernel(env: GridEnv) -> list[dict[str, tuple[tuple[int, float], ..
     a cell of mass 0.0 (the intended one at slip 1, unless a slip lands there too)
     is no outcome."""
     slip = env.slip_probability
-
-    def landing(r, c, direction) -> int:
-        dr, dc = ACTION_DELTAS[direction]
-        if 0 <= r + dr < env.height and 0 <= c + dc < env.width:
-            r, c = r + dr, c + dc
-        return r * env.width + c
-
     kernel = []
     for r in range(env.height):
         for c in range(env.width):
@@ -147,7 +149,7 @@ def reference_kernel(env: GridEnv) -> list[dict[str, tuple[tuple[int, float], ..
                         (direction, slip / 3.0) for direction in PERPENDICULAR[action] + ("stay",)]
                 mass: dict[int, float] = {}
                 for direction, p in outcomes:
-                    j = landing(r, c, direction)
+                    j = landing(env, (r, c), direction)
                     mass[j] = mass.get(j, 0.0) + p
                 row[action] = tuple(sorted((j, p) for j, p in mass.items() if p))
             kernel.append(row)

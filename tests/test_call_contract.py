@@ -141,7 +141,12 @@ def test_predecessor_index_built_at_most_once_per_solve(monkeypatch, accepting, 
 def test_train_and_test_roll_out_on_the_product_they_hold(tmp_path, capsys, monkeypatch):
     # One compile for the Q table, whose product the closed-loop test reuses,
     # and one in the oracle reference's build; nothing compiles the pair again.
-    compiled, tested = [], []
+    # The grid's move table is built once, for the product runs and the kernel.
+    compiled, tested, tabled = [], [], []
+
+    def moves(env, _fn=envs.GridEnv.__dict__["moves"].func):
+        tabled.append(env)
+        return _fn(env)
 
     def init(self, *args, _fn=product.CompiledProduct.__init__):
         compiled.append(self)
@@ -153,10 +158,13 @@ def test_train_and_test_roll_out_on_the_product_they_hold(tmp_path, capsys, monk
 
     monkeypatch.setattr(product.CompiledProduct, "__init__", init)
     monkeypatch.setattr(cli, "run_test", run_test)
+    monkeypatch.setattr(envs.GridEnv.__dict__["moves"], "func", moves)
     specs = ["--env", "gridworld-1", "--ldba", "goal1-or-goal2",
              "--save_dir", str(tmp_path / "results"), "--rollouts", "3"]
     assert main(["train", *specs, "--episode_num", "5", "--iteration_num_max", "100"]) == EXIT_OK
     assert len(compiled) == 2 and tested == compiled[:1]   # training's, then the reference's
-    del compiled[:], tested[:]
+    assert tabled == [compiled[0].env]
+    del compiled[:], tested[:], tabled[:]
     assert main(["test", *specs]) == EXIT_OK
     assert len(compiled) == 2 and tested == compiled[:1]   # the loader's, then the reference's
+    assert tabled == [compiled[0].env]

@@ -22,7 +22,7 @@ from ldba_synth.envs import (
     resolve_spec_path,
 )
 
-from conftest import gated_lake, make_rng, random_env, reference_kernel
+from conftest import gated_lake, landing, make_rng, random_env, reference_kernel
 
 
 def grid(height=5, width=5, slip=0.0, actions=("up", "down", "left", "right", "stay"),
@@ -164,7 +164,7 @@ def test_cells_are_numbered_row_major_and_the_kernel_reads_the_move_table():
         env = random_env(rng)                    # slip 0, 0.1 or 1/3
         assert env.cells == [(r, c) for r in range(env.height) for c in range(env.width)]
         assert all(env.cell_id[cell] == i for i, cell in enumerate(env.cells))
-        for moves, row in zip(env.move_table(), env.enumerate_model(), strict=True):
+        for moves, row in zip(env.moves, env.enumerate_model(), strict=True):
             for action, outcomes in zip(env.actions, moves, strict=True):
                 assert len(outcomes) == (1 if action == "stay" else 4)
                 support = set(outcomes) if env.slip_probability else {outcomes[0]}
@@ -185,9 +185,9 @@ def test_move_table_matches_the_clamped_moves_position_by_position():
             # as GridEnv.step draws them: the intended move, then perpendicular + ("stay",)
             order = {a: (a, *PERPENDICULAR[a], "stay") if PERPENDICULAR[a] else (a,)
                      for a in env.actions}
-            expected = [tuple(tuple(env.cell_id[env._move(cell, d)] for d in order[a])
+            expected = [tuple(tuple(landing(env, cell, d) for d in order[a])
                               for a in env.actions) for cell in env.cells]
-            assert env.move_table() == expected
+            assert env.moves == expected
 
 
 @pytest.mark.parametrize("slip", [0.0, 0.15, 1.0 / 3.0, 0.45, 1.0])
@@ -259,6 +259,10 @@ def test_region_bounds_are_half_open():
         assert env.state_label(cell) == frozenset({"a"})
     for cell in [(0, 2), (3, 2), (1, 1), (1, 4)]:
         assert env.state_label(cell) == frozenset()
+    # off the grid is no cell: a negative row does not wrap around to the last
+    for cell in [(-1, 0), (0, env.width)]:
+        with pytest.raises(KeyError):
+            env.state_label(cell)
 
 
 # ---------------------------------------------------------------------------

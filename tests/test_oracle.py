@@ -13,7 +13,7 @@ import pytest
 from ldba_synth import oracle
 from ldba_synth.automaton import SINK_STATE, load_ldba_file, parse_ldba_spec
 from ldba_synth.envs import (GridEnv, LabelRegion, bundled_data_dir, load_env_file,
-                             resolve_spec_path)
+                             parse_env_spec, resolve_spec_path)
 from ldba_synth.oracle import (
     DEFAULT_STATE_CAP,
     WARM_SWEEPS,
@@ -298,10 +298,9 @@ def test_build_and_solve_peak_memory_stays_low():
     assert peak < 8.2 * 2**20
 
 
-def test_product_size_cap_is_checked_up_front():
-    env = GridEnv(height=10, width=10, actions=["right", "left", "up", "down"],
-                  slip_probability=0.0, initial_state=(0, 0), label_regions=[])
-    spec = parse_ldba_spec({
+def two_loop_spec():
+    """Two states that each loop on every label, so a product has 3 slots per cell."""
+    return parse_ldba_spec({
         "states": [0, 1],
         "initial_state": 0,
         "alphabet": [],
@@ -311,11 +310,35 @@ def test_product_size_cap_is_checked_up_front():
             "1": [{"guard": "true", "to": 1}],
         },
     })
+
+
+def test_product_size_cap_is_checked_up_front():
+    env = GridEnv(height=10, width=10, actions=["right", "left", "up", "down"],
+                  slip_probability=0.0, initial_state=(0, 0), label_regions=[])
+    spec = two_loop_spec()
     with pytest.raises(ProductSizeError, match="300"):
         build_explicit_product(env, spec, state_cap=299)
     prod = build_explicit_product(env, spec, state_cap=300)
     assert prod.num_states() == 100
     assert DEFAULT_STATE_CAP == 10**6
+
+
+def test_the_size_cap_fires_before_any_per_cell_work():
+    # parsing a grid only validates it, and the cap is checked before anything is
+    # sized by the grid, so refusing 360000 cells allocates next to nothing
+    document = {"height": 600, "width": 600, "actions": ["right", "left", "up", "down"],
+                "slip_probability": 0.1, "initial_state": [0, 0],
+                "label_regions": [{"rows": [0, 300], "cols": [100, 600], "label": "a"}]}
+    spec = two_loop_spec()
+    tracemalloc.start()
+    try:
+        env = parse_env_spec(document)
+        with pytest.raises(ProductSizeError, match="1080000 state slots"):
+            build_explicit_product(env, spec, state_cap=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
