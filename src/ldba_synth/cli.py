@@ -31,7 +31,7 @@ from .envs import (EnvSpecError, decode_json, env_to_document, is_int, is_number
 from .evaluation import TestConfig, robustness_sweep, run_test
 from .learner import GreedyPolicy, Hyperparams, QTable, average_window, moving_average, train
 from .oracle import (DEFAULT_STATE_CAP, ProductSizeError, build_explicit_product,
-                     max_sat_probability)
+                     check_state_slots, max_sat_probability)
 from .product import CompiledProduct
 
 EXIT_OK = 0
@@ -229,55 +229,61 @@ def _add_training_flags(parser, grid=False):
                         help="frontier reward (default: 1 - discount_factor)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """Every command's parser, or only command's when it names one: the texts are the same."""
     # argparse makes a help formatter per argument; given a width, none asks the terminal
     formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="ldba-synth", formatter_class=formatter,
         description="Policy synthesis for Buchi-automaton tasks on labeled grids")
+    built = (command,) if command in COMMANDS else COMMANDS
     sub = parser.add_subparsers(dest="command", required=True, parser_class=partial(
-        argparse.ArgumentParser, formatter_class=formatter))
+        argparse.ArgumentParser, formatter_class=formatter),
+        metavar="{%s}" % ",".join(COMMANDS) if len(built) == 1 else None)
 
-    p_train = sub.add_parser("train", help="run tabular Q-learning and save the model")
-    _add_spec_flags(p_train)
-    _add_run_flags(p_train)
-    _add_training_flags(p_train)
-    p_train.add_argument("--average_window", type=int, default=-1, metavar="N",
-                         help="moving-average window (default: 30%% of the episodes)")
-    p_train.add_argument("--test", action=argparse.BooleanOptionalAction, default=True,
-                         help="run a closed-loop test after training")
-    p_train.add_argument("--rollouts", type=int, metavar="N")
-    p_train.add_argument("--required_sweeps", type=int, metavar="N")
+    if "train" in built:
+        p = sub.add_parser("train", help="run tabular Q-learning and save the model")
+        _add_spec_flags(p)
+        _add_run_flags(p)
+        _add_training_flags(p)
+        p.add_argument("--average_window", type=int, default=-1, metavar="N",
+                       help="moving-average window (default: 30%% of the episodes)")
+        p.add_argument("--test", action=argparse.BooleanOptionalAction, default=True,
+                       help="run a closed-loop test after training")
+        p.add_argument("--rollouts", type=int, metavar="N")
+        p.add_argument("--required_sweeps", type=int, metavar="N")
 
-    p_test = sub.add_parser("test", help="test a saved model with greedy rollouts")
-    _add_spec_flags(p_test)
-    _add_run_flags(p_test)
-    p_test.add_argument("--model", default=None, metavar="FILE",
-                        help="model file (default: <save_dir>/learned_model.json)")
-    p_test.add_argument("--rollouts", type=int, metavar="N")
-    p_test.add_argument("--horizon", type=int, default=None, metavar="N",
-                        help="rollout length (default: the model's iteration_num_max)")
-    p_test.add_argument("--required_sweeps", type=int, metavar="N")
-    p_test.add_argument("--trace", default=None, metavar="FILE",
-                        help="also dump rollout trajectories to this CSV file")
+    if "test" in built:
+        p = sub.add_parser("test", help="test a saved model with greedy rollouts")
+        _add_spec_flags(p)
+        _add_run_flags(p)
+        p.add_argument("--model", default=None, metavar="FILE",
+                       help="model file (default: <save_dir>/learned_model.json)")
+        p.add_argument("--rollouts", type=int, metavar="N")
+        p.add_argument("--horizon", type=int, default=None, metavar="N",
+                       help="rollout length (default: the model's iteration_num_max)")
+        p.add_argument("--required_sweeps", type=int, metavar="N")
+        p.add_argument("--trace", default=None, metavar="FILE",
+                       help="also dump rollout trajectories to this CSV file")
 
-    p_oracle = sub.add_parser("oracle",
-                              help="exact maximal satisfaction probability")
-    _add_spec_flags(p_oracle)
-    p_oracle.add_argument("--state_cap", type=int, default=DEFAULT_STATE_CAP, metavar="N")
-    p_oracle.add_argument("--dump_values", default=None, metavar="FILE",
-                          help="write per-product-state values to this CSV file")
+    if "oracle" in built:
+        p = sub.add_parser("oracle", help="exact maximal satisfaction probability")
+        _add_spec_flags(p)
+        p.add_argument("--state_cap", type=int, default=DEFAULT_STATE_CAP, metavar="N")
+        p.add_argument("--dump_values", default=None, metavar="FILE",
+                       help="write per-product-state values to this CSV file")
 
-    p_sweep = sub.add_parser("sweep", help="robustness sweep over eta and mu")
-    _add_spec_flags(p_sweep)
-    _add_run_flags(p_sweep)
-    _add_training_flags(p_sweep, grid=True)
-    p_sweep.add_argument("--grid_eta", default="0.2,0.4,0.6,0.8,0.99", metavar="LIST")
-    p_sweep.add_argument("--grid_mu", default="0.2,0.4,0.6,0.8,0.99", metavar="LIST")
-    p_sweep.add_argument("--trainings", type=int, metavar="N")
-    p_sweep.add_argument("--tests", type=int, metavar="N")
-    p_sweep.add_argument("--required_sweeps", type=int, metavar="N")
-    p_sweep.add_argument("--workers", type=int, metavar="N")
+    if "sweep" in built:
+        p = sub.add_parser("sweep", help="robustness sweep over eta and mu")
+        _add_spec_flags(p)
+        _add_run_flags(p)
+        _add_training_flags(p, grid=True)
+        p.add_argument("--grid_eta", default="0.2,0.4,0.6,0.8,0.99", metavar="LIST")
+        p.add_argument("--grid_mu", default="0.2,0.4,0.6,0.8,0.99", metavar="LIST")
+        p.add_argument("--trainings", type=int, metavar="N")
+        p.add_argument("--tests", type=int, metavar="N")
+        p.add_argument("--required_sweeps", type=int, metavar="N")
+        p.add_argument("--workers", type=int, metavar="N")
     return parser
 
 
@@ -343,11 +349,7 @@ def _options(cls, args, **defaults):
 
 
 def _oracle_reference(env, spec):
-    try:
-        prod = build_explicit_product(env, spec)
-    except ProductSizeError:
-        return None
-    return max_sat_probability(prod).initial_value
+    return max_sat_probability(build_explicit_product(env, spec)).initial_value
 
 
 def _test_and_report(out, qtable, config, trace=None) -> None:
@@ -368,6 +370,7 @@ def _test_and_report(out, qtable, config, trace=None) -> None:
 def cmd_train(args) -> int:
     _check_algorithm(args.algorithm)
     env, spec = _load_specs(args)
+    check_state_slots(env, spec)  # exits 4 before save_dir or a per-cell table is made
     hp = _options(Hyperparams, args)
     # The test settings are checked before training, with --no-test too.
     config = _options(TestConfig, args, horizon=hp.iteration_num_max, seed=hp.seed)
@@ -409,6 +412,7 @@ def cmd_train(args) -> int:
 
 def cmd_test(args) -> int:
     env, spec = _load_specs(args)
+    check_state_slots(env, spec)
     out = _save_dir(args)
     model_path = args.model or (out / "learned_model.json")
     payload = load_model(model_path)
@@ -456,10 +460,7 @@ def cmd_oracle(args) -> int:
         _open_output(dump, "a").close()  # appending truncates nothing
         if not existed:
             os.remove(dump)
-    try:
-        prod = build_explicit_product(env, spec, args.state_cap)
-    except ProductSizeError as err:
-        raise CliError(str(err), EXIT_SIZE_CAP)
+    prod = build_explicit_product(env, spec, args.state_cap)
     result = max_sat_probability(prod)
     print(f"maximal satisfaction probability from the initial state: "
           f"{result.initial_value:.4f}")
@@ -480,6 +481,7 @@ def cmd_oracle(args) -> int:
 def cmd_sweep(args) -> int:
     _check_algorithm(args.algorithm)
     env, spec = _load_specs(args)
+    check_state_slots(env, spec)
     hp = _options(Hyperparams, args)
     counts = _given(args, "trainings", "tests", "required_sweeps", "workers")
     _checked(require_positive, **counts)
@@ -504,16 +506,18 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+# the commands in their help order, with their handlers
+COMMANDS = {"train": cmd_train, "test": cmd_test, "oracle": cmd_oracle, "sweep": cmd_sweep}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {"train": cmd_train, "test": cmd_test, "oracle": cmd_oracle,
-                "sweep": cmd_sweep}
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return handlers[args.command](args)
-    except CliError as err:
+        return COMMANDS[args.command](args)
+    except (CliError, ProductSizeError) as err:  # the latter: a product over the cap
         print(f"error: {err}", file=sys.stderr)
-        return err.code
+        return err.code if isinstance(err, CliError) else EXIT_SIZE_CAP
 
 
 def entry():

@@ -20,7 +20,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
+from operator import itemgetter
 from pathlib import Path
 
 ACTION_DELTAS = {
@@ -38,6 +39,10 @@ PERPENDICULAR = {
     "right": ("up", "down"),
     "stay": (),
 }
+
+# sorts a wall-free move's four pairs (intended, perpendicular, stay) by cell id: by (dr, dc)
+IN_ID_ORDER = {a: itemgetter(*sorted(range(4), key=lambda k: ACTION_DELTAS[(a, *p, "stay")[k]]))
+               for a, p in PERPENDICULAR.items() if p}
 
 
 def proposition_name_problem(name) -> str | None:
@@ -196,8 +201,8 @@ class GridEnv:
                     row[action] = ((outcomes[0], 1.0),)
                 elif keep and outcomes.count(outcomes[3]) == 1:  # no wall: four cells, no merge
                     j0, j1, j2, j3 = outcomes
-                    row[action] = tuple(sorted((kept[j0], slipped[j1], slipped[j2],
-                                                slipped[j3])))
+                    row[action] = IN_ID_ORDER[action]((kept[j0], slipped[j1], slipped[j2],
+                                                       slipped[j3]))
                 else:  # a wall merges cells; at slip 1 the intended cell may have no mass
                     mass = {outcomes[0]: keep}
                     for j in outcomes[1:]:
@@ -294,6 +299,7 @@ def load_env_file(path) -> GridEnv:
     return parse_env_spec(read_text(path, EnvSpecError, "environment"))
 
 
+@cache  # resolved once per process
 def bundled_data_dir() -> Path:
     return Path(__file__).resolve().parent / "data"
 

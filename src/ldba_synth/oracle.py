@@ -94,13 +94,17 @@ class ExplicitProduct:
                      for i in range(self.num_states()))
 
 
-def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_CAP) -> ExplicitProduct:
-    """Compose env x automaton, keeping only states reachable from the start."""
+def check_state_slots(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_CAP) -> None:
+    """Raise ProductSizeError when env x spec has more than state_cap state slots."""
     slots = env.height * env.width * (len(spec.states) + 1)
     if slots > state_cap:
         raise ProductSizeError(
             f"product needs {slots} state slots, above the cap of {state_cap}")
 
+
+def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_CAP) -> ExplicitProduct:
+    """Compose env x automaton, keeping only states reachable from the start."""
+    check_state_slots(env, spec, state_cap)
     kernel = env.enumerate_model()
     product = CompiledProduct(env, spec)
     nq, sink = product.nq, product.nq - 1
@@ -118,6 +122,8 @@ def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_C
         return index[node]
 
     prod = ExplicitProduct(states, visit(*divmod(product.initial, nq)))
+    # dest[q][j]: the product id (or SINK) a base move into cell j leads to from q
+    dest = [None] * nq
     # pending edges and row ends, handed to the arrays by fromlist every few thousand edges
     targets, probs, ends, base = [], [], [], 0
     # Nodes are appended as first seen, so this expands every node once, in
@@ -132,15 +138,16 @@ def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_C
             probs += [1.0] * len(names)
         else:
             after = automaton.delta[q]
+            to = dest[q]
+            if to is None:
+                to = dest[q] = [SINK if t == sink else j * nq + t
+                                for j, t in enumerate(map(after.__getitem__, cell_class))]
             for outcomes in kernel[cell].values():  # the base actions, in order
                 row, hits = [], 0
                 for j_cell, p in outcomes:
-                    t = after[cell_class[j_cell]]
-                    if t == sink:
+                    j_node = to[j_cell]
+                    if j_node == SINK:
                         hits += 1
-                        j_node = SINK
-                    else:
-                        j_node = j_cell * nq + t
                     j = index[j_node]
                     if j < 0:
                         j = index[j_node] = len(states)

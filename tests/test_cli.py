@@ -72,8 +72,8 @@ def spec_files(tmp_path):
     return env_path, ldba_path
 
 
-def subcommand_parsers():
-    (subcommands,) = [action for action in build_parser()._actions
+def subcommand_parsers(parser=None):
+    (subcommands,) = [action for action in (parser or build_parser())._actions
                       if isinstance(action, argparse._SubParsersAction)]
     return subcommands.choices
 
@@ -772,12 +772,66 @@ def test_help_fits_the_terminal_width_as_argparse_renders_it(monkeypatch, capsys
     assert rendered[60] != rendered[120]
 
 
+def _outcome(call, argv, capsys):
+    """(exit code, stdout, stderr) of call(argv), which may exit through SystemExit."""
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("command", ["train", "test", "oracle", "sweep"])
+def test_a_command_builds_only_its_parser_with_the_same_texts(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert list(subcommand_parsers(build_parser(command))) == [command]
+    specs = ["--env", "robot-surve", "--ldba", "robot-surve"]
+    # help; a missing flag, which prints the command's usage line; an unknown flag,
+    # which the top-level parser reports with its own usage, naming every command
+    for argv in ([command, "--help"], [command], [command, *specs, "--bogus"]):
+        got = _outcome(main, argv, capsys)
+        assert got == _outcome(build_parser().parse_args, argv, capsys)
+        assert got[0] in (0, EXIT_CONFIG) and (got[1] or got[2])
+    assert "{train,test,oracle,sweep}" in got[2] and "--bogus" in got[2]
+
+
+def test_an_unknown_command_still_lists_every_command(capsys):
+    code, _, err = _outcome(main, ["bogus"], capsys)
+    assert code == EXIT_CONFIG
+    assert "invalid choice: 'bogus' (choose from 'train', 'test', 'oracle', 'sweep')" in err
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr("ldba_synth.cli.build_parser",
+                        lambda command=None: built.append(command) or build_parser(command))
+    monkeypatch.setattr(sys, "argv", ["ldba-synth", "oracle", "--env", "minecraft",
+                                      "--ldba", "minecraft-t1"])
+    assert main() == EXIT_OK
+    assert built == ["oracle"]
+    assert "maximal satisfaction probability" in capsys.readouterr().out
+
+
 def test_oracle_state_cap_exits_4(spec_files, capsys):
     env_path, ldba_path = spec_files
     rc = main(["oracle", "--env", str(env_path), "--ldba", str(ldba_path),
                "--state_cap", "3"])
     assert rc == EXIT_SIZE_CAP
     assert "state slots" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "test", "sweep"])
+def test_a_grid_over_the_default_cap_exits_4_before_any_work(tmp_path, capsys, command):
+    # 10**12 x 4 cells, times minecraft-t1's 3 states plus the sink: no per-cell
+    # list of this grid could be made, so the check comes before any, and before
+    # the save_dir is made
+    huge = tmp_path / "huge.json"
+    huge.write_text(canonical_json({**ENV_DOC, "height": 10**12}), encoding="utf-8")
+    out = tmp_path / "results"
+    rc = main([command, "--env", str(huge), "--ldba", "minecraft-t1", "--save_dir", str(out)])
+    assert rc == EXIT_SIZE_CAP
+    assert "16000000000000 state slots, above the cap of 1000000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _subprocess_env() -> dict:

@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldba_synth.cli import EXIT_CONFIG, canonical_json, main
 from ldba_synth.envs import (
@@ -206,6 +208,26 @@ def test_kernel_matches_a_dict_merge_reference(slip):
             assert kernel == reference_kernel(env)
             # at slip 1 the intended cell is dropped, not kept with mass 0.0
             assert all(p > 0.0 for row in kernel for pairs in row.values() for _, p in pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7),
+       st.sampled_from([0.0, 0.45, 1.0]) | st.floats(0.0, 1.0),
+       st.permutations(["up", "down", "left", "right"]), st.booleans())
+def test_kernel_rows_keep_the_sorted_order_of_the_dict_merge(height, width, slip, actions,
+                                                            stay):
+    # 1-wide and 1-tall grids have no wall-free slipping move; wider ones do, whose
+    # four cells the kernel writes in a fixed order per direction instead of sorting
+    env = GridEnv(height=height, width=width, actions=actions + ["stay"] * stay,
+                  slip_probability=slip, initial_state=(0, 0), label_regions=[])
+    kernel = env.enumerate_model()
+    assert kernel == reference_kernel(env)  # tuple(sorted(...)) of the merged masses
+    for row in kernel:
+        for pairs in row.values():
+            cells = [j for j, _ in pairs]
+            assert cells == sorted(set(cells))
+            assert all(p > 0.0 for _, p in pairs)
+            assert abs(sum(p for _, p in pairs) - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
