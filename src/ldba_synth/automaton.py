@@ -233,8 +233,8 @@ class LdbaRuntime:
     """Mutable run of an automaton on dense ids: state, frontier, sweep counter.
 
     ``state`` indexes ``compiled.states``; ``step`` takes a ``delta`` class. The
-    frontier is a bitmask over ``spec.accepting_sets``; ``remaining`` lists
-    the sets still in it, in declaration order.
+    frontier is a bitmask over ``spec.accepting_sets``: bit i is set while
+    set i is still to be visited in this sweep.
     """
 
     def __init__(self, spec: LdbaSpec):
@@ -248,11 +248,6 @@ class LdbaRuntime:
         self.frontier = self.compiled.full_frontier
         self.sweeps_completed = 0
         return self.state
-
-    @property
-    def remaining(self) -> list[frozenset[int]]:
-        return [acc for i, acc in enumerate(self.spec.accepting_sets)
-                if self.frontier >> i & 1]
 
     def step(self, label_class: int) -> int:
         self.state = nxt = self._delta[self.state][label_class]

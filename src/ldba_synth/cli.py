@@ -437,15 +437,13 @@ def cmd_test(args) -> int:
             writer = csv.writer(handle)
             writer.writerow(["episode", "step", "row", "col", "q", "action",
                              "reward", "gamma", "done"])
-            # reward and gamma: a fired step's, as the model was trained, else 0 and 1
-            paid = {True: (repr(stored.frontier_reward()), repr(stored.discount_factor)),
-                    False: ("0.0", "1.0")}
+            fire, sink, plain = stored.payoffs()  # what the model was trained on
 
-            def trace(rollout, step, tr):
-                (row, col), q = product.decode(tr.state)
+            def trace(rollout, step, state, action, fired, done):
+                (row, col), q = product.decode(state)
                 writer.writerow([rollout, step, row, col, q,
-                                 product.action_names(tr.state)[tr.action],
-                                 *paid[tr.fired], int(tr.done)])
+                                 product.action_names(state)[action],
+                                 *(fire if fired else sink if done else plain), int(done)])
 
         _test_and_report(out, qtable, config, trace)
     return EXIT_OK

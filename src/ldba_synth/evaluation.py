@@ -57,8 +57,10 @@ class TestReport:
 def run_test(policy, product, config: TestConfig, trace=None) -> TestReport:
     """Roll the policy out config.rollouts times on product and score successes.
 
-    trace, when given, is called with (rollout, step, transition) for
-    every product transition, which is how trajectory dumps are made.
+    trace, when given, is called with (rollout, step, state, action, fired,
+    done) for every product step: the product id and action id it left
+    from, and the fired and done flags ProductRun.step returned. This is
+    how trajectory dumps are made.
     """
     config.validate()
     outcomes = []
@@ -68,19 +70,17 @@ def run_test(policy, product, config: TestConfig, trace=None) -> TestReport:
     for k in range(config.rollouts):
         rng.seed(config.seed * _SEED_STRIDE + k)
         state = run.reset()
-        sink, steps = False, 0
-        for step in range(config.horizon):
-            tr = run_step(policy(state))
+        for step in range(config.horizon):  # validated >= 1, so step and done are set
+            action = policy(state)
+            next_state, fired, done = run_step(action)
             if trace is not None:
-                trace(k, step, tr)
-            state = tr[2]  # next_state
-            steps += 1
-            if tr[4]:      # done
-                sink = True
+                trace(k, step, state, action, fired, done)
+            state = next_state
+            if done:
                 break
         sweeps = run.runtime.sweeps_completed
-        success = (not sink) and sweeps >= config.required_sweeps
-        outcomes.append(RolloutOutcome(success, steps, sweeps, sink))
+        success = not done and sweeps >= config.required_sweeps
+        outcomes.append(RolloutOutcome(success, step + 1, sweeps, done))
     rate = sum(1 for o in outcomes if o.success) / len(outcomes)
     return TestReport(rate, outcomes)
 

@@ -7,9 +7,10 @@ is epsilon-greedy with deterministic lowest-index tie-breaking over the
 product's action order, so identical specs, hyper-parameters and seed
 reproduce runs bit for bit.
 
-The learner pays the frontier reward, in train alone: a product step
-reports whether it fired the accepting frontier or hit the sink; a fired
-step pays r and discounts by eta, a step into the sink pays 0 and
+The learner pays the frontier reward: a product step reports whether it
+fired the accepting frontier or hit the sink, and Hyperparams.payoffs
+turns that into (reward, gamma), for train and for the test trace. A
+fired step pays r and discounts by eta, a step into the sink pays 0 and
 discounts by 0 (nothing follows it), any other pays 0 undiscounted. The
 k-th reward of a run is then worth eta^(k-1) * r regardless of spacing,
 so an endlessly satisfying run is worth r/(1-eta). By default r is
@@ -64,6 +65,10 @@ class Hyperparams:
         """What a step that fires the frontier pays: positive_reward, or 1 - eta."""
         rp = self.positive_reward
         return 1.0 - self.discount_factor if rp is None else rp
+
+    def payoffs(self) -> tuple[tuple[float, float], ...]:
+        """(reward, gamma) of a fired step, of a step into the sink, of any other step."""
+        return (self.frontier_reward(), self.discount_factor), (0.0, 0.0), (0.0, 1.0)
 
 
 class QTable:
@@ -170,7 +175,7 @@ def train(env, ldba_spec: LdbaSpec, hp: Hyperparams, on_episode=None) -> TrainRe
     qtable = QTable(product, hp.q_init)
     legal, nq = product.legal, product.nq
     epsilon, mu = hp.epsilon, hp.learning_rate
-    fired_reward, eta = hp.frontier_reward(), hp.discount_factor
+    fire, sink, plain = hp.payoffs()
     stats: list[EpisodeStats] = []
     interrupted = False
 
@@ -178,25 +183,18 @@ def train(env, ldba_spec: LdbaSpec, hp: Hyperparams, on_episode=None) -> TrainRe
         for episode in range(hp.episode_num):
             state = run.reset()
             actions = run.available_actions(state)
-            total, steps, sink = 0.0, 0, False
-            for _ in range(hp.iteration_num_max):
+            total = 0.0
+            for step in range(hp.iteration_num_max):  # validated >= 1, so step and done are set
                 action = select_action(qtable, state, actions, epsilon, rng)
-                _, _, next_state, fired, done = run.step(action)
+                next_state, fired, done = run.step(action)
                 actions = legal[next_state % nq]
-                if fired:
-                    reward, gamma = fired_reward, eta
-                elif done:  # nothing follows the sink, so a step into it is worth 0
-                    reward, gamma = 0.0, 0.0
-                else:
-                    reward, gamma = 0.0, 1.0
+                reward, gamma = fire if fired else sink if done else plain
                 q_update(qtable, state, action, reward, gamma, next_state, mu)
                 total += reward
-                steps += 1
                 state = next_state
                 if done:
-                    sink = True
                     break
-            ep_stats = EpisodeStats(episode, total, steps, run.runtime.sweeps_completed, sink)
+            ep_stats = EpisodeStats(episode, total, step + 1, run.runtime.sweeps_completed, done)
             stats.append(ep_stats)
             if on_episode is not None:
                 on_episode(ep_stats)

@@ -9,31 +9,19 @@ environment and automaton has the same ids.
 
 Base actions move the agent and feed the new cell's label class to the
 automaton; epsilon-actions jump the automaton, freeze the environment
-and consume no randomness. A step reports automaton events, not rewards:
-whether it fired the accepting frontier, and whether it hit the sink,
-which ends the episode and never fires. What a fire pays is the
-learner's to decide.
+and consume no randomness. A step returns the triple (next_state,
+fired, done): the new product id, whether the step fired the accepting
+frontier, and whether it hit the sink, which ends the episode and never
+fires. It reports automaton events, not rewards; what a step pays is
+the learner's to decide (``Hyperparams.payoffs``).
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .automaton import SINK_STATE, LdbaRuntime
 
 SINK = -1  # the oracle's one sink node, decoded as (SINK_CELL, -1); -1 % nq is the sink
 SINK_CELL = (-1, -1)
-
-
-class Transition(NamedTuple):
-    state: int        # product ids and an action id; see CompiledProduct
-    action: int
-    next_state: int
-    fired: bool       # the step removed a set from the accepting frontier
-    done: bool        # the step hit the sink
-
-
-_new = tuple.__new__  # builds a Transition without its Python-level __new__
 
 
 class ProductError(ValueError):
@@ -97,13 +85,13 @@ class ProductRun:
         """The legal action ids: base actions first, then q's epsilon actions."""
         return self.product.legal[(state if state is not None else self.state) % self._nq]
 
-    def step(self, action: int) -> Transition:
-        state = self.state
+    def step(self, action: int) -> tuple[int, bool, bool]:
+        """Take an action id; returns (next_state, fired, done)."""
         runtime = self.runtime
         q = runtime.state
         if action not in self._legal[q]:
             raise ProductError(f"illegal action {action!r} for product state "
-                               f"{self.product.decode(state)}")
+                               f"{self.product.decode(self.state)}")
         cls = self._epsilon[q][action]
         cell = self.cell
         if cls is None:
@@ -119,5 +107,5 @@ class ProductRun:
         q = runtime.step(cls)
         next_state = self.state = cell * self._nq + q
         if runtime.advance_frontier(q):
-            return _new(Transition, (state, action, next_state, True, False))
-        return _new(Transition, (state, action, next_state, False, q == self._sink))
+            return next_state, True, False
+        return next_state, False, q == self._sink

@@ -222,6 +222,12 @@ def hazard_spec():
     })
 
 
+def remaining(runtime: LdbaRuntime) -> list[frozenset[int]]:
+    """The accepting sets still in runtime's frontier, in declaration order."""
+    return [acc for i, acc in enumerate(runtime.spec.accepting_sets)
+            if runtime.frontier >> i & 1]
+
+
 # ---------------------------------------------------------------------------
 # what training pays
 # ---------------------------------------------------------------------------
@@ -230,15 +236,18 @@ def hazard_spec():
 def record_training_steps(patch):
     """Wrap ProductRun.step and learner.q_update through patch (a MonkeyPatch).
 
-    Returns two lists that grow as training runs: the transitions the steps
-    made, and the (state, action, reward, gamma, next_state) each update
-    was fed.
+    Returns two lists that grow as training runs: the (state, action,
+    (next_state, fired, done)) of every step, state being the run's state
+    before it, and the (state, action, reward, gamma, next_state) each
+    update was fed.
     """
     steps, updates = [], []
 
     def step(run, action, _fn=ProductRun.step):
-        steps.append(_fn(run, action))
-        return steps[-1]
+        state = run.state
+        result = _fn(run, action)
+        steps.append((state, action, result))
+        return result
 
     def q_update(qtable, state, action, reward, gamma, next_state, mu, _fn=learner.q_update):
         updates.append((state, action, reward, gamma, next_state))
@@ -254,10 +263,11 @@ def assert_frontier_payoffs(steps, updates, hp) -> None:
     on a step into the sink and (0, 1) otherwise."""
     assert len(steps) == len(updates)
     fired = hp.frontier_reward(), hp.discount_factor
-    for tr, (state, action, reward, gamma, next_state) in zip(steps, updates):
-        assert (state, action, next_state) == (tr.state, tr.action, tr.next_state)
-        expected = fired if tr.fired else (0.0, 0.0) if tr.done else (0.0, 1.0)
-        assert (reward, gamma) == expected, (tr, reward, gamma)
+    for step, (state, action, reward, gamma, next_state) in zip(steps, updates):
+        step_state, step_action, (step_next, step_fired, step_done) = step
+        assert (state, action, next_state) == (step_state, step_action, step_next)
+        expected = fired if step_fired else (0.0, 0.0) if step_done else (0.0, 1.0)
+        assert (reward, gamma) == expected, (step, reward, gamma)
 
 
 # ---------------------------------------------------------------------------

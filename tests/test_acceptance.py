@@ -23,7 +23,7 @@ import time
 import pytest
 
 from conftest import (assert_frontier_payoffs, brute_force_value, make_rng, random_automaton,
-                      random_env, random_explicit_product, record_training_steps)
+                      random_env, random_explicit_product, record_training_steps, remaining)
 
 from ldba_synth import (SINK_STATE, GreedyPolicy, Hyperparams, LdbaRuntime, ProductRun,
                         TestConfig, build_explicit_product, load_env_file, load_ldba_file,
@@ -183,11 +183,11 @@ def test_criterion_5_invariant_suites():
             run.reset()
             sunk = False
             for _ in range(80):
-                tr = run.step(rng.choice(run.available_actions()))
+                next_state, fired, done = run.step(rng.choice(run.available_actions()))
                 if sunk:
-                    assert run.product.decode(tr.next_state)[1] == SINK_STATE
-                    assert tr.done and not tr.fired
-                sunk = sunk or tr.done
+                    assert run.product.decode(next_state)[1] == SINK_STATE
+                    assert done and not fired
+                sunk = sunk or done
             hp = Hyperparams(episode_num=3, iteration_num_max=80, discount_factor=0.8,
                              epsilon=1.0, seed=seed)
             with pytest.MonkeyPatch.context() as patch:
@@ -205,9 +205,9 @@ def test_criterion_5_invariant_suites():
             for _ in range(120):
                 fires += runtime.advance_frontier(
                     spec.compiled.index[rng.choice(spec.states + (SINK_STATE,))])
-                assert 1 <= len(runtime.remaining) <= n
+                assert 1 <= len(remaining(runtime)) <= n
                 assert fires == (runtime.sweeps_completed * n
-                                 + (n - len(runtime.remaining)))
+                                 + (n - len(remaining(runtime))))
 
         # epsilon purity: the environment and its randomness stay frozen
         for _ in range(400):
@@ -224,13 +224,13 @@ def test_criterion_5_invariant_suites():
                        if names[a].startswith("epsilon_")]
                 if eps:
                     cell, state_before = run.product.decode(run.state)[0], wheel.getstate()
-                    tr = run.step(rng.choice(eps))
-                    assert run.product.decode(tr.next_state)[0] == cell
+                    next_state, _, done = run.step(rng.choice(eps))
+                    assert run.product.decode(next_state)[0] == cell
                     assert wheel.getstate() == state_before
                     eps_checks += 1
                 else:
-                    tr = run.step(rng.choice(run.available_actions()))
-                if tr.done:
+                    _, _, done = run.step(rng.choice(run.available_actions()))
+                if done:
                     break
         assert eps_checks >= 25
 

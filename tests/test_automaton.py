@@ -26,7 +26,7 @@ from ldba_synth.automaton import (
 from ldba_synth.cli import canonical_json
 from ldba_synth.envs import bundled_data_dir
 
-from conftest import LABEL_POOL, make_rng, random_automaton
+from conftest import LABEL_POOL, make_rng, random_automaton, remaining
 
 
 def all_label_subsets(pool=LABEL_POOL):
@@ -427,7 +427,7 @@ def test_frontier_reset_state():
     assert run.state == 1
     assert run.reset() == 0
     assert run.state == 0
-    assert run.remaining == list(spec.accepting_sets)
+    assert remaining(run) == list(spec.accepting_sets)
     assert run.sweeps_completed == 0
 
 
@@ -435,10 +435,10 @@ def test_frontier_removes_one_set_per_call():
     doc = minimal_document(accepting_sets=[[1], [1]])
     run = LdbaRuntime(parse_ldba_spec(doc))
     assert run.advance_frontier(1) is True
-    assert run.remaining == [frozenset({1})]
+    assert remaining(run) == [frozenset({1})]
     assert run.sweeps_completed == 0
     assert run.advance_frontier(1) is True
-    assert run.remaining == [frozenset({1}), frozenset({1})]
+    assert remaining(run) == [frozenset({1}), frozenset({1})]
     assert run.sweeps_completed == 1
     assert run.advance_frontier(0) is False
 
@@ -455,13 +455,13 @@ def test_frontier_removes_first_matching_set_in_declaration_order():
     )
     run = LdbaRuntime(parse_ldba_spec(doc))
     assert run.advance_frontier(2) is True
-    assert run.remaining == [frozenset({1}), frozenset({2})]
+    assert remaining(run) == [frozenset({1}), frozenset({2})]
     assert run.advance_frontier(1) is True
-    assert run.remaining == [frozenset({2})]
+    assert remaining(run) == [frozenset({2})]
     assert run.advance_frontier(1) is False
     assert run.advance_frontier(2) is True
     assert run.sweeps_completed == 1
-    assert run.remaining == [frozenset({1}), frozenset({1, 2}), frozenset({2})]
+    assert remaining(run) == [frozenset({1}), frozenset({1, 2}), frozenset({2})]
 
 
 def test_frontier_conservation_and_sweep_rate_randomized():
@@ -476,10 +476,10 @@ def test_frontier_conservation_and_sweep_rate_randomized():
         for _ in range(300):
             q = rng.choice(spec.states)
             fired = run.advance_frontier(spec.compiled.index[q])
-            assert 1 <= len(run.remaining) <= n_sets
+            assert 1 <= len(remaining(run)) <= n_sets
             # remaining is always an ordered subsequence of the full family
             it = iter(spec.accepting_sets)
-            assert all(any(acc == cand for cand in it) for acc in run.remaining)
+            assert all(any(acc == cand for cand in it) for acc in remaining(run))
             if fired:
                 fires_since_sweep += 1
                 total_fires += 1

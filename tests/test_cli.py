@@ -36,7 +36,7 @@ from ldba_synth.automaton import load_ldba_file, parse_ldba_spec
 from ldba_synth.evaluation import TestConfig, robustness_sweep
 from ldba_synth.learner import Hyperparams, train
 from ldba_synth.oracle import build_explicit_product, max_sat_probability
-from ldba_synth.product import SINK, CompiledProduct
+from ldba_synth.product import SINK, CompiledProduct, ProductRun
 
 ENV_DOC = {
     "height": 1,
@@ -600,6 +600,35 @@ def test_test_subcommand_reloads_the_model(spec_files, tmp_path, capsys):
     assert len(body) == 7 * 20                   # every rollout runs the horizon
     assert {row[0] for row in body} == {str(k) for k in range(7)}
     assert all(float(row[7]) in (0.5, 1.0) for row in body)  # gamma column
+
+
+def test_trace_pays_each_step_as_training_does(tmp_path, capsys, monkeypatch):
+    # A fired row shows the model's (r, eta), a row into the sink (0, 0), as
+    # training discounts it, and any other row (0, 1).
+    flags = []   # each step's (fired, done), as the product run reported it
+
+    def step(run, action, _fn=ProductRun.step):
+        result = _fn(run, action)
+        flags.append(result[-2:])
+        return result
+
+    out, trace_path = tmp_path / "paid", tmp_path / "trace.csv"
+    pair = ["--env", "gridworld-1", "--ldba", "goal1-or-goal2", "--save_dir", str(out)]
+    assert main(["train", *pair, "--episode_num", "20", "--iteration_num_max", "300",
+                 "--positive_reward", "0.5", "--discount_factor", "0.9", "--no-test"]) == EXIT_OK
+    monkeypatch.setattr(ProductRun, "step", step)
+    assert main(["test", *pair, "--rollouts", "5", "--trace", str(trace_path)]) == EXIT_OK
+    capsys.readouterr()
+
+    with open(trace_path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == len(flags)
+    paid = {}
+    for row, (fired, done) in zip(rows, flags):
+        kind = "fired" if fired else "sink" if done else "other"
+        paid.setdefault(kind, set()).add((row["reward"], row["gamma"], row["done"]))
+    assert paid == {"fired": {("0.5", "0.9", "0")}, "sink": {("0.0", "0.0", "1")},
+                    "other": {("0.0", "1.0", "0")}}
 
 
 def test_test_reads_models_saved_in_the_older_format(spec_files, tmp_path):

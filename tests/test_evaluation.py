@@ -114,24 +114,29 @@ def test_rollouts_are_reproducible_and_order_independent():
 
 def test_trace_sees_every_transition():
     product = CompiledProduct(corridor_env({2: {"a"}, 3: {"b"}}, slip=0.2), chain_spec())
-    rows = []
-    report = run_test(press("right"), product, TestConfig(rollouts=3, horizon=12, seed=1),
-                      trace=lambda k, step, tr: rows.append((k, step, tr)))
+    rows, config = [], TestConfig(rollouts=3, horizon=12, seed=1)
+    report = run_test(press("right"), product, config, trace=lambda *row: rows.append(row))
     assert len(rows) == sum(o.steps for o in report.outcomes)
-    for k in range(3):
-        chunk = [(step, tr) for kk, step, tr in rows if kk == k]
-        assert [step for step, _ in chunk] == list(range(len(chunk)))
+    for k, outcome in enumerate(report.outcomes):
+        chunk = [row[1:] for row in rows if row[0] == k]
+        assert [step for step, *_ in chunk] == list(range(len(chunk)))
         # reset before every rollout
-        assert product.decode(chunk[0][1].state) == ((0, 0), 0)
-        for (_, a), (_, b) in zip(chunk, chunk[1:]):
-            assert b.state == a.next_state
+        assert product.decode(chunk[0][1]) == ((0, 0), 0)
+        # replayed on the rollout's generator: each step leaves from the
+        # state the one before it reached, and reports what it fired
+        run = ProductRun(product, Random(config.seed * evaluation._SEED_STRIDE + k))
+        run.reset()
+        for step, state, action, fired, done in chunk:
+            assert state == run.state
+            assert run.step(action)[1:] == (fired, done)
+        assert done == outcome.reached_sink
 
 
 def reference_rollouts(qtable, config):
     """run_test spelled out, reading qtable.best_action at every step.
 
-    Returns the outcomes, every (rollout, step, transition) and each
-    rollout's final generator state.
+    Returns the outcomes, every (rollout, step, state, action, fired, done)
+    and each rollout's final generator state.
     """
     outcomes, transitions, rng_states = [], [], []
     for k in range(config.rollouts):
@@ -139,9 +144,10 @@ def reference_rollouts(qtable, config):
         run = ProductRun(CompiledProduct(qtable.product.env, qtable.product.spec), rng)
         state, steps, sink = run.reset(), 0, False
         while steps < config.horizon and not sink:
-            tr = run.step(qtable.best_action(state))
-            transitions.append((k, steps, tr))
-            state, steps, sink = tr.next_state, steps + 1, tr.done
+            action = qtable.best_action(state)
+            next_state, fired, sink = run.step(action)
+            transitions.append((k, steps, state, action, fired, sink))
+            state, steps = next_state, steps + 1
         sweeps = run.runtime.sweeps_completed
         outcomes.append(RolloutOutcome(not sink and sweeps >= config.required_sweeps,
                                        steps, sweeps, sink))
@@ -176,7 +182,7 @@ def test_run_test_matches_a_best_action_reference_loop(monkeypatch, env_name, ld
     monkeypatch.setattr(evaluation, "Random", RecordedRandom)
     transitions = []
     report = run_test(GreedyPolicy(qtable), qtable.product, config,
-                      trace=lambda k, step, tr: transitions.append((k, step, tr)))
+                      trace=lambda *row: transitions.append(row))
     (rng,) = generators   # one generator serves every rollout
     assert seeds == [config.seed * evaluation._SEED_STRIDE + k for k in range(config.rollouts)]
     finals = states[1:] + [rng.getstate()]   # each rollout's final generator state
@@ -187,8 +193,8 @@ def test_run_test_matches_a_best_action_reference_loop(monkeypatch, env_name, ld
     # and greedy epsilon-moves on gridworld-1
     assert all(final != Random(seed).getstate() for seed, final in zip(seeds, finals))
     product = qtable.product
-    epsilon_steps = sum(product.epsilon[tr.state % product.nq][tr.action] is not None
-                        for _, _, tr in transitions)
+    epsilon_steps = sum(product.epsilon[state % product.nq][action] is not None
+                        for _, _, state, action, _, _ in transitions)
     assert (epsilon_steps > 0) == (env_name == "gridworld-1")
 
 

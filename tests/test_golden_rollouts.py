@@ -7,6 +7,8 @@ three artifacts: the model file's bytes, the `per_rollout` list of
 greedy policy, the closed-loop tester and the translation of product
 states and actions into the names the files hold. One pair exercises
 epsilon-moves, the other a frontier of four ordered accepting sets.
+The gridworld-1 trace holds 11 rows into the sink; each shows reward 0
+and gamma 0, the payoff training gives that step.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ GOLDEN_RUNS = {
      ("--rollouts", "12", "--seed", "3")): (
         "3fd9b28b738533b10e95da707e29f855fa163391820a25fd405a50597a56c6bd",
         "4f8aeef752694885dadd042827ad6db840b4bed9400a8492b8b0a72d158e5983",
-        "2aadcd2df6ea97da39463f6f3eb8f60fe4fc4c7b568c2d76c7b2965f292ae688"),
+        "1fccdd6be166a94d589f362da9113b4c4a18bc9c976b040d3665dc7728fa6ab0"),
     ("slp-sml", "slp-hard",
      ("--episode_num", "30", "--iteration_num_max", "400", "--discount_factor", "0.99",
       "--epsilon", "0.2", "--seed", "5"),

@@ -214,7 +214,8 @@ def test_updates_pay_the_frontier_reward_exactly_on_fired_steps(monkeypatch,
         del steps[:], updates[:]
         train(random_env(rng), random_automaton(rng), hp)
         assert_frontier_payoffs(steps, updates, hp)
-        seen.update("fired" if tr.fired else "sink" if tr.done else "plain" for tr in steps)
+        seen.update("fired" if fired else "sink" if done else "plain"
+                    for _, _, (_, fired, done) in steps)
     assert min(seen[kind] for kind in ("fired", "sink", "plain")) > 0, seen
 
 

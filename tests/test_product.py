@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from ldba_synth.automaton import SINK_STATE, parse_ldba_spec
+from ldba_synth.evaluation import TestConfig, run_test
 from ldba_synth.product import CompiledProduct, ProductError, ProductRun
 
 from conftest import (chain_spec, corridor_env, make_rng, random_automaton,
@@ -44,35 +45,44 @@ def test_scripted_corridor_walk():
     run = product_run(env, chain_spec(), make_rng(0))
     assert run.product.decode(run.reset()) == ((0, 0), 0)
 
-    tr = run.step(act(run, "right"))  # to (0,1): unlabeled
-    assert run.product.decode(tr.next_state) == ((0, 1), 0)
-    assert (tr.fired, tr.done) == (False, False)
+    next_state, fired, done = run.step(act(run, "right"))  # to (0,1): unlabeled
+    assert run.product.decode(next_state) == ((0, 1), 0)
+    assert (fired, done) == (False, False)
 
-    tr = run.step(act(run, "right"))  # to (0,2): sees 'a'
-    assert run.product.decode(tr.next_state) == ((0, 2), 1)
-    assert (tr.fired, tr.done) == (False, False)
+    next_state, fired, done = run.step(act(run, "right"))  # to (0,2): sees 'a'
+    assert run.product.decode(next_state) == ((0, 2), 1)
+    assert (fired, done) == (False, False)
     assert run.runtime.sweeps_completed == 0
 
-    tr = run.step(act(run, "right"))  # to (0,3): sees 'b', accepting
-    assert run.product.decode(tr.next_state) == ((0, 3), 2)
-    assert (tr.fired, tr.done) == (True, False)
+    next_state, fired, done = run.step(act(run, "right"))  # to (0,3): sees 'b', accepting
+    assert run.product.decode(next_state) == ((0, 3), 2)
+    assert (fired, done) == (True, False)
     assert run.runtime.sweeps_completed == 1
 
-    tr = run.step(act(run, "right"))  # clamped; accepting loop refires
-    assert run.product.decode(tr.next_state) == ((0, 3), 2)
-    assert (tr.fired, tr.done) == (True, False)
+    next_state, fired, done = run.step(act(run, "right"))  # clamped; accepting loop refires
+    assert run.product.decode(next_state) == ((0, 3), 2)
+    assert (fired, done) == (True, False)
     assert run.runtime.sweeps_completed == 2
 
 
 def test_transition_records_source_state_and_action():
+    # A step returns the plain triple (next_state, fired, done), no reward; the
+    # state it left and its action are the caller's, and the trace gets both.
     env = corridor_env({})
     run = product_run(env, chain_spec(), make_rng(0))
-    run.reset()
-    tr = run.step(act(run, "right"))
-    assert tr._fields == ("state", "action", "next_state", "fired", "done")   # no reward
-    assert run.product.decode(tr.state) == ((0, 0), 0)
-    assert tr.action == 0
-    assert run.product.action_names(tr.state)[tr.action] == "right"
+    product = run.product
+    state, action = run.reset(), act(run, "right")
+    result = run.step(action)
+    assert type(result) is tuple
+    assert result == (product.encode((0, 1), 0), False, False)
+    assert run.state == result[0]
+
+    rows = []
+    run_test(lambda _: action, product, TestConfig(rollouts=1, horizon=1),
+             trace=lambda *row: rows.append(row))
+    assert rows == [(0, 0, state, action, False, False)]    # the pre-step state
+    assert product.decode(rows[0][2]) == ((0, 0), 0)
+    assert product.action_names(rows[0][2])[rows[0][3]] == "right"
 
 
 def test_custom_reward_values_flow_through():
@@ -80,12 +90,9 @@ def test_custom_reward_values_flow_through():
     env = corridor_env({1: {"a"}, 2: {"b"}})
     run = product_run(env, chain_spec(), make_rng(0))
     run.reset()
-    first = run.step(act(run, "right"))  # 'a' advances but nothing fires
-    assert (first.fired, first.done) == (False, False)
-    tr = run.step(act(run, "right"))  # 'b' fires the frontier
-    assert (tr.fired, tr.done) == (True, False)
-    tr = run.step(act(run, "left"))  # q stays accepting: refires
-    assert (tr.fired, tr.done) == (True, False)
+    assert run.step(act(run, "right"))[1:] == (False, False)  # 'a' advances, nothing fires
+    assert run.step(act(run, "right"))[1:] == (True, False)   # 'b' fires the frontier
+    assert run.step(act(run, "left"))[1:] == (True, False)    # q stays accepting: refires
     assert run.runtime.sweeps_completed == 2
 
 
@@ -95,9 +102,9 @@ def test_discount_follows_the_frontier_not_the_reward_sign():
     run = product_run(env, chain_spec(), make_rng(0))
     run.reset()
     plan = ["right", "left", "right", "right", "left", "right"]
-    fired = [run.step(act(run, action)) for action in plan]
-    assert [tr.fired for tr in fired] == [False, False, False, True, True, True]
-    assert [tr.done for tr in fired] == [False] * 6
+    steps = [run.step(act(run, action)) for action in plan]
+    assert [fired for _, fired, _ in steps] == [False, False, False, True, True, True]
+    assert [done for _, _, done in steps] == [False] * 6
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +118,11 @@ def test_epsilon_action_freezes_env_and_consumes_no_randomness():
     run = product_run(env, epsilon_spec(), rng)
     run.reset()
     before = rng.getstate()
-    tr = run.step(act(run, "epsilon_1"))
+    assert run.product.decode(run.state) == ((0, 0), 0)
+    next_state, fired, _ = run.step(act(run, "epsilon_1"))
     assert rng.getstate() == before
-    assert run.product.decode(tr.state) == ((0, 0), 0)
-    assert run.product.decode(tr.next_state) == ((0, 0), 1)
-    assert tr.fired is True                      # lands in the accepting set
+    assert run.product.decode(next_state) == ((0, 0), 1)
+    assert fired is True                         # lands in the accepting set
 
 
 def test_epsilon_actions_listed_after_base_actions():
@@ -156,11 +163,11 @@ def test_product_ids_translate_to_the_spec_numbering():
     product = run.product
     assert product.automaton.states == (5, 2, SINK_STATE)   # declaration order, sink last
     assert run.reset() == product.encode((0, 0), 2) == 1     # cell 0, automaton index 1
-    tr = run.step(act(run, "right"))
-    assert (tr.next_state, tr.fired) == (product.encode((0, 1), 5), True)
-    assert product.decode(tr.next_state) == ((0, 1), 5)
-    tr = run.step(act(run, "right"))
-    assert (product.decode(tr.next_state), tr.done) == (((0, 2), SINK_STATE), True)
+    next_state, fired, _ = run.step(act(run, "right"))
+    assert (next_state, fired) == (product.encode((0, 1), 5), True)
+    assert product.decode(next_state) == ((0, 1), 5)
+    next_state, _, done = run.step(act(run, "right"))
+    assert (product.decode(next_state), done) == (((0, 2), SINK_STATE), True)
     for cell, q in (((0, 4), 2), ((1, 0), 2), ((0, 0), 0)):
         with pytest.raises(KeyError):
             product.encode(cell, q)
@@ -183,16 +190,16 @@ def test_done_exactly_when_sink_is_hit():
     env = corridor_env({0: {"a"}})               # at q=1, leaving 'a' sinks
     run = product_run(env, epsilon_spec(), make_rng(0))
     run.reset()
-    assert run.step(act(run, "epsilon_1")).done is False   # q=1, env frozen on the a-cell
-    tr = run.step(act(run, "left"))  # clamped onto 'a': still alive
-    assert (run.product.decode(tr.next_state), tr.done) == (((0, 0), 1), False)
-    tr = run.step(act(run, "right"))  # (0, 1) is unlabeled: sink
-    assert run.product.decode(tr.next_state)[1] == SINK_STATE
-    assert tr.done is True
-    assert tr.fired is False
-    tr = run.step(act(run, "left"))  # sink is absorbing
-    assert tr.done is True
-    assert run.product.decode(tr.next_state)[1] == SINK_STATE
+    assert run.step(act(run, "epsilon_1"))[2] is False   # q=1, env frozen on the a-cell
+    next_state, _, done = run.step(act(run, "left"))  # clamped onto 'a': still alive
+    assert (run.product.decode(next_state), done) == (((0, 0), 1), False)
+    next_state, fired, done = run.step(act(run, "right"))  # (0, 1) is unlabeled: sink
+    assert run.product.decode(next_state)[1] == SINK_STATE
+    assert done is True
+    assert fired is False
+    next_state, _, done = run.step(act(run, "left"))  # sink is absorbing
+    assert done is True
+    assert run.product.decode(next_state)[1] == SINK_STATE
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +233,12 @@ def test_reward_discount_coupling_randomized():
             action = rng.choice(run.available_actions())
             runtime = run.runtime
             before = runtime.frontier, runtime.sweeps_completed
-            tr = run.step(action)
+            next_state, fired, done = run.step(action)
             # fired exactly when the frontier lost a set; the sink never fires
-            assert tr.fired == ((runtime.frontier, runtime.sweeps_completed) != before)
-            assert not (tr.fired and tr.done)
-            assert tr.done == (run.product.decode(tr.next_state)[1] == SINK_STATE)
-            if tr.done:
+            assert fired == ((runtime.frontier, runtime.sweeps_completed) != before)
+            assert not (fired and done)
+            assert done == (run.product.decode(next_state)[1] == SINK_STATE)
+            if done:
                 break
 
 
@@ -243,10 +250,10 @@ def test_env_and_automaton_advance_in_lockstep():
     run.reset()
     for _ in range(50):
         action = rng.choice(run.available_actions())
-        tr = run.step(action)
+        next_state, _, _ = run.step(action)
         # the automaton component must match feeding the new cell's labels
-        assert tr.next_state % run.product.nq == run.runtime.state
-        assert run.state == tr.next_state
+        assert next_state % run.product.nq == run.runtime.state
+        assert run.state == next_state
 
 
 def test_base_moves_match_the_environment_step_and_its_rng_draws():
@@ -261,9 +268,9 @@ def test_base_moves_match_the_environment_step_and_its_rng_draws():
         cell = env.initial_state
         for _ in range(60):
             action = rng.randrange(len(env.actions))
-            tr = run.step(action)
+            next_state, _, done = run.step(action)
             cell = env.step(cell, env.actions[action], reference)
-            assert run.product.decode(tr.next_state)[0] == cell
+            assert run.product.decode(next_state)[0] == cell
             assert run.rng.getstate() == reference.getstate()
-            if tr.done:
+            if done:
                 break
