@@ -5,7 +5,10 @@ ids, the ids of the training run's compiled product; unwritten entries
 read as q_init. Every update uses the one learning rate mu. Exploration
 is epsilon-greedy with deterministic lowest-index tie-breaking over the
 product's action order, so identical specs, hyper-parameters and seed
-reproduce runs bit for bit.
+reproduce runs bit for bit. The table keeps each row's greedy action as
+it is written, so neither selection nor the update's target scans a row.
+Hyperparams.validate bounds the value scale, so every value stays
+finite: with NaN, max and so the greedy index would depend on order.
 
 The learner pays the frontier reward: a product step reports whether it
 fired the accepting frontier or hit the sink, and Hyperparams.payoffs
@@ -23,11 +26,15 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 from .automaton import LdbaSpec
 from .envs import require_field_types, require_positive
 from .product import CompiledProduct, ProductRun
+
+
+MAX_VALUE_SCALE = sys.float_info.max / 2
 
 
 @dataclass
@@ -60,6 +67,14 @@ class Hyperparams:
         for name in ("positive_reward", "q_init"):
             if not math.isfinite(getattr(self, name) or 0.0):  # None is the default reward
                 raise ValueError(f"{name} must be finite")
+        # Every Q value stays within [-scale, scale]; at most half the largest
+        # float, a step's sums of two such terms cannot overflow to inf (and
+        # 0 * inf to NaN, which would leave the greedy index undefined).
+        scale = max(abs(self.q_init), self.frontier_reward() / (1.0 - self.discount_factor))
+        if not scale <= MAX_VALUE_SCALE:
+            raise ValueError(f"values would reach {scale:g}, above half the largest float "
+                             "(positive_reward / (1 - discount_factor) and |q_init| must "
+                             f"not exceed {MAX_VALUE_SCALE:g})")
 
     def frontier_reward(self) -> float:
         """What a step that fires the frontier pays: positive_reward, or 1 - eta."""
@@ -75,6 +90,8 @@ class QTable:
     """Action values over product ids: ``rows[state][action]``, one flat row
     per visited state. Unwritten entries read q_init; ``written[state]``
     flags the written ones, which are the entries a model file holds.
+    ``greedy[state]`` is the row's greedy action, the lowest index of its
+    maximum, kept current by every write, so no reader scans a row.
     """
 
     def __init__(self, product, q_init: float = 0.0):
@@ -82,6 +99,7 @@ class QTable:
         self.q_init = q_init
         self.rows: dict[int, list[float]] = {}
         self.written: dict[int, bytearray] = {}
+        self.greedy: dict[int, int] = {}
 
     def row(self, state) -> list[float]:
         """The mutable row of state, created at q_init if unseen."""
@@ -90,6 +108,7 @@ class QTable:
             width = len(self.product.legal[state % self.product.nq])
             row = self.rows[state] = [self.q_init] * width
             self.written[state] = bytearray(width)
+            self.greedy[state] = 0
         return row
 
     def value(self, state, action) -> float:
@@ -97,17 +116,20 @@ class QTable:
         return self.q_init if row is None else row[action]
 
     def best_value(self, state) -> float:
+        """max(row), bit for bit: the entry at the greedy action."""
         row = self.rows.get(state)
-        return self.q_init if row is None else max(row)
+        return self.q_init if row is None else row[self.greedy[state]]
 
     def best_action(self, state) -> int:
         """Argmax with lowest-index tie-breaking; an unseen state picks action 0."""
-        row = self.rows.get(state)
-        return 0 if row is None else row.index(max(row))
+        return self.greedy.get(state, 0)
 
     def set(self, state, action, value: float):
-        self.row(state)[action] = value
+        """Write one entry and rescan its row for the greedy action."""
+        row = self.row(state)
+        row[action] = value
         self.written[state][action] = 1
+        self.greedy[state] = row.index(max(row))
 
     def items(self):
         """The written entries as (((row, col), q), action name, value), as saved."""
@@ -127,22 +149,43 @@ class QTable:
 
 
 def select_action(qtable: QTable, state, actions, epsilon: float, rng) -> int:
-    """Epsilon-greedy over legal action ids; greedy skips the rng draw (best_action inlined)."""
+    """Epsilon-greedy over legal action ids; the greedy branch reads the
+    table's greedy index and draws nothing. The exploring draw is
+    rng.randrange(len(actions)) written out: the same getrandbits calls,
+    so the same draws and generator state, without randrange's call layers.
+    """
     if epsilon > 0.0 and rng.random() < epsilon:
-        return actions[rng.randrange(len(actions))]
-    row = qtable.rows.get(state)
-    return 0 if row is None else row.index(max(row))
+        n = len(actions)
+        k = n.bit_length()
+        r = rng.getrandbits(k)
+        while r >= n:
+            r = rng.getrandbits(k)
+        return actions[r]
+    return qtable.greedy.get(state, 0)
 
 
 def q_update(qtable: QTable, state, action, reward, gamma, next_state, mu: float) -> float:
-    """One Q-learning update of (state, action), with best_value and row inlined."""
-    rows = qtable.rows
+    """One Q-learning update of (state, action); keeps the row's greedy index.
+
+    The target reads next_state's greedy entry, which is max(row) bit for
+    bit, before the write, as a self-loop needs. After the write, a greedy
+    entry that went down rescans its row; any other write moves the index
+    to action only when it beats the greedy entry, or ties it at a lower index.
+    """
+    rows, greedy = qtable.rows, qtable.greedy
     after = rows.get(next_state)
-    target = reward + gamma * (qtable.q_init if after is None else max(after))
+    target = reward + gamma * (qtable.q_init if after is None else after[greedy[next_state]])
     row = rows.get(state) or qtable.row(state)
-    new = (1.0 - mu) * row[action] + mu * target
+    old = row[action]
+    new = (1.0 - mu) * old + mu * target
     row[action] = new
     qtable.written[state][action] = 1
+    g = greedy[state]
+    if action == g:
+        if new < old:
+            greedy[state] = row.index(max(row))
+    elif new > row[g] or new == row[g] and action < g:
+        greedy[state] = action
     return new
 
 
@@ -212,7 +255,7 @@ class GreedyPolicy:
     """
 
     def __init__(self, qtable: QTable):
-        self.actions = {state: qtable.best_action(state) for state in qtable.rows}
+        self.actions = dict(qtable.greedy)
 
     def __call__(self, state) -> int:
         return self.actions.get(state, 0)

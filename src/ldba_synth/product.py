@@ -69,7 +69,8 @@ class ProductRun:
     def __init__(self, product: CompiledProduct, rng):
         env = product.env
         self.product, self.rng, self.runtime = product, rng, LdbaRuntime(product.spec)
-        self._slip, self._random, self._randrange = env.slip_probability, rng.random, rng.randrange
+        self._slip, self._random = env.slip_probability, rng.random
+        self._getrandbits = rng.getrandbits
         self._nq, self._sink, self._cell_class = product.nq, product.nq - 1, product.cell_class
         self._legal, self._epsilon, self._moves = product.legal, product.epsilon, env.moves
         self.state = product.initial
@@ -99,7 +100,10 @@ class ProductRun:
             slip = self._slip
             if slip and self._random() < slip:
                 if len(outcomes) > 1:  # a perpendicular cell or staying put
-                    cell = outcomes[1 + self._randrange(3)]
+                    r = self._getrandbits(2)  # rng.randrange(3), draw for draw
+                    while r == 3:
+                        r = self._getrandbits(2)
+                    cell = outcomes[1 + r]
             else:
                 cell = outcomes[0]
             self.cell = cell

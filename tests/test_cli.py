@@ -488,6 +488,34 @@ def test_non_finite_hyperparams_exit_config_before_save_dir(spec_files, tmp_path
     assert not out.exists()
 
 
+def test_values_that_would_overflow_exit_config_before_save_dir(tmp_path, capsys):
+    # r/(1 - eta) overflows to inf, and at mu = 1 an update's 0 * inf would write NaN
+    out = tmp_path / "results"
+    rc = main(["train", "--env", "minecraft", "--ldba", "minecraft-t1",
+               "--positive_reward", "1e308", "--learning_rate", "1.0", "--episode_num", "20",
+               "--iteration_num_max", "2000", "--no-test", "--save_dir", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "values would reach inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_checks_the_value_scale_of_every_cell_before_save_dir(spec_files, tmp_path,
+                                                                     capsys, monkeypatch):
+    # 1e306 / (1 - 0.95) is finite, 1e306 / (1 - 0.995) is not
+    env_path, ldba_path = spec_files
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the grid was checked")
+
+    monkeypatch.setattr("ldba_synth.cli.robustness_sweep", no_work)
+    out = tmp_path / "results"
+    rc = main(["sweep", "--env", str(env_path), "--ldba", str(ldba_path), "--save_dir", str(out),
+               "--positive_reward", "1e306", "--grid_eta", "0.5,0.995", "--grid_mu", "0.9"])
+    assert rc == EXIT_CONFIG
+    assert "values would reach inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_no_test_still_checks_test_flags_before_save_dir(spec_files, tmp_path, capsys, value):
     out = tmp_path / "results"

@@ -6,7 +6,8 @@ from collections import Counter
 
 import pytest
 
-from ldba_synth.automaton import parse_ldba_spec
+from ldba_synth.automaton import load_ldba_file, parse_ldba_spec
+from ldba_synth.envs import load_env_file, resolve_spec_path
 from ldba_synth.learner import (
     GreedyPolicy,
     Hyperparams,
@@ -20,6 +21,7 @@ from ldba_synth.product import CompiledProduct
 
 from conftest import (assert_frontier_payoffs, chain_spec, corridor_env, hazard_spec,
                       make_rng, random_automaton, random_env, record_training_steps)
+from test_golden_q import GOLDEN_RUNS
 
 
 def one_shot_spec():
@@ -130,6 +132,59 @@ def test_qtable_len_items_and_equality():
     assert a != QTable(product, q_init=0.5)
 
 
+def assert_greedy_index(table, state):
+    """greedy[state] is the row's first maximum, and best_value is max(row) bit for bit."""
+    row = table.rows[state]
+    assert table.greedy[state] == table.best_action(state) == row.index(max(row)), row
+    assert table.best_value(state).hex() == max(row).hex(), row
+
+
+@pytest.mark.parametrize("q_init", [0.0, 0.5, -1.0])
+def test_greedy_index_is_the_first_maximum_after_every_write(q_init):
+    # Random interleavings of q_update and set over a few rows: exact ties,
+    # -0.0 against 0.0, mu = 1, self-loops, and greedy entries that go down.
+    rng = make_rng(29)
+    product = corridor_product()
+    values = (0.0, -0.0, 0.5, -1.0, 1.0, q_init)
+    seen = Counter()
+    for _ in range(300):
+        table = QTable(product, q_init)
+        states = rng.sample(range(16), 3)
+        for _ in range(30):
+            state, next_state, action = rng.choice(states), rng.choice(states), rng.randrange(4)
+            greedy = table.greedy.get(state)
+            before = table.value(state, action)
+            if rng.random() < 0.3:
+                table.set(state, action, rng.choice(values))
+                assert_greedy_index(table, state)
+                continue
+            reward, gamma = rng.choice([(0.0, 1.0), (0.0, 0.0), (0.5, 0.9), (1.0, 0.5)])
+            q_update(table, state, action, reward, gamma, next_state, rng.choice([1.0, 0.9, 0.5]))
+            assert_greedy_index(table, state)
+            row, after = table.rows[state], table.value(state, action)
+            tied = greedy is not None and row[greedy] == after
+            seen["self-loop"] += state == next_state
+            seen["greedy went down"] += action == greedy and after < before
+            seen["tie below greedy"] += tied and action < greedy
+            seen["tie above greedy"] += tied and action > greedy
+            seen["signed zeros"] += {"0x0.0p+0", "-0x0.0p+0"} <= {v.hex() for v in row}
+        assert table.greedy.keys() == table.rows.keys()
+        for state in table.rows:
+            assert_greedy_index(table, state)
+    assert min(seen.values()) > 0 and len(seen) == 5, seen
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_RUNS), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_greedy_index_holds_on_every_row_after_training(key):
+    env_name, ldba_name, hp_items = key
+    env = load_env_file(resolve_spec_path(env_name, "envs"))
+    spec = load_ldba_file(resolve_spec_path(ldba_name, "ldba"))
+    table = train(env, spec, Hyperparams(**dict(hp_items))).q_table
+    assert table.greedy.keys() == table.rows.keys()
+    for state in table.rows:
+        assert_greedy_index(table, state)
+
+
 # ---------------------------------------------------------------------------
 # action selection
 # ---------------------------------------------------------------------------
@@ -164,6 +219,19 @@ def test_intermediate_epsilon_mixes_greedy_and_uniform():
     # 1: greedy half plus half of the uniform half; 0: a quarter
     assert counts[1] / 100_000 == pytest.approx(0.75, abs=0.01)
     assert counts[0] / 100_000 == pytest.approx(0.25, abs=0.01)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_exploring_draw_is_randrange_draw_for_draw(n):
+    # select_action writes randrange's getrandbits loop out; same draws, same state.
+    table = QTable(corridor_product())
+    for seed in range(100):
+        rng, reference = make_rng(seed), make_rng(seed)
+        for _ in range(5):
+            action = select_action(table, 0, range(n), 1.0, rng)
+            reference.random()
+            assert action == reference.randrange(n)
+        assert rng.getstate() == reference.getstate()
 
 
 # ---------------------------------------------------------------------------

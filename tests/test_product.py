@@ -274,3 +274,17 @@ def test_base_moves_match_the_environment_step_and_its_rng_draws():
             assert run.rng.getstate() == reference.getstate()
             if done:
                 break
+
+
+def test_slip_draw_is_randrange_3_draw_for_draw():
+    # ProductRun.step writes randrange(3)'s getrandbits loop out; same cells, same state.
+    env = corridor_env({}, slip=1.0)
+    for seed in range(100):
+        run, reference = product_run(env, chain_spec(), make_rng(seed)), make_rng(seed)
+        run.reset()
+        for _ in range(5):
+            outcomes = env.moves[run.cell][0]    # right, its two slips, staying put
+            run.step(0)
+            reference.random()
+            assert run.cell == outcomes[1 + reference.randrange(3)]
+        assert run.rng.getstate() == reference.getstate()
