@@ -2,20 +2,23 @@
 
 The environment kernel and automaton are composed into an explicit product MDP
 (reachable part only, all sink slots collapsed into one absorbing node) held
-in flat arrays, written from plain lists a few thousand edges at a time, see
-ExplicitProduct. Maximal end components are found by iterative SCC refinement
-on them (Baier & Katoen, Principles of Model Checking, 10.6.3), sorting
-nothing; Tarjan's search runs on int lists indexed by node, a candidate is a
-node list it returned, and one map holds the rows a node keeps once it has
-lost one. A worklist over a candidate's rows into each node it loses drops the
-rows that leave it, and a candidate that loses no row is a MEC without another
-search. A MEC is accepting when its states intersect every accepting set,
-matching the frontier semantics that all sets must be visited infinitely
-often. The maximal probability of reaching the union of accepting MECs is then
-the Buchi value. The standard qualitative precomputations come first (prob0 by
-backward search, prob1 by the Pmax=1 fixed point of 10.6), so almost-sure
-states report exactly 1. prob1, prob0 and the attractor rows read one
-predecessor index, built once per solve.
+in flat arrays, with 32-bit successor ids and one accepting mask per node,
+written from plain lists a few thousand edges at a time, see ExplicitProduct.
+Maximal end components are found by iterative SCC refinement on them (Baier &
+Katoen, Principles of Model Checking, 10.6.3), sorting nothing; Tarjan's
+search runs on int lists indexed by node, a candidate is a node list it
+returned, and one map holds the rows a node keeps once it has lost one; rows
+into an absorbing node (every row of it loops, as the sink's do) are cut
+before the first search. A worklist over a candidate's rows into each node it
+loses drops the rows that leave it, and a candidate that loses no row is a
+MEC without another search. A MEC is accepting when the OR of its nodes'
+masks covers every accepting set, matching the frontier semantics that all
+sets must be visited infinitely often. The maximal probability of reaching
+the union of accepting MECs is then the Buchi value. The standard qualitative
+precomputations come first (prob0 by backward search, prob1 by the Pmax=1
+fixed point of 10.6), so almost-sure states report exactly 1. prob1, prob0
+and the attractor rows read one predecessor index, dropped after its last
+reader.
 
 The undecided states are solved one strongly connected component at a
 time, in the order Tarjan's search emits them: downstream first, so every
@@ -33,7 +36,9 @@ a policy that no row improves by more than 1e-12; value iteration alone
 bounds no distance to the optimum.
 
 A component's rows are one table (_component_rows), read by the warm sweeps,
-the improvement passes (_sweep with a choice list) and the chain assembly.
+the improvement passes (_sweep with a choice list) and the chain entries
+(_chain_row): assembled once per component, a chain is patched where a
+state switches rows, and each solve consumes a copy.
 """
 
 from __future__ import annotations
@@ -41,14 +46,16 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from heapq import heapify, heappop, heappush
-from itertools import chain, count, repeat
+from itertools import chain, count, pairwise, repeat
+from operator import or_
 
 from .automaton import LdbaSpec
 from .product import SINK, CompiledProduct
 
 DEFAULT_STATE_CAP = 10**6
+MAX_STATE_SLOTS = 2**31 - 1  # a node id is a 32-bit int in ExplicitProduct.succ
 WARM_SWEEPS = 50  # Gauss-Seidel sweeps per component that warm-start policy iteration
 PI_GAIN = 1e-12  # policy iteration switches a state to a row better by this much, relative
 MAX_ITERATIONS = 1000  # policy iteration guard; it converges in a few iterations
@@ -65,17 +72,20 @@ class ExplicitProduct:
     sink slot collapses into the one node ``SINK``. Node i's actions
     ``actions[i]``, in the product's order, own rows ``first_row[i]`` up to
     ``first_row[i + 1]``; row r owns edges ``first_edge[r]`` up to
-    ``first_edge[r + 1]`` of ``succ`` (64-bit successor ids) and ``prob``.
-    Every edge has a positive probability: MECs, prob0/prob1 and the
-    attractor rows of policy iteration read an edge as support.
+    ``first_edge[r + 1]`` (64-bit offsets) of ``succ`` (32-bit node ids: see
+    MAX_STATE_SLOTS) and ``prob``. Every edge has a positive probability:
+    MECs, prob0/prob1 and the attractor rows of policy iteration read an edge
+    as support. Bit k of ``accmask[i]`` is set when node i lies in accepting
+    set k of ``num_sets``; given sets become masks, ``accepting_sets`` a view.
     """
 
     def __init__(self, states: list[int], initial: int, accepting_sets=()):
-        self.states, self.initial = states, initial
-        self.accepting_sets: tuple[frozenset[int], ...] = accepting_sets  # node indices
+        self.states, self.initial, self.num_sets = states, initial, len(accepting_sets)
+        self.accmask = [sum(1 << k for k, acc in enumerate(accepting_sets) if i in acc)
+                        for i in range(len(states))]
         self.actions: list[tuple[str, ...]] = []
         self.first_row, self.first_edge = array("q", [0]), array("q", [0])
-        self.succ, self.prob = array("q"), array("d")
+        self.succ, self.prob = array("i"), array("d")
 
     def num_states(self) -> int:
         return len(self.states)
@@ -93,13 +103,20 @@ class ExplicitProduct:
         return tuple({a: tuple(self.pairs(r)) for a, r in zip(self.actions[i], self.rows(i))}
                      for i in range(self.num_states()))
 
+    @cached_property
+    def accepting_sets(self) -> tuple[frozenset[int], ...]:
+        """The node indices of each accepting set, built on first read."""
+        return tuple(frozenset(i for i, mask in enumerate(self.accmask) if mask >> k & 1)
+                     for k in range(self.num_sets))
+
 
 def check_state_slots(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_CAP) -> None:
-    """Raise ProductSizeError when env x spec has more than state_cap state slots."""
+    """Raise ProductSizeError when env x spec has more state slots than state_cap
+    or, whatever state_cap says, than MAX_STATE_SLOTS."""
     slots = env.height * env.width * (len(spec.states) + 1)
-    if slots > state_cap:
-        raise ProductSizeError(
-            f"product needs {slots} state slots, above the cap of {state_cap}")
+    cap = min(state_cap, MAX_STATE_SLOTS)
+    if slots > cap:
+        raise ProductSizeError(f"product needs {slots} state slots, above the cap of {cap}")
 
 
 def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_CAP) -> ExplicitProduct:
@@ -177,10 +194,8 @@ def build_explicit_product(env, spec: LdbaSpec, state_cap: int = DEFAULT_STATE_C
             prod.first_edge.fromlist(ends)
             targets, probs, ends = [], [], []
 
-    accmask = product.automaton.accmask
-    prod.accepting_sets = tuple(
-        frozenset(i for i, node in enumerate(states) if accmask[node % nq] >> k & 1)
-        for k in range(len(spec.accepting_sets)))
+    accmask = automaton.accmask
+    prod.accmask, prod.num_sets = [accmask[node % nq] for node in states], len(spec.accepting_sets)
     return prod
 
 
@@ -261,12 +276,21 @@ def mec_decompose(prod: ExplicitProduct) -> list[Mec]:
     cut: dict[int, list[int]] = {}
     number = [0] * prod.num_states()  # scratch of every SCC search
     mecs: list[Mec] = []
+    # an absorbing node z (every row loops on z) never leads back, so no end component
+    # holds another node's row into z: such rows are cut before the first search
+    absorbing = {z for z, (a, b) in enumerate(pairwise(map(first_edge.__getitem__, first_row)))
+                 if a < b and succ[a] == z and succ[a:b].count(z) == b - a}
+    spans = pairwise(map(first_edge.__getitem__, first_row)) if absorbing else ()
+    for i, (a, b) in enumerate(spans):  # (a, b): node i's edges
+        if not absorbing.isdisjoint(succ[a:b]) and i not in absorbing:
+            cut[i] = [r for r in prod.rows(i)
+                      if absorbing.isdisjoint(succ[first_edge[r]:first_edge[r + 1]])]
 
     def successors(i):
         rows = cut.get(i)
         if rows is None:
             return succ[first_edge[first_row[i]]:first_edge[first_row[i + 1]]]
-        if rows[-1] - rows[0] < len(rows):  # adjacent rows: one slice
+        if rows and rows[-1] - rows[0] < len(rows):  # adjacent rows: one slice
             return succ[first_edge[rows[0]]:first_edge[rows[-1] + 1]]
         return chain.from_iterable(succ[first_edge[r]:first_edge[r + 1]] for r in rows)
 
@@ -280,8 +304,10 @@ def mec_decompose(prod: ExplicitProduct) -> list[Mec]:
         cand, gone, lost = set(nodes), [], False  # gone: nodes left without rows, a worklist
         for i in nodes:
             rows = cut.get(i, range(first_row[i], first_row[i + 1]))
+            if not rows:  # every row entered an absorbing node: i is a candidate alone
+                gone.append(i)
             # the span also covers rows dropped between: if it stays inside, all rows do
-            if not cand.issuperset(succ[first_edge[rows[0]]:first_edge[rows[-1] + 1]]):
+            elif not cand.issuperset(succ[first_edge[rows[0]]:first_edge[rows[-1] + 1]]):
                 kept = [r for r in rows if cand.issuperset(succ[first_edge[r]:first_edge[r + 1]])]
                 if len(kept) < len(rows):
                     cut[i], lost = kept, True
@@ -499,13 +525,13 @@ def _component_rows(prod: ExplicitProduct, where: dict[int, int], never: set[int
 
 
 def _sweep(work: list[tuple], values: list[float], choice: list[int] | None = None,
-           bar: float = 0.0) -> bool:
+           bar: float = 0.0) -> list[int]:
     """One Gauss-Seidel sweep over every state of a row table, in order.
 
     A state's first best row counts only if worth more than its value times
     bar. Without choice its worth is written to values; with choice the
     sweep is an improvement pass: values stay, the state switches to that
-    row, and the return tells whether any did.
+    row, and the return lists the positions k of the states that did.
 
     A state's first four rows are four fixed expressions over its padded
     block, bit for bit the term-by-term loop kept for the rows in more:
@@ -514,7 +540,7 @@ def _sweep(work: list[tuple], values: list[float], choice: list[int] | None = No
     successor that cannot reach the target, adds exactly +0.0, since values
     are finite and non-negative.
     """
-    switched = False
+    switched = []
     for (k, i, (j0, p0, j1, p1, j2, p2, j3, p3, j4, p4, j5, p5, j6, p6, j7, p7,
                 j8, p8, j9, p9, j10, p10, j11, p11, j12, p12, j13, p13, j14, p14, j15, p15),
          more) in work:
@@ -542,29 +568,25 @@ def _sweep(work: list[tuple], values: list[float], choice: list[int] | None = No
             continue
         if choice is not None:
             choice[k] = b
-            switched = True
+            switched.append(k)
         else:
             values[i] = best
     return switched
 
 
-def _chain(work: list[tuple], choice: list[int], where: dict[int, int], values: list[float]):
-    """The out, leave and gain of _solve_chain for the chosen rows; values outside are constants."""
-    out, leave, gain = [], [], []
-    for (k, i, block, more), b in zip(work, choice):
-        moves, e, g = {}, 0.0, 0.0
-        for j, p in zip(block[8 * b:8 * b + 8:2], block[8 * b + 1:8 * b + 8:2]) if b < 4 \
-                else more[b - 4]:
-            m = where.get(j)
-            if m is None:  # a pad adds exactly +0.0
-                e += p
-                g += p * values[j]
-            elif m != k and p:
-                moves[m] = moves.get(m, 0.0) + p
-        out.append(moves)
-        leave.append(e)
-        gain.append(g)
-    return out, leave, gain
+def _chain_row(entry: tuple, b: int, where: dict[int, int], values: list[float]):
+    """A state's out, leave and gain in _solve_chain for row b; values outside are constants."""
+    k, _, block, more = entry
+    moves, e, g = {}, 0.0, 0.0
+    for j, p in zip(block[8 * b:8 * b + 8:2], block[8 * b + 1:8 * b + 8:2]) if b < 4 \
+            else more[b - 4]:
+        m = where.get(j)
+        if m is None:  # a pad adds exactly +0.0
+            e += p
+            g += p * values[j]
+        elif m != k and p:
+            moves[m] = moves.get(m, 0.0) + p
+    return moves, e, g
 
 
 def _policy_iteration(work: list[tuple], where: dict[int, int], values: list[float],
@@ -579,10 +601,12 @@ def _policy_iteration(work: list[tuple], where: dict[int, int], values: list[flo
     at least the old values, more at a switched state, yet exactly the old
     values on average over R's stationary distribution; so R holds no switched
     state, and the old chain, which left, could not have been closed on R.
+    The chain is assembled once; a state that switches rebuilds its own entry.
     """
     choice = [0 if block[1] else 4 for _, _, block, _ in work]  # the first real row
     _sweep(work, values, choice)  # greedy for the warm values
-    out, leave, _ = _chain(work, choice, where, values)
+    out, leave, gain = map(list, zip(*[_chain_row(entry, b, where, values)
+                                       for entry, b in zip(work, choice)]))
     into: list[list[int]] = [[] for _ in out]  # into[m]: the states whose chain moves to m
     for k, row in enumerate(out):
         for m in row:
@@ -594,27 +618,34 @@ def _policy_iteration(work: list[tuple], where: dict[int, int], values: list[flo
             if not leaves[k]:
                 leaves[k] = True
                 queue.append(k)
-    choice = [c if flag else a for c, flag, a in zip(choice, leaves, attract)]
+    switched = [k for k, flag in enumerate(leaves) if not flag]  # to attractor rows
+    for k in switched:
+        choice[k] = attract[k]
     for iterations in count(1):
         if iterations > MAX_ITERATIONS:
             raise RuntimeError("policy iteration did not converge within the iteration "
                                "guard; this signals a modeling bug")
-        for (_, i, *_), v in zip(work, _solve_chain(*_chain(work, choice, where, values))):
+        for k in switched:  # only a state that switched rows has a new chain entry
+            out[k], leave[k], gain[k] = _chain_row(work[k], choice[k], where, values)
+        # _solve_chain consumes its input, so it solves a copy
+        for (_, i, *_), v in zip(work, _solve_chain(list(map(dict, out)), leave[:], gain[:])):
             values[i] = v
-        if not _sweep(work, values, choice, 1.0 + PI_GAIN):
+        switched = _sweep(work, values, choice, 1.0 + PI_GAIN)
+        if not switched:
             return iterations
 
 
 def max_sat_probability(prod: ExplicitProduct) -> OracleResult:
     """Maximal probability of satisfying the Buchi condition from each state."""
     mecs = mec_decompose(prod)
-    target = set().union(*(m.states for m in mecs
-                           if all(m.states & acc for acc in prod.accepting_sets)))
+    accmask, full = prod.accmask, (1 << prod.num_sets) - 1  # accepting: the OR covers full
+    target = frozenset().union(*(
+        m.states for m in mecs if reduce(or_, map(accmask.__getitem__, m.states), 0) == full))
 
     n = prod.num_states()
     values = [0.0] * n
     if not target:
-        return OracleResult(values, 0.0, frozenset(), mecs, 0)
+        return OracleResult(values, 0.0, target, mecs, 0)
 
     index = _predecessor_index(prod, target)
     sure = _prob1_max(prod, target, index)
@@ -623,11 +654,12 @@ def max_sat_probability(prod: ExplicitProduct) -> OracleResult:
         values[i] = 1.0
     undecided = [i for i in range(n) if i not in sure and i not in never]
 
+    attract = _attractor_rows(index, sure, n) if undecided else None
+    del index  # its last reader is done; held on, it would raise the peak
+
     sweeps = iterations = 0
     components = []
     if undecided:
-        attract = _attractor_rows(index, sure, n)
-        del index  # held while the rows are built, it would raise the peak
         first_row, first_edge, succ = prod.first_row, prod.first_edge, prod.succ
         inside = set(undecided)
         # emitted downstream first: a component reads only those emitted before it
@@ -653,5 +685,5 @@ def max_sat_probability(prod: ExplicitProduct) -> OracleResult:
         sweeps += WARM_SWEEPS
         iterations += _policy_iteration(work, where, values, first)
 
-    return OracleResult(values, values[prod.initial], frozenset(target), mecs, sweeps,
+    return OracleResult(values, values[prod.initial], target, mecs, sweeps,
                         iterations, len(components))

@@ -351,9 +351,8 @@ def reference_build(env, spec) -> ExplicitProduct:
         prob.extend(probs)
         first_edge.extend(ends)
         prod.first_row.append(len(first_edge) - 1)
-    prod.accepting_sets = tuple(
-        frozenset(i for i, node in enumerate(states) if automaton.accmask[node % nq] >> k & 1)
-        for k in range(len(spec.accepting_sets)))
+    prod.accmask = [automaton.accmask[node % nq] for node in states]
+    prod.num_sets = len(spec.accepting_sets)
     return prod
 
 

@@ -891,6 +891,18 @@ def test_a_grid_over_the_default_cap_exits_4_before_any_work(tmp_path, capsys, c
     assert not out.exists()
 
 
+def test_oracle_refuses_more_slots_than_32_bit_node_ids_whatever_the_cap(tmp_path, capsys):
+    # the 16000000000000 slots of this grid are under a cap of 10**14, but a
+    # product numbers its nodes with 32-bit ints
+    huge = tmp_path / "huge.json"
+    huge.write_text(canonical_json({**ENV_DOC, "height": 10**12}), encoding="utf-8")
+    rc = main(["oracle", "--env", str(huge), "--ldba", "minecraft-t1",
+               "--state_cap", str(10**14)])
+    assert rc == EXIT_SIZE_CAP
+    assert ("16000000000000 state slots, above the cap of 2147483647"
+            in capsys.readouterr().err)
+
+
 def _subprocess_env() -> dict:
     """os.environ with this checkout's ldba_synth first on PYTHONPATH."""
     src = str(Path(ldba_synth.__file__).resolve().parents[1])

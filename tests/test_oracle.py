@@ -16,6 +16,7 @@ from ldba_synth.envs import (GridEnv, LabelRegion, bundled_data_dir, load_env_fi
                              parse_env_spec, resolve_spec_path)
 from ldba_synth.oracle import (
     DEFAULT_STATE_CAP,
+    MAX_STATE_SLOTS,
     WARM_SWEEPS,
     ExplicitProduct,
     ProductSizeError,
@@ -25,6 +26,7 @@ from ldba_synth.oracle import (
     _solve_chain,
     _strongly_connected_components,
     build_explicit_product,
+    check_state_slots,
     max_sat_probability,
     mec_decompose,
 )
@@ -216,9 +218,9 @@ def test_build_matches_the_per_edge_reference_builder():
     for env, spec in cases:
         prod, ref = build_explicit_product(env, spec), reference_build(env, spec)
         assert (prod.states, prod.initial, prod.actions, prod.first_row, prod.first_edge,
-                prod.succ, prod.prob, prod.accepting_sets) == (
+                prod.succ, prod.prob, prod.accmask, prod.num_sets) == (
                     ref.states, ref.initial, ref.actions, ref.first_row, ref.first_edge,
-                    ref.succ, ref.prob, ref.accepting_sets)
+                    ref.succ, ref.prob, ref.accmask, ref.num_sets)
         product = CompiledProduct(env, spec)
         kernel, sink = env.enumerate_model(), product.nq - 1
         seen["slip 0"] += env.slip_probability == 0.0
@@ -256,6 +258,57 @@ def test_successor_dicts_are_built_once_and_only_on_demand():
     max_sat_probability(prod)
     assert "successors" not in vars(prod)  # neither the build nor the solve reads them
     assert prod.successors is prod.successors
+
+
+def test_accepting_sets_view_matches_per_set_frozensets_on_every_bundled_pair():
+    # The build keeps one mask per node; the view built from the masks holds, per
+    # accepting set, the nodes whose automaton state lies in it.
+    data = bundled_data_dir()
+    pairs = 0
+    for env_path in sorted((data / "envs").glob("*.json")):
+        env = load_env_file(env_path)
+        for ldba_path in sorted((data / "ldba").glob("*.json")):
+            spec = load_ldba_file(ldba_path)
+            prod = build_explicit_product(env, spec)
+            decode = CompiledProduct(env, spec).decode
+            qs = [decode(node)[1] for node in prod.states]
+            assert "accepting_sets" not in vars(prod)
+            assert prod.accepting_sets == tuple(
+                frozenset(i for i, q in enumerate(qs) if q in acc) for acc in spec.accepting_sets)
+            assert prod.accepting_sets is prod.accepting_sets
+            pairs += 1
+    assert pairs >= 130
+
+
+def test_given_accepting_sets_become_masks():
+    prod = alternation_mdp()
+    assert (prod.accmask, prod.num_sets) == ([0, 1, 2], 2)
+    assert prod.accepting_sets == (frozenset({1}), frozenset({2}))
+
+
+def test_frozen_lake_lrg_solve_reads_no_accepting_sets_view():
+    env = load_env_file(resolve_spec_path("frozen-lake-lrg", "envs"))
+    spec = load_ldba_file(resolve_spec_path("frozen-lake-seq", "ldba"))
+    prod = build_explicit_product(env, spec)
+    assert max_sat_probability(prod).initial_value == 1.0
+    assert "accepting_sets" not in vars(prod)
+
+
+def test_frozen_lake_lrg_build_and_solve_peak_memory_stays_low():
+    # tracemalloc peak of build plus solve on frozen-lake-lrg x frozen-lake-seq,
+    # Python 3.11.7: 7.31 MiB with one frozenset per accepting set, 64-bit
+    # successor ids and a copy of the target; 6.09 MiB with one mask per node,
+    # 32-bit ids and the target built once. The bound sits midway.
+    env = load_env_file(resolve_spec_path("frozen-lake-lrg", "envs"))
+    spec = load_ldba_file(resolve_spec_path("frozen-lake-seq", "ldba"))
+    tracemalloc.start()
+    try:
+        value = max_sat_probability(build_explicit_product(env, spec)).initial_value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 1.0
+    assert peak < 6.7 * 2**20
 
 
 @pytest.mark.parametrize("env_name,ldba_name,states,edges,epsilon_rows", [
@@ -335,6 +388,31 @@ def test_the_size_cap_fires_before_any_per_cell_work():
         env = parse_env_spec(document)
         with pytest.raises(ProductSizeError, match="1080000 state slots"):
             build_explicit_product(env, spec, state_cap=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_node_ids_are_32_bit_and_more_slots_are_refused_whatever_the_cap():
+    # succ holds node ids, below the slot count, in 4 bytes; edge offsets stay
+    # 8 bytes. A grid with more slots than a 32-bit id can number is refused
+    # before any per-cell work, under a state cap of 10**14 too.
+    prod = build_explicit_product(corridor_env({2: {"a"}}), chain_spec())
+    assert (prod.succ.itemsize, prod.first_edge.itemsize, prod.first_row.itemsize) == (4, 8, 8)
+    assert MAX_STATE_SLOTS == 2**31 - 1
+    document = {"width": 1, "actions": ["right", "left", "up", "down"],
+                "slip_probability": 0.1, "initial_state": [0, 0],
+                "label_regions": [{"rows": [0, 1], "cols": [0, 1], "label": "a"}]}
+    spec = two_loop_spec()  # 3 slots per cell
+    check_state_slots(parse_env_spec({**document, "height": MAX_STATE_SLOTS // 3}), spec,
+                      state_cap=10**14)  # 2147483646 slots
+    tracemalloc.start()
+    try:
+        env = parse_env_spec({**document, "height": MAX_STATE_SLOTS // 3 + 1})
+        with pytest.raises(ProductSizeError,
+                           match="2147483649 state slots, above the cap of 2147483647"):
+            build_explicit_product(env, spec, state_cap=10**14)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -540,6 +618,76 @@ def test_mec_refinement_paths_match_the_textbook_refinement():
             any(m.states in comps for _, comps in searches if len(comps) > 1) for m in mecs)
         seen["split again"] += sum(len(comps) > 1 for _, comps in searches[1:])
     assert min(seen.values()) >= 20, seen
+
+
+def absorbing_product(rng) -> tuple[ExplicitProduct, list[int]]:
+    """A random product and its absorbing nodes, each looping on itself on every row.
+
+    A node may send every row into an absorbing node, beside other moves or
+    not; other nodes' rows enter one at random. Some products have no
+    absorbing node, and an accepting set may hold one.
+    """
+    n = rng.randint(3, 12)
+    absorbing = rng.sample(range(n), rng.choice([0, 1, 1, 2, 3]))
+    successors = []
+    for i in range(n):
+        if i in absorbing:
+            successors.append({f"loop{a}": ((i, 1.0),) for a in range(rng.randint(1, 3))})
+            continue
+        doomed = absorbing and rng.random() < 0.3  # every row enters an absorbing node
+        row = {}
+        for a in range(rng.randint(1, 3)):
+            support = set(rng.sample(range(n), rng.randint(1, min(3, n))))
+            if absorbing and (doomed or rng.random() < 0.3):
+                support.add(rng.choice(absorbing))
+            weights = {j: rng.random() + 0.05 for j in sorted(support)}
+            row[f"a{a}"] = tuple((j, w / sum(weights.values())) for j, w in weights.items())
+        successors.append(row)
+    accepting = tuple(frozenset(rng.sample(range(n), rng.randint(1, max(1, n // 2))))
+                      for _ in range(rng.randint(1, 2)))
+    return product_from_successors(list(range(n)), rng.randrange(n), successors,
+                                   accepting), absorbing
+
+
+def test_mecs_match_the_textbook_refinement_on_products_with_absorbing_nodes():
+    # Rows into an absorbing node are cut before the first SCC search; the
+    # textbook loop finds the same MECs without knowing about them.
+    rng = make_rng(149)
+    seen = {"no absorbing node": 0, "every row enters one": 0, "one in an accepting set": 0,
+            "rows into one beside others": 0}
+    for _ in range(300):
+        prod, absorbing = absorbing_product(rng)
+        mine = {(m.states, frozenset((i, a) for i, acts in m.actions.items() for a in acts))
+                for m in mec_decompose(prod)}
+        assert mine == reference_mecs(prod)
+        for z in absorbing:  # a MEC of its own, with every row
+            assert (frozenset({z}), frozenset((z, a) for a in prod.actions[z])) in mine
+        enters = [[any(j in absorbing for j, _ in succ) for succ in prod.successors[i].values()]
+                  for i in range(prod.num_states()) if i not in absorbing]
+        seen["no absorbing node"] += not absorbing
+        seen["every row enters one"] += sum(map(all, enters))
+        seen["one in an accepting set"] += any(z in acc for acc in prod.accepting_sets
+                                               for z in absorbing)
+        seen["rows into one beside others"] += sum(any(row) and not all(row) for row in enters)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_frozen_lake_lrg_mecs_take_one_scc_search():
+    # Rows into the collapsed sink are cut up front, so the 7782-node candidate
+    # of the first search loses no row and is not searched again.
+    env = load_env_file(resolve_spec_path("frozen-lake-lrg", "envs"))
+    spec = load_ldba_file(resolve_spec_path("frozen-lake-seq", "ldba"))
+    prod = build_explicit_product(env, spec)
+    searches = []
+
+    def counted(*args):
+        searches.append(args[0])
+        return _strongly_connected_components(*args)
+
+    with mock.patch.object(oracle, "_strongly_connected_components", counted):
+        mecs = mec_decompose(prod)
+    assert len(searches) == 1
+    assert sorted(map(len, (m.states for m in mecs))) == [1, prod.num_states() - 1]
 
 
 def test_mec_decompose_peak_memory_stays_low():
@@ -1127,6 +1275,109 @@ def test_components_read_solved_downstream_values_as_constants():
         for node in (2 + sizes[0], len(rows) + 1):  # the second layer's first, the last
             assert abs(result.values[node]
                        - brute_force_value(absorbing_rows(rows, node))) <= 1e-12
+
+
+def reference_chain(work, choice, where, values):
+    """The out, leave and gain of _solve_chain for every state's chosen row, in full."""
+    out, leave, gain = [], [], []
+    for (k, i, block, more), b in zip(work, choice):
+        moves, e, g = {}, 0.0, 0.0
+        for j, p in zip(block[8 * b:8 * b + 8:2], block[8 * b + 1:8 * b + 8:2]) if b < 4 \
+                else more[b - 4]:
+            m = where.get(j)
+            if m is None:
+                e += p
+                g += p * values[j]
+            elif m != k and p:
+                moves[m] = moves.get(m, 0.0) + p
+        out.append(moves)
+        leave.append(e)
+        gain.append(g)
+    return out, leave, gain
+
+
+def reference_policy_iteration(work, where, values, attract) -> int:
+    """_policy_iteration that assembles the whole chain again at every iteration."""
+    choice = [0 if block[1] else 4 for _, _, block, _ in work]
+    oracle._sweep(work, values, choice)
+    out, leave, _ = reference_chain(work, choice, where, values)
+    leaves = [e > 0.0 for e in leave]
+    changed = True
+    while changed:  # a state leaves when its chain moves to one that leaves
+        changed = False
+        for k, row in enumerate(out):
+            if not leaves[k] and any(leaves[m] for m in row):
+                leaves[k] = changed = True
+    choice = [c if flag else a for c, flag, a in zip(choice, leaves, attract)]
+    iterations = 0
+    while True:
+        iterations += 1
+        for (_, i, *_), v in zip(work, _solve_chain(*reference_chain(work, choice, where,
+                                                                     values))):
+            values[i] = v
+        if not oracle._sweep(work, values, choice, 1.0 + oracle.PI_GAIN):
+            return iterations
+
+
+def assert_patched_chain_matches_full_assembly(prod) -> int:
+    """Values bit for bit and iterations as with the chain assembled in full; the
+    number of states that switched after a chain solve is returned."""
+    switches = []
+    sweep = oracle._sweep
+
+    def counted(work, values, choice=None, bar=0.0):
+        switched = sweep(work, values, choice, bar)
+        if bar > 1.0:
+            switches.append(len(switched))
+        return switched
+
+    with mock.patch.object(oracle, "_sweep", counted):
+        result = max_sat_probability(prod)
+    with mock.patch.object(oracle, "_policy_iteration", reference_policy_iteration):
+        reference = max_sat_probability(prod)
+    assert [v.hex() for v in result.values] == [v.hex() for v in reference.values]
+    assert (result.iterations, result.sweeps) == (reference.iterations, reference.sweeps)
+    return sum(switches)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_patched_chain_matches_full_assembly_on_hazard_lakes(seed):
+    spec = load_ldba_file(resolve_spec_path("frozen-lake-reach", "ldba"))
+    prod = build_explicit_product(load_hazard_lake(seed), spec)
+    assert assert_patched_chain_matches_full_assembly(prod) > 0
+
+
+def test_patched_chain_matches_full_assembly_on_random_products():
+    rng = make_rng(151)
+    switched = solved = 0
+    for _ in range(40):
+        sizes = [rng.randint(2, 6) for _ in range(rng.randint(1, 3))]
+        switched += assert_patched_chain_matches_full_assembly(
+            absorbing_rows(layered_rows(rng, sizes)))
+        rows = list(random_explicit_product(rng, max_states=10, max_actions=3).successors)[2:]
+        if rows:
+            solved += 1
+            switched += assert_patched_chain_matches_full_assembly(absorbing_rows(rows))
+    assert switched >= 20 and solved >= 20
+
+
+def test_chain_solves_never_get_the_chain_kept_between_iterations():
+    # _solve_chain consumes its input: each solve gets its own lists and rows.
+    spec = load_ldba_file(resolve_spec_path("frozen-lake-reach", "ldba"))
+    prod = build_explicit_product(load_hazard_lake(0), spec)
+    received = []  # held, so no id is reused
+
+    def solve(out, leave, gain):
+        received.append((out, leave, gain, list(out)))
+        return _solve_chain(out, leave, gain)
+
+    with mock.patch.object(oracle, "_solve_chain", solve):
+        result = max_sat_probability(prod)
+    assert len(received) == result.iterations >= 4
+    lists = [id(x) for out, leave, gain, _ in received for x in (out, leave, gain)]
+    rows = [id(row) for *_, kept in received for row in kept]
+    assert len(set(lists)) == len(lists)
+    assert len(set(rows)) == len(rows)
 
 
 def test_one_state_components_take_their_best_rows_gain_over_pivot():
