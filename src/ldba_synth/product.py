@@ -72,7 +72,7 @@ class ProductRun:
         self._slip, self._random = env.slip_probability, rng.random
         self._getrandbits = rng.getrandbits
         self._nq, self._sink, self._cell_class = product.nq, product.nq - 1, product.cell_class
-        self._legal, self._epsilon, self._moves = product.legal, product.epsilon, env.moves
+        self._epsilon, self._moves = product.epsilon, env.moves
         self.state = product.initial
         self.cell = product.initial // product.nq
 
@@ -87,13 +87,24 @@ class ProductRun:
         return self.product.legal[(state if state is not None else self.state) % self._nq]
 
     def step(self, action: int) -> tuple[int, bool, bool]:
-        """Take an action id; returns (next_state, fired, done)."""
+        """Take an action id; returns (next_state, fired, done).
+
+        The legal ids are ``available_actions()``, ``range(n)`` for the
+        current automaton state's n actions. Any other id, a negative or
+        non-int one included (a bool counts as 0 or 1), raises
+        ProductError before the run draws or moves. The check is the index
+        into q's epsilon classes that the step takes anyway, plus one sign
+        test, since a tuple takes a negative index from its end.
+        """
         runtime = self.runtime
         q = runtime.state
-        if action not in self._legal[q]:
+        try:
+            cls = self._epsilon[q][action]
+            if action < 0:
+                raise IndexError
+        except (IndexError, TypeError):
             raise ProductError(f"illegal action {action!r} for product state "
-                               f"{self.product.decode(self.state)}")
-        cls = self._epsilon[q][action]
+                               f"{self.product.decode(self.state)}") from None
         cell = self.cell
         if cls is None:
             outcomes = self._moves[cell][action]

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from ldba_synth.automaton import SINK_STATE, parse_ldba_spec
+from ldba_synth.automaton import SINK_STATE, load_ldba_file, parse_ldba_spec
+from ldba_synth.envs import bundled_data_dir, load_env_file
 from ldba_synth.evaluation import TestConfig, run_test
 from ldba_synth.product import CompiledProduct, ProductError, ProductRun
 
@@ -136,16 +139,53 @@ def test_epsilon_actions_listed_after_base_actions():
         assert run.available_actions(state) == range(len(names))
 
 
+def snapshot(run):
+    runtime = run.runtime
+    return run.state, run.cell, runtime.state, runtime.frontier, run.rng.getstate()
+
+
 def test_illegal_actions_raise():
-    env = corridor_env({})
+    # A refused id raises before the run draws or moves, and the error names it;
+    # a float that equals a legal id is refused too, as no tuple takes it.
+    env = corridor_env({}, slip=1.0 / 3.0)
     run = product_run(env, epsilon_spec(), make_rng(0))
     run.reset()
-    for action in (5, -1, "up"):                 # q 0 offers ids 0-4 only
-        with pytest.raises(ProductError, match="illegal action"):
-            run.step(action)
-    run.step(act(run, "epsilon_1"))
-    with pytest.raises(ProductError, match="illegal action"):
-        run.step(4)                              # epsilon_1 is only defined at q 0
+    refused = (-1, -6, 1.0, -1.0, None, "up", 2**70, -2**70)
+    for past_end in (5, 4):                      # q 0 offers ids 0-4, q 1 ids 0-3
+        if past_end == 4:
+            run.step(act(run, "epsilon_1"))      # epsilon_1 is only defined at q 0
+        assert len(run.available_actions()) == past_end
+        for action in refused + (past_end,):
+            before = snapshot(run)
+            with pytest.raises(ProductError, match=re.escape(f"illegal action {action!r} ")):
+                run.step(action)
+            assert snapshot(run) == before, action
+
+
+def test_step_accepts_exactly_the_legal_range_on_bundled_pairs():
+    # The step's own index and sign test accept the ids of available_actions(),
+    # range(n) at every automaton state, and nothing else; a bool is the id 0 or 1.
+    envs = sorted((bundled_data_dir() / "envs").glob("*.json"))
+    ldbas = sorted((bundled_data_dir() / "ldba").glob("*.json"))
+    assert len(envs) == 10 and len(ldbas) == 13
+    for env_path in envs:
+        env = load_env_file(env_path)
+        for ldba_path in ldbas:
+            product = CompiledProduct(env, load_ldba_file(ldba_path))
+            run = ProductRun(product, make_rng(0))
+            cell = product.initial // product.nq
+            for q in range(product.nq):
+                n = len(product.actions[q])
+                assert product.legal[q] == range(n)
+                accepted = []
+                for action in (*range(-n - 2, n + 2), False, True):
+                    run.cell, run.state, run.runtime.state = cell, cell * product.nq + q, q
+                    try:
+                        run.step(action)
+                    except ProductError:
+                        continue
+                    accepted.append(action)
+                assert accepted == [*range(n), False, True], (env_path.stem, ldba_path.stem, q)
 
 
 def test_product_ids_translate_to_the_spec_numbering():
